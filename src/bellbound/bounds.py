@@ -16,7 +16,7 @@ import numpy as np
 
 from .chsh import chsh, n_matrix
 from .errors import DomainError, InternalConsistencyError, InvalidInputError
-from .linalg import singular_values, svd
+from .linalg import singular_values
 from .model import FanoState, Observable, Scenario, StrengthQuad, correlation_singular_values
 
 # Slack used when classifying boundary cases of the compatibility
@@ -142,7 +142,7 @@ def w_bundle(q: StrengthQuad, theta: float, phi: float) -> WBundle:
             [cc * sth * cph, -cd * sth * sph],
         ]
     )
-    s = svd(w).s
+    s = singular_values(w)
     i_plus = float(s[0] + s[1])
     i_minus = float(s[0] - s[1])
     plus_sq, minus_sq = _i_pm_squared(q, theta, phi, absolute=False)

@@ -37,6 +37,8 @@ from .model import (
     Scenario,
     StrengthQuad,
     bell_diagonal,
+    number_from_json,
+    numbers_from_json,
     observable_from_dict,
     scenario_from_dict,
     singlet,
@@ -104,31 +106,41 @@ def _parse_state(data: dict) -> FanoState:
     if kind == "werner":
         if "w" not in data:
             raise InvalidInputError("state.w is required for kind 'werner'")
-        return werner(float(data["w"]))
+        return werner(number_from_json(data["w"], "state.w"))
     if kind == "bell_diagonal":
-        if "t" not in data or len(data["t"]) != 3:
+        if "t" not in data:
             raise InvalidInputError("state.t must hold three diagonal entries for kind 'bell_diagonal'")
-        return bell_diagonal(*(float(v) for v in data["t"]))
+        return bell_diagonal(*numbers_from_json(data["t"], "state.t", 3))
     if kind == "fano":
         for key in ("a", "b", "t"):
             if key not in data:
                 raise InvalidInputError(f"state.{key} is required for kind 'fano'")
-        return state_from_fano(data["a"], data["b"], data["t"])
+        if not isinstance(data["t"], list) or len(data["t"]) != 3:
+            raise InvalidInputError("state.t must be a list of three rows")
+        return state_from_fano(
+            numbers_from_json(data["a"], "state.a", 3),
+            numbers_from_json(data["b"], "state.b", 3),
+            [numbers_from_json(row, f"state.t[{k}]", 3) for k, row in enumerate(data["t"])],
+        )
     raise InvalidInputError(
         f"state.kind {kind!r} is not one of singlet, werner, bell_diagonal, fano"
     )
 
 
 def _parse_angles(data: dict) -> tuple[float, float]:
+    if not isinstance(data, dict):
+        raise InvalidInputError("angles must be an object with keys theta and phi")
+    angles = []
     for key in ("theta", "phi"):
         if key not in data:
             raise InvalidInputError(f"angles.{key} is required when angles are given")
-        val = float(data[key])
+        val = number_from_json(data[key], f"angles.{key}")
         if not (0.0 <= val <= math.pi + 1e-12):
             raise InvalidInputError(
                 f"angles.{key} = {val} outside [0, pi]; angles are radians only"
             )
-    return (float(data["theta"]), float(data["phi"]))
+        angles.append(val)
+    return (angles[0], angles[1])
 
 
 class ScenarioFile:
@@ -140,7 +152,6 @@ class ScenarioFile:
         if "state" not in data:
             raise InvalidInputError("input is missing the 'state' key")
         self.state = _parse_state(data["state"])
-        self.seed = int(data.get("seed", 0))
         self.scenario: Scenario | None = None
         self.strengths: StrengthQuad | None = None
         self.angles: tuple[float, float] | None = None
@@ -158,16 +169,11 @@ class ScenarioFile:
             return
         if "strengths" not in data:
             raise InvalidInputError("input needs 'strengths' [sx, sxp, sy, syp] or a 'scenario'")
-        vals = data["strengths"]
-        if len(vals) != 4:
-            raise InvalidInputError("strengths must hold four values [sx, sxp, sy, syp]")
-        self.strengths = StrengthQuad(*(float(v) for v in vals))
+        self.strengths = StrengthQuad(*numbers_from_json(data["strengths"], "strengths", 4))
         if "angles" in data:
             self.angles = _parse_angles(data["angles"])
         if "biases" in data:
-            if len(data["biases"]) != 4:
-                raise InvalidInputError("biases must hold four values")
-            self.biases = tuple(float(v) for v in data["biases"])
+            self.biases = tuple(numbers_from_json(data["biases"], "biases", 4))
 
 
 def _load_input(path: str) -> ScenarioFile:
@@ -575,10 +581,10 @@ def cmd_compat(args) -> int:
         raise InvalidInputError(f"could not parse {args.input}: {exc}") from exc
     except OSError as exc:
         raise InvalidInputError(f"could not read {args.input}: {exc}") from exc
-    if "x" not in data or "xp" not in data:
+    if not isinstance(data, dict) or "x" not in data or "xp" not in data:
         raise InvalidInputError("compat input needs observables under keys 'x' and 'xp'")
-    x = observable_from_dict(data["x"])
-    xp = observable_from_dict(data["xp"])
+    x = observable_from_dict(data["x"], "x")
+    xp = observable_from_dict(data["xp"], "xp")
     unbiased = abs(x.bias) < 1e-12 and abs(xp.bias) < 1e-12
     payload = {
         "x": x.to_dict(),
@@ -632,7 +638,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--tolerance", type=float, default=None, help="undershoot tolerance")
     p_verify.add_argument("--restarts", type=int, default=None)
     p_verify.add_argument(
-        "--threads", type=int, default=None, help="parallel trials (default: BELLBOUND_THREADS)"
+        "--threads",
+        type=int,
+        default=None,
+        help="worker processes for the trials, at most one per CPU (default: BELLBOUND_THREADS)",
     )
     p_verify.add_argument("--output", help="write the per-trial CSV here instead of stdout")
     p_verify.set_defaults(handler=cmd_verify)

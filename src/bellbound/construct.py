@@ -103,7 +103,7 @@ def optimal_transforms(state: FanoState, q: StrengthQuad, theta: float, phi: flo
     s1(T) s1(W) + s2(T) s2(W).
     """
     fac_w = svd(_embed_w(w_bundle(q, theta, phi).w))
-    fac_t = svd(state.t)
+    fac_t = state.t_svd
     o1 = fac_t.u @ fac_w.u.T
     o2 = fac_t.v @ fac_w.v.T
     return o1, o2
@@ -208,7 +208,7 @@ def thm3_achieving(state: FanoState, s_a: float, sy: float, syp: float) -> Achie
     if sy < syp:
         raise InvalidInputError("requires sy >= syp; swap the B-side observables")
     report = thm3_bound(state, s_a, sy, syp)
-    fac = svd(state.t)
+    fac = state.t_svd
     s1, s2 = float(fac.s[0]), float(fac.s[1])
     if s1 <= 1e-12:
         raise InvalidInputError("correlation matrix is zero; nothing to attain")

@@ -1,10 +1,9 @@
-"""Self-contained fixed-size real linear algebra.
+"""Fixed-size linear algebra on top of ``numpy.linalg``.
 
-Provides SVD for 2x2/3x3/4x4 real matrices, eigenvalues of complex
-Hermitian 4x4 matrices, and orthonormal-frame utilities. The SVD uses a
-closed form for 2x2 inputs and one-sided Jacobi sweeps otherwise, so all
-results are deterministic functions of the input with no library solver
-in the loop. numpy arrays are used as storage only.
+Provides SVD for 2x2/3x3/4x4 real matrices with a fixed sign convention,
+eigenvalues of complex Hermitian 4x4 matrices, and orthonormal-frame
+utilities. Inputs are checked for shape, finiteness and (for the
+eigenvalues) Hermiticity before LAPACK sees them.
 """
 
 from __future__ import annotations
@@ -15,12 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-
-# Convergence controls for the Jacobi sweeps (applied to the input scaled
-# to unit max-abs entry, so the thresholds are scale-free).
-_GRAM_TOL = 1e-14
-_MAX_SWEEPS = 60
-_ZERO_COL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -49,98 +42,9 @@ def _as_square(m, sizes=(2, 3, 4)) -> np.ndarray:
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] not in sizes:
         raise InvalidInputError(f"expected a square matrix of size {sizes}, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise InvalidInputError("matrix entries must be finite")
     return a
-
-
-def _svd_2x2(m: np.ndarray) -> SvdFactors:
-    # Exact rotation form: m = R(tl) @ diag(q + r, q - r) @ R(tr).T with
-    # q, r built from the symmetric/antisymmetric parts. Stable for tiny
-    # second singular values (no squaring of the input).
-    a, b = m[0, 0], m[0, 1]
-    c, d = m[1, 0], m[1, 1]
-    e = 0.5 * (a + d)
-    f = 0.5 * (a - d)
-    g = 0.5 * (c + b)
-    h = 0.5 * (c - b)
-    q = math.hypot(e, h)
-    r = math.hypot(f, g)
-    a1 = math.atan2(g, f)
-    a2 = math.atan2(h, e)
-    tl = 0.5 * (a1 + a2)
-    tr = 0.5 * (a1 - a2)
-    u = np.array([[math.cos(tl), -math.sin(tl)], [math.sin(tl), math.cos(tl)]])
-    v = np.array([[math.cos(tr), -math.sin(tr)], [math.sin(tr), math.cos(tr)]])
-    s1 = q + r
-    s2 = q - r
-    if s2 < 0.0:
-        s2 = -s2
-        v = v.copy()
-        v[:, 1] = -v[:, 1]
-    return SvdFactors(u=u, s=np.array([s1, s2]), v=v)
-
-
-def _jacobi_svd(m: np.ndarray) -> SvdFactors:
-    n = m.shape[0]
-    scale = float(np.max(np.abs(m)))
-    if scale == 0.0:
-        return SvdFactors(u=np.eye(n), s=np.zeros(n), v=np.eye(n))
-    a = m / scale
-    v = np.eye(n)
-    for _ in range(_MAX_SWEEPS):
-        rotated = False
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                gamma = float(a[:, i] @ a[:, j])
-                if abs(gamma) < _GRAM_TOL:
-                    continue
-                rotated = True
-                alpha = float(a[:, i] @ a[:, i])
-                beta = float(a[:, j] @ a[:, j])
-                zeta = (beta - alpha) / (2.0 * gamma)
-                t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
-                cth = 1.0 / math.hypot(1.0, t)
-                sth = cth * t
-                ai = a[:, i].copy()
-                a[:, i] = cth * ai - sth * a[:, j]
-                a[:, j] = sth * ai + cth * a[:, j]
-                vi = v[:, i].copy()
-                v[:, i] = cth * vi - sth * v[:, j]
-                v[:, j] = sth * vi + cth * v[:, j]
-        if not rotated:
-            break
-    norms = np.sqrt(np.sum(a * a, axis=0))
-    # Stable sort keeps prior column order on ties, which pins down the
-    # factor matrices for degenerate singular values.
-    order = np.argsort(-norms, kind="stable")
-    a = a[:, order]
-    v = v[:, order]
-    norms = norms[order]
-    u_cols: list[np.ndarray] = []
-    for k in range(n):
-        col = a[:, k].copy()
-        for prev in u_cols:
-            col -= (col @ prev) * prev
-        res = float(np.sqrt(col @ col))
-        if res > _ZERO_COL:
-            u_cols.append(col / res)
-        else:
-            u_cols.append(_complete_column(u_cols, n))
-    u = np.column_stack(u_cols)
-    return SvdFactors(u=u, s=norms * scale, v=v)
-
-
-def _complete_column(existing: list[np.ndarray], n: int) -> np.ndarray:
-    for idx in range(n):
-        cand = np.zeros(n)
-        cand[idx] = 1.0
-        for prev in existing:
-            cand -= (cand @ prev) * prev
-        res = float(np.sqrt(cand @ cand))
-        if res > 0.5:
-            return cand / res
-    raise InvalidInputError("orthonormal completion failed")  # pragma: no cover
 
 
 def svd(m) -> SvdFactors:
@@ -148,59 +52,36 @@ def svd(m) -> SvdFactors:
 
     Returns factors with ``m = u @ diag(s) @ v.T``, ``s`` sorted in
     decreasing order with all entries >= 0 and ``u``, ``v`` orthogonal
-    (possibly with determinant -1). Deterministic for identical input.
+    (possibly with determinant -1). The largest-magnitude entry of each
+    column of ``u`` is positive, with the matching column of ``v`` flipped
+    along, so the factors do not depend on the LAPACK build's sign choices.
     """
     a = _as_square(m)
-    if a.shape[0] == 2:
-        return _svd_2x2(a)
-    return _jacobi_svd(a)
+    u, s, vt = np.linalg.svd(a)
+    # A unit column's largest-magnitude entry is never 0, so no sign is 0.
+    signs = np.sign(u[np.abs(u).argmax(axis=0), np.arange(a.shape[0])])
+    return SvdFactors(u=u * signs, s=s, v=vt.T * signs)
 
 
 def singular_values(m) -> np.ndarray:
     """Just the singular values of a 2x2/3x3/4x4 real matrix, descending."""
-    return svd(m).s
+    return np.linalg.svd(_as_square(m), compute_uv=False)
 
 
 def hermitian_eigenvalues_4(h) -> np.ndarray:
     """Eigenvalues of a complex Hermitian 4x4 matrix, descending.
 
-    Uses cyclic complex Jacobi rotations. The input must be Hermitian to
-    within 1e-12 (max-abs of h - h^dagger), otherwise InvalidInputError.
+    The input must be Hermitian to within 1e-12 (max-abs of h - h^dagger),
+    otherwise InvalidInputError.
     """
     a = np.asarray(h, dtype=complex)
     if a.shape != (4, 4):
         raise InvalidInputError(f"expected a 4x4 matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.all(np.isfinite(a)):
         raise InvalidInputError("matrix entries must be finite")
     if float(np.max(np.abs(a - a.conj().T))) > 1e-12:
         raise InvalidInputError("matrix is not Hermitian within 1e-12")
-    a = 0.5 * (a + a.conj().T)
-    scale = max(1.0, float(np.max(np.abs(a))))
-    tol = 1e-15 * scale
-    for _ in range(_MAX_SWEEPS):
-        off = 0.0
-        for p in range(3):
-            for q in range(p + 1, 4):
-                apq = a[p, q]
-                mag = abs(apq)
-                off = max(off, mag)
-                if mag <= tol:
-                    continue
-                phase = apq / mag
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * mag)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                cth = 1.0 / math.hypot(1.0, t)
-                sth = cth * t
-                rot = np.eye(4, dtype=complex)
-                rot[p, p] = cth
-                rot[q, q] = cth
-                rot[p, q] = sth * phase
-                rot[q, p] = -sth * np.conj(phase)
-                a = rot.conj().T @ a @ rot
-        if off <= tol:
-            break
-    eig = np.sort(np.real(np.diag(a)))[::-1]
-    return eig.copy()
+    return np.linalg.eigvalsh(0.5 * (a + a.conj().T))[::-1].copy()
 
 
 def _check_frame(frame: Frame3, tol: float = 1e-9) -> None:

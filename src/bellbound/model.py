@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ConstraintError, InvalidInputError, UnphysicalStateError
-from .linalg import hermitian_eigenvalues_4, singular_values
+from .linalg import SvdFactors, hermitian_eigenvalues_4, svd
 
 # Minimum admissible eigenvalue of a reconstructed density matrix. Absorbs
 # kernel roundoff without admitting meaningfully unphysical states.
@@ -89,20 +90,55 @@ def make_observable(bias: float, strength: float, direction) -> Observable:
     )
 
 
-def observable_from_dict(data: dict) -> Observable:
+def number_from_json(value, name: str) -> float:
+    """A JSON number as a float; any other JSON value is an input error."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InvalidInputError(f"{name} must be a number, got {type(value).__name__}")
     try:
-        return make_observable(data.get("bias", 0.0), data["strength"], data["direction"])
-    except KeyError as exc:
-        raise InvalidInputError(f"observable JSON is missing key {exc}") from exc
+        return float(value)
+    except OverflowError as exc:
+        raise InvalidInputError(f"{name} is too large for a float") from exc
+
+
+def numbers_from_json(value, name: str, count: int) -> list[float]:
+    """A JSON array of exactly ``count`` numbers as floats."""
+    if not isinstance(value, list) or len(value) != count:
+        raise InvalidInputError(f"{name} must be a list of {count} numbers")
+    return [number_from_json(v, f"{name}[{k}]") for k, v in enumerate(value)]
+
+
+def observable_from_dict(data: dict, name: str = "observable") -> Observable:
+    if not isinstance(data, dict):
+        raise InvalidInputError(f"{name} must be an object with strength and direction")
+    for key in ("strength", "direction"):
+        if key not in data:
+            raise InvalidInputError(f"{name} JSON is missing key {key!r}")
+    return make_observable(
+        number_from_json(data.get("bias", 0.0), f"{name}.bias"),
+        number_from_json(data["strength"], f"{name}.strength"),
+        numbers_from_json(data["direction"], f"{name}.direction", 3),
+    )
 
 
 @dataclass(frozen=True, eq=False)
 class FanoState:
-    """Two-qubit state as Bloch vectors a, b and spin correlation matrix t."""
+    """Two-qubit state as Bloch vectors a, b and spin correlation matrix t.
+
+    ``state_from_fano`` stores read-only copies of the arrays, so the
+    cached decomposition of t cannot go stale.
+    """
 
     a: np.ndarray
     b: np.ndarray
     t: np.ndarray
+
+    @cached_property
+    def t_svd(self) -> SvdFactors:
+        """SVD factors of t, computed on first use and kept with the state."""
+        fac = svd(self.t)
+        for arr in (fac.u, fac.s, fac.v):
+            arr.setflags(write=False)
+        return fac
 
     def theta_matrix(self) -> np.ndarray:
         """4x4 block matrix [[1, b^T], [a, t]]."""
@@ -130,10 +166,13 @@ class FanoState:
 
 
 def state_from_fano(a, b, t) -> FanoState:
-    """Validated Fano state; raises UnphysicalStateError on a bad spectrum."""
-    va = np.asarray(a, dtype=float)
-    vb = np.asarray(b, dtype=float)
-    mt = np.asarray(t, dtype=float)
+    """Validated Fano state; raises UnphysicalStateError on a bad spectrum.
+
+    The state holds read-only copies of a, b and t.
+    """
+    va = np.array(a, dtype=float)
+    vb = np.array(b, dtype=float)
+    mt = np.array(t, dtype=float)
     if va.shape != (3,) or vb.shape != (3,) or mt.shape != (3, 3):
         raise InvalidInputError("expected 3-vectors a, b and a 3x3 matrix t")
     if not (np.all(np.isfinite(va)) and np.all(np.isfinite(vb)) and np.all(np.isfinite(mt))):
@@ -142,6 +181,8 @@ def state_from_fano(a, b, t) -> FanoState:
         raise UnphysicalStateError("Bloch vector longer than 1")
     if float(np.max(np.abs(mt))) > 1.0 + 1e-12:
         raise UnphysicalStateError("correlation matrix entry outside [-1, 1]")
+    for arr in (va, vb, mt):
+        arr.setflags(write=False)
     state = FanoState(a=va, b=vb, t=mt)
     eig = hermitian_eigenvalues_4(state.density_matrix())
     if eig[-1] < PHYSICALITY_EIG_FLOOR:
@@ -162,7 +203,7 @@ def state_from_density(rho) -> FanoState:
 
 def correlation_singular_values(state: FanoState) -> tuple[float, float, float]:
     """Singular values of the spin correlation matrix, descending."""
-    s = singular_values(state.t)
+    s = state.t_svd.s
     return (float(s[0]), float(s[1]), float(s[2]))
 
 
@@ -203,15 +244,12 @@ class Scenario:
 
 
 def scenario_from_dict(data: dict) -> Scenario:
-    try:
-        return Scenario(
-            x=observable_from_dict(data["x"]),
-            xp=observable_from_dict(data["xp"]),
-            y=observable_from_dict(data["y"]),
-            yp=observable_from_dict(data["yp"]),
-        )
-    except KeyError as exc:
-        raise InvalidInputError(f"scenario JSON is missing key {exc}") from exc
+    if not isinstance(data, dict):
+        raise InvalidInputError("scenario must be an object with observables x, xp, y, yp")
+    for key in ("x", "xp", "y", "yp"):
+        if key not in data:
+            raise InvalidInputError(f"scenario JSON is missing key {key!r}")
+    return Scenario(**{key: observable_from_dict(data[key], key) for key in ("x", "xp", "y", "yp")})
 
 
 @dataclass(frozen=True)

@@ -40,12 +40,13 @@ from .construct import (
     frame_from_pair,
     thm3_achieving,
 )
-from .errors import InvalidInputError
-from .linalg import matrix_to_axis_angle, singular_values
+from .errors import InternalConsistencyError, InvalidInputError
+from .linalg import matrix_to_axis_angle
 from .model import (
     FanoState,
     Scenario,
     StrengthQuad,
+    correlation_singular_values,
     make_observable,
     random_observable,
     random_rotation,
@@ -57,6 +58,10 @@ _BIAS_MODES = ("fixed-zero", "fixed-values", "free-extremal", "free-continuous")
 _SIGN_PATTERNS = tuple(itertools.product((1.0, -1.0), repeat=4))
 _EVAL_BUDGET = 200_000
 _START_STEP = 0.8
+# Draw limits of the audit samplers that reject draws; running out is a
+# sampler bug, not a pass.
+_THM3_DRAWS = 500
+_THM4_DRAWS = 1000
 
 
 @dataclass(frozen=True)
@@ -647,11 +652,16 @@ def sample_thm3_trial(seed: int, trial: int):
     # well-conditioned and the oracle's angle estimates are meaningful.
     rng = _trial_rng(seed, trial)
     kind = "tstate" if trial % 2 == 0 else "pure"
-    for _ in range(500):
+    for _ in range(_THM3_DRAWS):
         state = random_state(rng, kind)
-        s = singular_values(state.t)
-        if s[0] >= 0.5 and s[1] >= 0.3:
+        s1, s2, _ = correlation_singular_values(state)
+        if s1 >= 0.5 and s2 >= 0.3:
             break
+    else:
+        raise InternalConsistencyError(
+            f"thm3 sampler found no state with s1 >= 0.5 and s2 >= 0.3 in {_THM3_DRAWS} draws "
+            f"(seed {seed}, trial {trial})"
+        )
     s_a = float(rng.uniform(0.5, 1.0))
     sy = float(rng.uniform(0.6, 1.0))
     syp = float(rng.uniform(0.3, sy - 0.25))
@@ -689,7 +699,7 @@ def sample_thm4_trial(seed: int, trial: int):
     left = random_rotation(rng)
     right = random_rotation(rng)
     state = state_from_fano(np.zeros(3), np.zeros(3), left @ (-w * np.eye(3)) @ right.T)
-    while True:
+    for _ in range(_THM4_DRAWS):
         if trial % 2 == 0:
             sx, sxp, sy, syp = (float(v) for v in rng.uniform(0.45, 1.0, 4))
             if abs(sx - sxp) < 0.12 or abs(sy - syp) < 0.12:
@@ -706,6 +716,10 @@ def sample_thm4_trial(seed: int, trial: int):
             return state, q
         if not first and ratio >= 1.3:
             return state, q
+    raise InternalConsistencyError(
+        f"thm4 sampler found no strengths clear of the branch boundary in {_THM4_DRAWS} draws "
+        f"(seed {seed}, trial {trial})"
+    )
 
 
 def _trial_thm4(seed: int, trial: int, restarts: int):
@@ -870,12 +884,17 @@ def _audit_one(args) -> AuditRow:
 
 
 def default_thread_count() -> int:
-    """Parallelism cap from BELLBOUND_THREADS (default 1, sequential)."""
+    """Requested worker processes from BELLBOUND_THREADS (default 1, sequential)."""
     raw = os.environ.get("BELLBOUND_THREADS", "1")
     try:
         return max(1, int(raw))
     except ValueError:
         raise InvalidInputError(f"BELLBOUND_THREADS must be an integer, got {raw!r}")
+
+
+def worker_count(requested: int, trials: int, cpus: int | None) -> int:
+    """Worker processes for an audit: the request, capped by the trials and the CPUs."""
+    return max(1, min(int(requested), int(trials), cpus or 1))
 
 
 def audit_bound(
@@ -889,7 +908,9 @@ def audit_bound(
     """Compare a closed-form bound against the oracle over seeded trials.
 
     Per-trial seeds derive from (seed, trial index), so results do not
-    depend on the execution order or the thread count. ``tolerance``
+    depend on the execution order or the number of worker processes.
+    ``threads`` (default BELLBOUND_THREADS) asks for worker processes; at
+    most ``os.cpu_count()`` and at most one per trial are started. ``tolerance``
     overrides the undershoot tolerance for tightness-claimed criteria.
     """
     if criterion_id not in _AUDIT_REGISTRY:
@@ -902,11 +923,12 @@ def audit_bound(
     undershoot_tol = cfg.undershoot_tol if tolerance is None else float(tolerance)
     n_restarts = cfg.restarts if restarts is None else int(restarts)
     jobs = [(criterion_id, int(seed), trial, n_restarts) for trial in range(trials)]
-    n_threads = default_thread_count() if threads is None else max(1, int(threads))
-    if n_threads > 1 and trials > 1:
+    requested = default_thread_count() if threads is None else int(threads)
+    workers = worker_count(requested, trials, os.cpu_count())
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(n_threads, trials)) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = tuple(pool.map(_audit_one, jobs))
     else:
         rows = tuple(_audit_one(job) for job in jobs)

@@ -265,3 +265,51 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"state": {"kind": "werner", "w": "x"}, "strengths": [1, 1, 1, 1]},
+        {"state": {"kind": "singlet"}, "strengths": 0.7},
+        {"state": {"kind": "bell_diagonal", "t": 0.5}, "strengths": [1, 1, 1, 1]},
+        {"state": {"kind": "bell_diagonal", "t": ["a", 0, 0]}, "strengths": [1, 1, 1, 1]},
+        {"state": {"kind": "fano", "a": [0, 0, 0], "b": [0, 0, 0], "t": [[0, 0, 0], [0, 0]]},
+         "strengths": [1, 1, 1, 1]},
+        {"state": {"kind": "singlet"}, "strengths": [1, 1, 1, 1], "biases": 0.1},
+        {"state": {"kind": "singlet"}, "strengths": [1, 1, 1, 1], "biases": [0, 0, "0", 0]},
+        {"state": {"kind": "singlet"}, "strengths": [1, 1, 1, 1], "angles": [1, 1]},
+        {"state": {"kind": "singlet"}, "strengths": [1, 1, 1, 1], "angles": {"theta": True, "phi": 1}},
+        {"state": {"kind": "singlet"}, "strengths": [10**400, 1, 1, 1]},
+        {"state": {"kind": "singlet"}, "scenario": [1, 2]},
+        {"state": {"kind": "singlet"},
+         "scenario": {"x": {"strength": 1, "direction": "up"}, "xp": {}, "y": {}, "yp": {}}},
+    ],
+    ids=[
+        "werner-w-not-numeric",
+        "scalar-strengths",
+        "scalar-bell-diagonal-t",
+        "string-in-bell-diagonal-t",
+        "ragged-fano-t",
+        "scalar-biases",
+        "string-in-biases",
+        "angles-not-an-object",
+        "boolean-angle",
+        "integer-too-large",
+        "scenario-not-an-object",
+        "string-direction",
+    ],
+)
+def test_bound_malformed_input_exits_2(tmp_path, capsys, doc):
+    path = _write(tmp_path, "bad.json", doc)
+    code, out, err = _run(capsys, ["bound", "--input", path])
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("doc", [[1, 2], 3, {"x": 1, "xp": {"strength": 1, "direction": [1, 0, 0]}}])
+def test_compat_malformed_input_exits_2(tmp_path, capsys, doc):
+    path = _write(tmp_path, "pair.json", doc)
+    code, _, err = _run(capsys, ["compat", "--input", path])
+    assert code == 2 and err.startswith("error: ")

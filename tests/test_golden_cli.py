@@ -1,0 +1,96 @@
+"""CLI outputs against the recorded golden corpus (tests/golden/cli_corpus.json).
+
+Numbers must match within 1e-12 and everything else exactly. For
+``achieve`` only the target bound, the attained CHSH value and the labels
+are compared: with degenerate correlation singular values, different sign
+and rotation choices for the directions are equally valid.
+"""
+
+import csv
+import io
+import json
+import pathlib
+
+import pytest
+
+from bellbound.cli import main
+
+CORPUS = json.loads((pathlib.Path(__file__).parent / "golden" / "cli_corpus.json").read_text())
+NUM_TOL = 1e-12
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _assert_match(got, want, where="$"):
+    if _is_number(want):
+        assert _is_number(got), f"{where}: expected a number, got {got!r}"
+        assert abs(got - want) <= NUM_TOL, f"{where}: {got!r} vs {want!r}"
+    elif isinstance(want, dict):
+        assert isinstance(got, dict) and sorted(got) == sorted(want), f"{where}: keys differ"
+        for key in want:
+            _assert_match(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), f"{where}: lengths differ"
+        for k, (g, w) in enumerate(zip(got, want)):
+            _assert_match(g, w, f"{where}[{k}]")
+    else:
+        assert got == want, f"{where}: {got!r} vs {want!r}"
+
+
+def _csv_cells(text: str) -> list:
+    def cell(raw):
+        try:
+            return float(raw)
+        except ValueError:
+            return raw
+
+    return [[cell(c) for c in row] for row in csv.reader(io.StringIO(text))]
+
+
+def _json_lines(text: str) -> list:
+    return [json.loads(line) for line in text.splitlines() if line.strip()]
+
+
+@pytest.fixture
+def corpus_dir(tmp_path, monkeypatch):
+    for name, doc in CORPUS["inputs"].items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
+
+
+def _run(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "cmd", CORPUS["commands"], ids=[f"{c['kind']}-{c['case']}" for c in CORPUS["commands"]]
+)
+def test_matches_golden(cmd, corpus_dir, capsys):
+    code, out, err = _run(capsys, cmd["argv"])
+    assert code == cmd["code"]
+    if cmd["kind"] == "bound":
+        _assert_match(json.loads(out), json.loads(cmd["stdout"]))
+    elif cmd["kind"] == "achieve":
+        got, want = json.loads(out), json.loads(cmd["stdout"])
+        for key in ("target_bound", "attained_chsh"):
+            _assert_match(got[key], want[key], key)
+        for key in ("criterion", "recipe", "violated"):
+            assert got[key] == want[key]
+    else:
+        _assert_match(_csv_cells(out), _csv_cells(cmd["stdout"]))
+        _assert_match(_json_lines(err), _json_lines(cmd["stderr"]))
+
+
+def test_corpus_covers_every_family_and_input():
+    kinds = {(c["kind"], c["case"]) for c in CORPUS["commands"]}
+    assert {case for kind, case in kinds if kind == "scan"} == {
+        "strength-sweep",
+        "werner-sweep",
+        "angle-sweep",
+    }
+    assert {case for kind, case in kinds if kind == "bound"} == set(CORPUS["inputs"])

@@ -221,3 +221,17 @@ def test_axis_angle_roundtrip():
     # Near-pi rotations exercise the skew-free branch.
     w = np.array([0.0, 0.0, math.pi - 1e-9])
     assert np.max(np.abs(axis_angle_to_matrix(matrix_to_axis_angle(axis_angle_to_matrix(w))) - axis_angle_to_matrix(w))) < 1e-7
+
+
+def test_svd_sign_convention():
+    rng = np.random.default_rng(12)
+    for n in (2, 3, 4):
+        for _ in range(50):
+            m = rng.normal(size=(n, n))
+            fac = svd(m)
+            _check_factors(m, fac)
+            top = fac.u[np.argmax(np.abs(fac.u), axis=0), np.arange(n)]
+            assert np.all(top > 0)
+            flipped = svd(-m)
+            assert np.allclose(flipped.u, fac.u, atol=1e-12)
+            assert np.allclose(flipped.v, -fac.v, atol=1e-12)

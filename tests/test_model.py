@@ -6,6 +6,7 @@ import pytest
 from bellbound import (
     ConstraintError,
     InvalidInputError,
+    StrengthQuad,
     UnphysicalStateError,
     bell_diagonal,
     correlation_singular_values,
@@ -16,8 +17,10 @@ from bellbound import (
     random_observable,
     random_rotation,
     random_state,
+    s0_bound,
     singlet,
     state_from_fano,
+    thm3_bound,
     werner,
 )
 
@@ -174,3 +177,25 @@ def test_scenario_angles():
     )
     assert abs(sc.theta - math.pi / 2) < 1e-15
     assert abs(sc.phi - math.pi) < 1e-15
+
+
+def test_state_arrays_are_read_only_copies():
+    t = -0.5 * np.eye(3)
+    state = state_from_fano(np.zeros(3), np.zeros(3), t)
+    t[0, 0] = 0.9  # the caller's array is not the state's
+    assert state.t[0, 0] == -0.5
+    for arr in (state.a, state.b, state.t):
+        with pytest.raises(ValueError):
+            arr[0] = 0.1
+    with pytest.raises(ValueError):
+        state.t_svd.s[0] = 0.0
+
+
+def test_correlation_singular_values_match_numpy_before_and_after_bounds():
+    for seed in range(20):
+        state = random_state(seed, ("tstate", "general", "pure")[seed % 3])
+        want = np.linalg.svd(state.t, compute_uv=False)
+        assert np.max(np.abs(np.array(correlation_singular_values(state)) - want)) < 1e-14
+        s0_bound(state, StrengthQuad(0.9, 0.8, 0.7, 0.6), 1.0, 2.0)
+        thm3_bound(state, 0.9, 0.8, 0.5)
+        assert np.max(np.abs(np.array(correlation_singular_values(state)) - want)) < 1e-14

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from bellbound import (
+    InternalConsistencyError,
     InvalidInputError,
     OptimizeSpec,
     StrengthQuad,
     audit_bound,
     achieving_directions,
     chsh,
+    correlation_singular_values,
     exhaustive_bias_max,
     extremal_bias_patterns,
     j_max,
@@ -19,6 +21,8 @@ from bellbound import (
     singlet,
     st_bound,
 )
+from bellbound import optimize
+from bellbound.optimize import sample_thm3_trial, worker_count
 
 SQ2 = math.sqrt(2.0)
 PI2 = math.pi / 2
@@ -172,3 +176,28 @@ def test_audit_threads_deterministic():
     seq = audit_bound("jmax", trials=40, seed=9, threads=1)
     par = audit_bound("jmax", trials=40, seed=9, threads=2)
     assert [r.gap for r in seq.rows] == [r.gap for r in par.rows]
+
+
+def test_worker_count_is_capped_without_starting_processes():
+    assert worker_count(10**9, 10**9, 4) == 4
+    assert worker_count(10**9, 3, 64) == 3
+    assert worker_count(2, 10**6, 64) == 2
+    assert worker_count(0, 10, 8) == 1
+    assert worker_count(-5, 10, 8) == 1
+    assert worker_count(16, 10, None) == 1
+
+
+def test_thm3_sampler_draws_pass_its_filter():
+    for trial in range(50):
+        state, s_a, sy, syp = sample_thm3_trial(0, trial)
+        s1, s2, _ = correlation_singular_values(state)
+        assert s1 >= 0.5 and s2 >= 0.3
+
+
+def test_audit_samplers_raise_when_out_of_draws(monkeypatch):
+    monkeypatch.setattr(optimize, "_THM3_DRAWS", 0)
+    monkeypatch.setattr(optimize, "_THM4_DRAWS", 0)
+    with pytest.raises(InternalConsistencyError):
+        optimize.sample_thm3_trial(0, 0)
+    with pytest.raises(InternalConsistencyError):
+        optimize.sample_thm4_trial(0, 0)

@@ -94,8 +94,12 @@ def _require_tstate(state: FanoState, criterion: str) -> None:
 
 
 def horodecki(t) -> float:
-    """2 sqrt(s1^2 + s2^2) for a 3x3 correlation matrix, in [0, 2 sqrt(2)]."""
-    s = singular_values(np.asarray(t, dtype=float))
+    """2 sqrt(s1^2 + s2^2) for a 3x3 correlation matrix, in [0, 2 sqrt(2)].
+
+    Given a ``FanoState``, reads the singular values of its cached
+    decomposition instead of decomposing t again.
+    """
+    s = t.t_svd.s if isinstance(t, FanoState) else singular_values(np.asarray(t, dtype=float))
     return 2.0 * math.hypot(float(s[0]), float(s[1]))
 
 

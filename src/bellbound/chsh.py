@@ -70,10 +70,14 @@ def chsh(scenario: Scenario, state: FanoState) -> ChshVariants:
     )
 
 
+def bias_combination(bx: float, bxp: float, by: float, byp: float) -> float:
+    """The canonical combination of the four biases: bx by + bx by' + bx' by - bx' by'."""
+    return bx * by + bx * byp + bxp * by - bxp * byp
+
+
 def bias_term(scenario: Scenario) -> float:
     """Bias-only contribution to the canonical combination on a T-state."""
-    bx, bxp, by, byp = scenario.biases
-    return bx * by + bx * byp + bxp * by - bxp * byp
+    return bias_combination(*scenario.biases)
 
 
 def n_matrix(scenario: Scenario) -> np.ndarray:

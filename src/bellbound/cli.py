@@ -244,7 +244,7 @@ def cmd_bound(args) -> int:
     is_tstate = state.is_tstate()
     s1, s2, s3 = correlation_singular_values(state)
     entries = []
-    entries.append(_report_entry(B.BoundReport(value=B.horodecki(state.t), criterion_id="horodecki")))
+    entries.append(_report_entry(B.BoundReport(value=B.horodecki(state), criterion_id="horodecki")))
     entries.append(_report_entry(B.cor2_sufficient(state, q)))
     if angles is not None:
         theta, phi = angles
@@ -449,6 +449,8 @@ def cmd_verify(args) -> int:
         "undershoot_tol": report.undershoot_tol,
         "tightness_claimed": report.tightness_claimed,
         "passed": report.passed,
+        "evaluations": sum(r.evaluations for r in report.rows),
+        "not_converged": [r.trial for r in report.rows if not r.converged],
     }
     print(json.dumps(_fmt12(summary), sort_keys=True), file=sys.stderr)
     if not report.passed:

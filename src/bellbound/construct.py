@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chsh import chsh, chsh_signed
+from .chsh import bias_combination, chsh, chsh_signed
 from .errors import ConstructionError, InvalidInputError
 from .linalg import Frame3, complete_frame, svd
 from .model import FanoState, Scenario, StrengthQuad, make_observable
@@ -193,8 +193,7 @@ def achieving_scenario_tstate(
 
 
 def bias_term_of(biases) -> float:
-    bx, bxp, by, byp = biases
-    return bx * by + bx * byp + bxp * by - bxp * byp
+    return bias_combination(*biases)
 
 
 def thm3_achieving(state: FanoState, s_a: float, sy: float, syp: float) -> AchievingConfig:

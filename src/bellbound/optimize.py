@@ -10,6 +10,13 @@ Relative angles are held exactly fixed during constrained runs by
 parameterizing each side as one rotation applied to reference directions
 with the requested opening angle, so constraint violations cannot leak
 into the search.
+
+The search moves one parameter at a time, so the objective is cached per
+parameter block (A's rotation, B's rotation, theta, phi, each bias): a
+move recomputes only its block and what depends on it, through the same
+code and the same final expression as a full evaluation, so both give
+the same value bit for bit. No decomposition of T or other closed-form
+shortcut enters the objective.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from .bounds import (
     thm4_branch,
     thm4_bound,
 )
-from .chsh import chsh, chsh_signed
+from .chsh import bias_combination, chsh, chsh_signed
 from .construct import (
     achieving_directions,
     achieving_scenario_tstate,
@@ -126,22 +133,19 @@ def _rot_cols01(w0: float, w1: float, w2: float):
 
 
 class _Problem:
-    """Scalar-unrolled CHSH objective over the search parameters."""
+    """Search parameters of one maximization and the CHSH objective over them.
+
+    ``p[0:3]`` and ``p[3:6]`` are the axis-angle vectors of A's and B's
+    frames, then theta and phi when the angles are free, then the four
+    biases in free-continuous mode. Each of these is one block of the
+    objective, and each bias is a block of its own.
+    """
 
     def __init__(self, spec: OptimizeSpec, bias_override=None):
         self.spec = spec
-        t = np.asarray(spec.state.t, dtype=float)
-        (self.t00, self.t01, self.t02), (self.t10, self.t11, self.t12), (
-            self.t20,
-            self.t21,
-            self.t22,
-        ) = t.tolist()
-        self.a0, self.a1, self.a2 = [float(c) for c in spec.state.a]
-        self.b0, self.b1, self.b2 = [float(c) for c in spec.state.b]
-        self.local_terms = any(
-            abs(c) > 0.0 for c in (self.a0, self.a1, self.a2, self.b0, self.b1, self.b2)
-        )
-        self.sx, self.sxp, self.sy, self.syp = spec.strengths.as_tuple()
+        # Python floats throughout: arithmetic on numpy scalars (as the audit
+        # samplers draw them) costs several times more in the hot loop.
+        self.sx, self.sxp, self.sy, self.syp = (float(v) for v in spec.strengths.as_tuple())
         self.free_angles = spec.fixed_angles is None
         if spec.fixed_angles is not None:
             self.theta0, self.phi0 = float(spec.fixed_angles[0]), float(spec.fixed_angles[1])
@@ -168,140 +172,166 @@ class _Problem:
         self.lo = lo
         self.hi = hi
 
-    def _make_signed(self):
-        # Bind every constant into closure cells; this evaluator runs
-        # millions of times per audit, so attribute lookups are hoisted.
-        t00, t01, t02 = self.t00, self.t01, self.t02
-        t10, t11, t12 = self.t10, self.t11, self.t12
-        t20, t21, t22 = self.t20, self.t21, self.t22
-        a0, a1, a2 = self.a0, self.a1, self.a2
-        b0, b1, b2 = self.b0, self.b1, self.b2
+    def make_objective(self):
+        """The objective |S(p)| as ``(value, moves, commit)``.
+
+        ``value(p)`` evaluates every block at ``p`` and caches the results.
+        ``moves[i](p)`` is the value when ``p`` differs from the cached point
+        in coordinate ``i`` only: it recomputes that coordinate's block and
+        what depends on it. ``commit()`` makes the last move's point the
+        cached one. Both routes feed the same intermediates through the same
+        expression, so a moved value equals a fresh ``value(p)`` bit for bit.
+        """
+        # Cached per side: A's rotation columns, (cos, sin) of theta/2, and
+        # from both x, x' and a.x, a.x'; B's rotation columns, (cos, sin) of
+        # phi/2, and from both T y, T y', b.y, b.y'. The final combination
+        # takes the four direction dot products in a fixed order, so values
+        # do not depend on which blocks were cached. Biases are read from p.
+        # This runs millions of times per audit, so constants live in
+        # closure cells.
+        state = self.spec.state
+        (t00, t01, t02), (t10, t11, t12), (t20, t21, t22) = np.asarray(state.t, dtype=float).tolist()
+        a0, a1, a2 = (float(c) for c in state.a)
+        b0, b1, b2 = (float(c) for c in state.b)
+        local_terms = any(c != 0.0 for c in (a0, a1, a2, b0, b1, b2))
         sx, sxp, sy, syp = self.sx, self.sxp, self.sy, self.syp
+        sx_sy, sx_syp, sxp_sy, sxp_syp = sx * sy, sx * syp, sxp * sy, sxp * syp
         free_angles = self.free_angles
         free_bias = self.free_bias
         fixed_bias = self.fixed_bias
-        local_terms = self.local_terms
-        dim = self.dim
-        cth0 = math.cos(0.5 * self.theta0)
-        sth0 = math.sin(0.5 * self.theta0)
-        cph0 = math.cos(0.5 * self.phi0)
-        sph0 = math.sin(0.5 * self.phi0)
+        nb = self.dim - 4
         cos = math.cos
         sin = math.sin
-        sqrt = math.sqrt
+        rot = _rot_cols01
 
-        def signed(p) -> float:
-            if free_angles:
-                half = 0.5 * p[6]
-                cth = cos(half)
-                sth = sin(half)
-                half = 0.5 * p[7]
-                cph = cos(half)
-                sph = sin(half)
-            else:
-                cth = cth0
-                sth = sth0
-                cph = cph0
-                sph = sph0
-            w0 = p[0]
-            w1 = p[1]
-            w2 = p[2]
-            ang = sqrt(w0 * w0 + w1 * w1 + w2 * w2)
-            if ang < 1e-300:
-                r00 = 1.0
-                r10 = 0.0
-                r20 = 0.0
-                r01 = 0.0
-                r11 = 1.0
-                r21 = 0.0
-            else:
-                kx = w0 / ang
-                ky = w1 / ang
-                kz = w2 / ang
-                ca = cos(ang)
-                sa = sin(ang)
-                v = 1.0 - ca
-                r00 = ca + v * kx * kx
-                r10 = v * kx * ky + sa * kz
-                r20 = v * kx * kz - sa * ky
-                r01 = v * kx * ky - sa * kz
-                r11 = ca + v * ky * ky
-                r21 = v * ky * kz + sa * kx
+        def half(angle):
+            return cos(0.5 * angle), sin(0.5 * angle)
+
+        def side_a(r, th):
+            r00, r10, r20, r01, r11, r21 = r
+            cth, sth = th
             x0 = r00 * cth + r01 * sth
             x1 = r10 * cth + r11 * sth
             x2 = r20 * cth + r21 * sth
             xp0 = r00 * cth - r01 * sth
             xp1 = r10 * cth - r11 * sth
             xp2 = r20 * cth - r21 * sth
-            w0 = p[3]
-            w1 = p[4]
-            w2 = p[5]
-            ang = sqrt(w0 * w0 + w1 * w1 + w2 * w2)
-            if ang < 1e-300:
-                r00 = 1.0
-                r10 = 0.0
-                r20 = 0.0
-                r01 = 0.0
-                r11 = 1.0
-                r21 = 0.0
-            else:
-                kx = w0 / ang
-                ky = w1 / ang
-                kz = w2 / ang
-                ca = cos(ang)
-                sa = sin(ang)
-                v = 1.0 - ca
-                r00 = ca + v * kx * kx
-                r10 = v * kx * ky + sa * kz
-                r20 = v * kx * kz - sa * ky
-                r01 = v * kx * ky - sa * kz
-                r11 = ca + v * ky * ky
-                r21 = v * ky * kz + sa * kx
+            if local_terms:
+                return x0, x1, x2, xp0, xp1, xp2, a0 * x0 + a1 * x1 + a2 * x2, a0 * xp0 + a1 * xp1 + a2 * xp2
+            return x0, x1, x2, xp0, xp1, xp2, 0.0, 0.0
+
+        def side_b(r, ph):
+            r00, r10, r20, r01, r11, r21 = r
+            cph, sph = ph
             y0 = r00 * cph + r01 * sph
             y1 = r10 * cph + r11 * sph
             y2 = r20 * cph + r21 * sph
             yp0 = r00 * cph - r01 * sph
             yp1 = r10 * cph - r11 * sph
             yp2 = r20 * cph - r21 * sph
-            ty0 = t00 * y0 + t01 * y1 + t02 * y2
-            ty1 = t10 * y0 + t11 * y1 + t12 * y2
-            ty2 = t20 * y0 + t21 * y1 + t22 * y2
-            tp0 = t00 * yp0 + t01 * yp1 + t02 * yp2
-            tp1 = t10 * yp0 + t11 * yp1 + t12 * yp2
-            tp2 = t20 * yp0 + t21 * yp1 + t22 * yp2
+            ty = (
+                t00 * y0 + t01 * y1 + t02 * y2,
+                t10 * y0 + t11 * y1 + t12 * y2,
+                t20 * y0 + t21 * y1 + t22 * y2,
+                t00 * yp0 + t01 * yp1 + t02 * yp2,
+                t10 * yp0 + t11 * yp1 + t12 * yp2,
+                t20 * yp0 + t21 * yp1 + t22 * yp2,
+            )
+            if local_terms:
+                return ty + (b0 * y0 + b1 * y1 + b2 * y2, b0 * yp0 + b1 * yp1 + b2 * yp2)
+            return ty + (0.0, 0.0)
+
+        def combine(xs, ys, p):
+            x0, x1, x2, xp0, xp1, xp2, a_x, a_xp = xs
+            ty0, ty1, ty2, tp0, tp1, tp2, b_y, b_yp = ys
             g = (
-                sx * sy * (x0 * ty0 + x1 * ty1 + x2 * ty2)
-                + sx * syp * (x0 * tp0 + x1 * tp1 + x2 * tp2)
-                + sxp * sy * (xp0 * ty0 + xp1 * ty1 + xp2 * ty2)
-                - sxp * syp * (xp0 * tp0 + xp1 * tp1 + xp2 * tp2)
+                sx_sy * (x0 * ty0 + x1 * ty1 + x2 * ty2)
+                + sx_syp * (x0 * tp0 + x1 * tp1 + x2 * tp2)
+                + sxp_sy * (xp0 * ty0 + xp1 * ty1 + xp2 * ty2)
+                - sxp_syp * (xp0 * tp0 + xp1 * tp1 + xp2 * tp2)
             )
             if free_bias:
-                bx = p[dim - 4]
-                bxp = p[dim - 3]
-                by = p[dim - 2]
-                byp = p[dim - 1]
+                bx = p[nb]
+                bxp = p[nb + 1]
+                by = p[nb + 2]
+                byp = p[nb + 3]
             else:
                 bx, bxp, by, byp = fixed_bias
-            # Unbiased scenarios skip this block: every Bloch-vector term
-            # carries a bias factor.
+            # Unbiased points skip this block: every Bloch-vector term
+            # carries a bias factor. chsh.bias_combination is written out
+            # because a call would cost a sizeable share of a bias move.
             if bx != 0.0 or bxp != 0.0 or by != 0.0 or byp != 0.0:
                 g += bx * by + bx * byp + bxp * by - bxp * byp
                 if local_terms:
-                    g += (b0 * y0 + b1 * y1 + b2 * y2) * sy * (bx + bxp)
-                    g += (b0 * yp0 + b1 * yp1 + b2 * yp2) * syp * (bx - bxp)
-                    g += (a0 * x0 + a1 * x1 + a2 * x2) * sx * (by + byp)
-                    g += (a0 * xp0 + a1 * xp1 + a2 * xp2) * sxp * (by - byp)
-            return g
+                    g += b_y * sy * (bx + bxp)
+                    g += b_yp * syp * (bx - bxp)
+                    g += a_x * sx * (by + byp)
+                    g += a_xp * sxp * (by - byp)
+            return abs(g)
 
-        return signed
+        th_fixed = half(self.theta0)
+        ph_fixed = half(self.phi0)
+        # The cached point and the last move's point, each the tuple
+        # (A's columns, theta, A's side, B's columns, phi, B's side).
+        cur = new = None
 
-    def make_value(self):
-        signed = self._make_signed()
+        def value(p):
+            nonlocal cur
+            ra = rot(p[0], p[1], p[2])
+            rb = rot(p[3], p[4], p[5])
+            th, ph = (half(p[6]), half(p[7])) if free_angles else (th_fixed, ph_fixed)
+            xs = side_a(ra, th)
+            ys = side_b(rb, ph)
+            cur = (ra, th, xs, rb, ph, ys)
+            return combine(xs, ys, p)
 
-        def value(p) -> float:
-            return abs(signed(p))
+        def move_a(p):
+            nonlocal new
+            _, th, _, rb, ph, ys = cur
+            ra = rot(p[0], p[1], p[2])
+            xs = side_a(ra, th)
+            new = (ra, th, xs, rb, ph, ys)
+            return combine(xs, ys, p)
 
-        return value
+        def move_b(p):
+            nonlocal new
+            ra, th, xs, _, ph, _ = cur
+            rb = rot(p[3], p[4], p[5])
+            ys = side_b(rb, ph)
+            new = (ra, th, xs, rb, ph, ys)
+            return combine(xs, ys, p)
+
+        def move_theta(p):
+            nonlocal new
+            ra, _, _, rb, ph, ys = cur
+            th = half(p[6])
+            xs = side_a(ra, th)
+            new = (ra, th, xs, rb, ph, ys)
+            return combine(xs, ys, p)
+
+        def move_phi(p):
+            nonlocal new
+            ra, th, xs, rb, _, _ = cur
+            ph = half(p[7])
+            ys = side_b(rb, ph)
+            new = (ra, th, xs, rb, ph, ys)
+            return combine(xs, ys, p)
+
+        def move_bias(p):
+            nonlocal new
+            new = cur
+            return combine(cur[2], cur[5], p)
+
+        def commit():
+            nonlocal cur
+            cur = new
+
+        moves = [move_a] * 3 + [move_b] * 3
+        if free_angles:
+            moves += [move_theta, move_phi]
+        if free_bias:
+            moves += [move_bias] * 4
+        return value, tuple(moves), commit
 
     def scenario(self, p, biases=None) -> Scenario:
         if self.free_angles:
@@ -340,16 +370,16 @@ class _Problem:
             p += [scenario.theta, scenario.phi]
         if self.free_bias:
             p += list(scenario.biases)
-        return p
+        return [float(v) for v in p]
 
     def random_params(self, rng: np.random.Generator) -> list[float]:
         p = []
         for _ in range(2):
             axis = rng.standard_normal(3)
             axis /= math.sqrt(float(axis @ axis)) or 1.0
-            p += list(axis * rng.uniform(0.0, math.pi))
+            p += (axis * rng.uniform(0.0, math.pi)).tolist()
         if self.free_angles:
-            p += list(rng.uniform(0.0, math.pi, size=2))
+            p += rng.uniform(0.0, math.pi, size=2).tolist()
         if self.free_bias:
             for s in (self.sx, self.sxp, self.sy, self.syp):
                 room = max(0.0, 1.0 - s)
@@ -357,14 +387,17 @@ class _Problem:
         return p
 
 
-def _coordinate_refine(fun, lo, hi, p: list[float], tol: float, step0: float = _START_STEP):
+def _coordinate_refine(objective, lo, hi, p: list[float], tol: float, step0: float = _START_STEP):
     """Greedy per-coordinate ascent with step halving; deterministic.
 
     Successful moves walk onward with doubling stride; the step is halved
     once a sweep's total gain falls below the quadratic scale step^2 / 4,
-    which stops unproductive zigzagging along curved ridges.
+    which stops unproductive zigzagging along curved ridges. Each trial
+    moves one coordinate, so only that coordinate's block is recomputed;
+    an accepted move is committed to the objective's cache.
     """
-    best = fun(p)
+    value, moves, commit = objective
+    best = value(p)
     evals = 1
     step = step0
     n = len(p)
@@ -373,6 +406,7 @@ def _coordinate_refine(fun, lo, hi, p: list[float], tol: float, step0: float = _
         gain = 0.0
         sweeps_at_level += 1
         for i in range(n):
+            move = moves[i]
             base = p[i]
             for delta in (step, -step):
                 cand = base + delta
@@ -383,9 +417,10 @@ def _coordinate_refine(fun, lo, hi, p: list[float], tol: float, step0: float = _
                 if cand == base:
                     continue
                 p[i] = cand
-                val = fun(p)
+                val = move(p)
                 evals += 1
                 if val > best:
+                    commit()
                     gain += val - best
                     best = val
                     stride = delta
@@ -400,9 +435,10 @@ def _coordinate_refine(fun, lo, hi, p: list[float], tol: float, step0: float = _
                             break
                         prev = p[i]
                         p[i] = nxt
-                        val = fun(p)
+                        val = move(p)
                         evals += 1
                         if val > best:
+                            commit()
                             gain += val - best
                             best = val
                         else:
@@ -424,9 +460,9 @@ def _coordinate_refine(fun, lo, hi, p: list[float], tol: float, step0: float = _
 _COARSE_TOL = 1e-4
 
 
-def _run_starts(problem: _Problem, spec: OptimizeSpec, warm_params: list[list[float]]):
+def _run_starts(problem: _Problem, spec: OptimizeSpec):
     rng = np.random.default_rng(spec.seed)
-    fun = problem.make_value()
+    objective = problem.make_objective()
     lo = problem.lo
     hi = problem.hi
     tol = spec.refine_tolerance
@@ -435,8 +471,9 @@ def _run_starts(problem: _Problem, spec: OptimizeSpec, warm_params: list[list[fl
     best_p = None
     total_evals = 0
     converged = True
-    for start in warm_params:
-        val, p, evals, conv = _coordinate_refine(fun, lo, hi, list(start), tol)
+    for scenario in spec.warm_starts:
+        start = problem.params_from_scenario(scenario)
+        val, p, evals, conv = _coordinate_refine(objective, lo, hi, start, tol)
         total_evals += evals
         converged = converged and conv
         if val > best_val:
@@ -444,23 +481,16 @@ def _run_starts(problem: _Problem, spec: OptimizeSpec, warm_params: list[list[fl
             best_p = list(p)
     for _ in range(spec.restarts):
         start = problem.random_params(rng)
-        val, p, evals, conv = _coordinate_refine(fun, lo, hi, start, coarse)
+        val, p, evals, conv = _coordinate_refine(objective, lo, hi, start, coarse)
         total_evals += evals
         if coarse > tol and val > best_val:
-            val, p, evals, conv = _coordinate_refine(fun, lo, hi, p, tol, step0=4.0 * coarse)
+            val, p, evals, conv = _coordinate_refine(objective, lo, hi, p, tol, step0=4.0 * coarse)
             total_evals += evals
         converged = converged and conv
         if val > best_val:
             best_val = val
             best_p = list(p)
     return best_val, best_p, total_evals, converged
-
-
-def _warm_params(problem: _Problem, spec: OptimizeSpec) -> list[list[float]]:
-    out = []
-    for scenario in spec.warm_starts:
-        out.append(problem.params_from_scenario(scenario))
-    return out
 
 
 def maximize_chsh(spec: OptimizeSpec) -> OptimizeResult:
@@ -473,7 +503,7 @@ def maximize_chsh(spec: OptimizeSpec) -> OptimizeResult:
     if spec.biases == "free-extremal":
         return _maximize_extremal(spec)
     problem = _Problem(spec)
-    best_val, best_p, evals, converged = _run_starts(problem, spec, _warm_params(problem, spec))
+    best_val, best_p, evals, converged = _run_starts(problem, spec)
     scenario = problem.scenario(best_p)
     return _finalize(spec, scenario, evals, converged)
 
@@ -495,11 +525,7 @@ def extremal_bias_patterns(q: StrengthQuad):
 
 def exhaustive_bias_max(q: StrengthQuad) -> float:
     """Max |bias-only CHSH term| over the sixteen extremal sign patterns."""
-    best = 0.0
-    for biases in extremal_bias_patterns(q):
-        bx, bxp, by, byp = biases
-        best = max(best, abs(bx * by + bx * byp + bxp * by - bxp * byp))
-    return best
+    return max(abs(bias_combination(*biases)) for biases in extremal_bias_patterns(q))
 
 
 def _maximize_extremal(spec: OptimizeSpec) -> OptimizeResult:
@@ -510,13 +536,11 @@ def _maximize_extremal(spec: OptimizeSpec) -> OptimizeResult:
     if spec.state.is_tstate():
         unbiased = replace(spec, biases="fixed-zero", bias_values=None)
         problem = _Problem(unbiased)
-        warm = _warm_params(problem, unbiased)
-        best_val, best_p, evals, converged = _run_starts(problem, unbiased, warm)
+        best_val, best_p, evals, converged = _run_starts(problem, unbiased)
         best_biases = (0.0, 0.0, 0.0, 0.0)
         best_j = 0.0
         for biases in extremal_bias_patterns(spec.strengths):
-            bx, bxp, by, byp = biases
-            j = bx * by + bx * byp + bxp * by - bxp * byp
+            j = bias_combination(*biases)
             if j > best_j:
                 best_j = j
                 best_biases = biases
@@ -535,8 +559,7 @@ def _maximize_extremal(spec: OptimizeSpec) -> OptimizeResult:
     converged = True
     for biases in extremal_bias_patterns(spec.strengths):
         problem = _Problem(spec, bias_override=biases)
-        warm = _warm_params(problem, spec)
-        val, p, evals, conv = _run_starts(problem, spec, warm)
+        val, p, evals, conv = _run_starts(problem, spec)
         total_evals += evals
         converged = converged and conv
         if best_result is None or val > best_result[0]:
@@ -551,10 +574,18 @@ def _maximize_extremal(spec: OptimizeSpec) -> OptimizeResult:
 
 @dataclass(frozen=True)
 class AuditRow:
+    """One audit trial.
+
+    ``evaluations`` and ``converged`` come from the oracle's search; they
+    are 0 and True where the oracle value is exact (sgen, jmax).
+    """
+
     trial: int
     bound: float
     oracle: float
     gap: float
+    evaluations: int
+    converged: bool
 
 
 @dataclass(frozen=True)
@@ -594,6 +625,20 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng((int(seed), int(trial), 0xB311))
 
 
+def _search(state, q, angles, biases, restarts, seed, warm=None) -> OptimizeResult:
+    """The oracle run of one audit trial, warm-started from ``warm`` when given."""
+    spec = OptimizeSpec(
+        state=state,
+        strengths=q,
+        fixed_angles=angles,
+        biases=biases,
+        restarts=restarts,
+        seed=seed,
+        warm_starts=() if warm is None else (warm,),
+    )
+    return maximize_chsh(spec)
+
+
 def sample_thm1_trial(seed: int, trial: int):
     rng = _trial_rng(seed, trial)
     state = random_state(rng, "tstate" if trial % 2 == 0 else "general")
@@ -606,18 +651,8 @@ def _trial_thm1(seed: int, trial: int, restarts: int):
     state, q, theta, phi = sample_thm1_trial(seed, trial)
     bound = s0_bound(state, q, theta, phi).value
     warm = achieving_directions(state, q, theta, phi).scenario
-    result = maximize_chsh(
-        OptimizeSpec(
-            state=state,
-            strengths=q,
-            fixed_angles=(theta, phi),
-            biases="fixed-zero",
-            restarts=restarts,
-            seed=_opt_seed(seed, trial),
-            warm_starts=(warm,),
-        )
-    )
-    return bound, result.best_value
+    result = _search(state, q, (theta, phi), "fixed-zero", restarts, _opt_seed(seed, trial), warm)
+    return bound, result
 
 
 def sample_thm2_trial(seed: int, trial: int):
@@ -632,18 +667,8 @@ def _trial_thm2(seed: int, trial: int, restarts: int):
     state, q, theta, phi = sample_thm2_trial(seed, trial)
     bound = st_bound(state, q, theta, phi).value
     warm = achieving_scenario_tstate(state, q, theta, phi).scenario
-    result = maximize_chsh(
-        OptimizeSpec(
-            state=state,
-            strengths=q,
-            fixed_angles=(theta, phi),
-            biases="free-extremal",
-            restarts=restarts,
-            seed=_opt_seed(seed, trial),
-            warm_starts=(warm,),
-        )
-    )
-    return bound, result.best_value
+    result = _search(state, q, (theta, phi), "free-extremal", restarts, _opt_seed(seed, trial), warm)
+    return bound, result
 
 
 def sample_thm3_trial(seed: int, trial: int):
@@ -672,22 +697,12 @@ def _trial_thm3(seed: int, trial: int, restarts: int):
     state, s_a, sy, syp = sample_thm3_trial(seed, trial)
     bound = thm3_bound(state, s_a, sy, syp).value
     result = thm3_oracle(state, s_a, sy, syp, restarts=restarts, seed=_opt_seed(seed, trial))
-    return bound, result.best_value
+    return bound, result
 
 
 def thm3_oracle(state, s_a, sy, syp, restarts: int, seed: int) -> OptimizeResult:
     warm = thm3_achieving(state, s_a, sy, syp).scenario
-    return maximize_chsh(
-        OptimizeSpec(
-            state=state,
-            strengths=StrengthQuad(s_a, s_a, sy, syp),
-            fixed_angles=None,
-            biases="fixed-zero",
-            restarts=restarts,
-            seed=seed,
-            warm_starts=(warm,),
-        )
-    )
+    return _search(state, StrengthQuad(s_a, s_a, sy, syp), None, "fixed-zero", restarts, seed, warm)
 
 
 def sample_thm4_trial(seed: int, trial: int):
@@ -726,22 +741,12 @@ def _trial_thm4(seed: int, trial: int, restarts: int):
     state, q = sample_thm4_trial(seed, trial)
     report = thm4_bound(state, q)
     result = thm4_oracle(state, q, report, restarts=restarts, seed=_opt_seed(seed, trial))
-    return report.value, result.best_value
+    return report.value, result
 
 
 def thm4_oracle(state, q, report, restarts: int, seed: int) -> OptimizeResult:
     warm = achieving_directions(state, q, *report.optimal_angles).scenario
-    return maximize_chsh(
-        OptimizeSpec(
-            state=state,
-            strengths=q,
-            fixed_angles=None,
-            biases="fixed-zero",
-            restarts=restarts,
-            seed=seed,
-            warm_starts=(warm,),
-        )
-    )
+    return _search(state, q, None, "fixed-zero", restarts, seed, warm)
 
 
 def sample_cor1_trial(seed: int, trial: int):
@@ -756,18 +761,8 @@ def _trial_cor1(seed: int, trial: int, restarts: int):
     report = cor1_bound(state, s_a, s_b)
     q = StrengthQuad(s_a, s_a, s_b, s_b)
     warm = achieving_directions(state, q, *report.optimal_angles).scenario
-    result = maximize_chsh(
-        OptimizeSpec(
-            state=state,
-            strengths=q,
-            fixed_angles=None,
-            biases="fixed-zero",
-            restarts=restarts,
-            seed=_opt_seed(seed, trial),
-            warm_starts=(warm,),
-        )
-    )
-    return report.value, result.best_value
+    result = _search(state, q, None, "fixed-zero", restarts, _opt_seed(seed, trial), warm)
+    return report.value, result
 
 
 def _trial_cor4(seed: int, trial: int, restarts: int):
@@ -777,18 +772,8 @@ def _trial_cor4(seed: int, trial: int, restarts: int):
     report = cor4_bound(state, s_a, s_b)
     q = StrengthQuad(s_a, s_a, s_b, s_b)
     warm = achieving_scenario_tstate(state, q, *report.optimal_angles).scenario
-    result = maximize_chsh(
-        OptimizeSpec(
-            state=state,
-            strengths=q,
-            fixed_angles=None,
-            biases="free-extremal",
-            restarts=restarts,
-            seed=_opt_seed(seed, trial),
-            warm_starts=(warm,),
-        )
-    )
-    return report.value, result.best_value
+    result = _search(state, q, None, "free-extremal", restarts, _opt_seed(seed, trial), warm)
+    return report.value, result
 
 
 def _trial_sgen(seed: int, trial: int, restarts: int):
@@ -812,18 +797,9 @@ def _trial_horodecki_upper(seed: int, trial: int, restarts: int):
     kinds = ("tstate", "general", "pure")
     state = random_state(rng, kinds[trial % 3])
     q = StrengthQuad(*rng.uniform(0.0, 1.0, 4))
-    bound = max(2.0, horodecki(state.t))
-    result = maximize_chsh(
-        OptimizeSpec(
-            state=state,
-            strengths=q,
-            fixed_angles=None,
-            biases="free-continuous",
-            restarts=restarts,
-            seed=_opt_seed(seed, trial),
-        )
-    )
-    return bound, result.best_value
+    bound = max(2.0, horodecki(state))
+    result = _search(state, q, None, "free-continuous", restarts, _opt_seed(seed, trial))
+    return bound, result
 
 
 def _trial_jmax(seed: int, trial: int, restarts: int):
@@ -838,17 +814,8 @@ def _trial_zero_strength(seed: int, trial: int, restarts: int):
     state = random_state(rng, kinds[trial % 3])
     sx, sxp, sy = (float(v) for v in rng.uniform(0.0, 1.0, 3))
     q = StrengthQuad(sx, sxp, sy, 0.0)
-    result = maximize_chsh(
-        OptimizeSpec(
-            state=state,
-            strengths=q,
-            fixed_angles=None,
-            biases="free-continuous",
-            restarts=restarts,
-            seed=_opt_seed(seed, trial),
-        )
-    )
-    return 2.0, result.best_value
+    result = _search(state, q, None, "free-continuous", restarts, _opt_seed(seed, trial))
+    return 2.0, result
 
 
 @dataclass(frozen=True)
@@ -880,7 +847,18 @@ def _audit_one(args) -> AuditRow:
     criterion_id, seed, trial, restarts = args
     cfg = _AUDIT_REGISTRY[criterion_id]
     bound, oracle = cfg.trial_fn(seed, trial, restarts)
-    return AuditRow(trial=trial, bound=float(bound), oracle=float(oracle), gap=float(bound - oracle))
+    if isinstance(oracle, OptimizeResult):
+        oracle, evals, converged = oracle.best_value, oracle.evaluations, oracle.converged
+    else:
+        evals, converged = 0, True
+    return AuditRow(
+        trial=trial,
+        bound=float(bound),
+        oracle=float(oracle),
+        gap=float(bound - oracle),
+        evaluations=int(evals),
+        converged=bool(converged),
+    )
 
 
 def default_thread_count() -> int:

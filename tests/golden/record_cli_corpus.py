@@ -1,7 +1,8 @@
 """Record the golden CLI corpus used by ``tests/test_golden_cli.py``.
 
 Runs ``bound`` on a fixed set of input documents, ``achieve`` for the
-criteria that apply to them and one ``scan`` per family, and writes the
+criteria that apply to them, one ``scan`` per family and ``verify`` for
+every audit criterion (seed 0, three trials, one process), and writes the
 inputs, argument lists, exit codes and outputs to ``cli_corpus.json`` next
 to this file. Run it at the commit whose outputs are the reference:
 
@@ -23,6 +24,7 @@ import pathlib
 import tempfile
 
 from bellbound.cli import main
+from bellbound.optimize import AUDIT_CRITERIA
 
 PI2 = math.pi / 2
 
@@ -130,6 +132,9 @@ SCANS = {
 }
 
 
+VERIFY_ARGS = ["--trials", "3", "--seed", "0", "--threads", "1"]
+
+
 def input_file(name: str) -> str:
     return f"{name}.json"
 
@@ -149,6 +154,14 @@ def commands() -> list[dict]:
         )
     for family, extra in SCANS.items():
         out.append({"kind": "scan", "case": family, "argv": ["scan", "--family", family, *extra]})
+    for criterion in sorted(AUDIT_CRITERIA):
+        out.append(
+            {
+                "kind": "verify",
+                "case": criterion,
+                "argv": ["verify", "--criterion", criterion, *VERIFY_ARGS],
+            }
+        )
     return out
 
 

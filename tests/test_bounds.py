@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bellbound import bounds as bounds_module
 from bellbound import (
     DomainError,
     InvalidInputError,
@@ -56,6 +57,17 @@ def test_horodecki_examples():
     assert abs(horodecki(singlet().t) - 2 * SQ2) < 1e-14
     assert abs(horodecki(werner(0.5).t) - SQ2) < 1e-14
     assert horodecki(np.zeros((3, 3))) == 0.0
+
+
+def test_horodecki_of_a_state_reads_its_cached_decomposition(monkeypatch):
+    state = random_state(np.random.default_rng(31), "general")
+    expected = horodecki(state.t)
+
+    def no_second_decomposition(t):
+        raise AssertionError("horodecki(state) decomposed t again")
+
+    monkeypatch.setattr(bounds_module, "singular_values", no_second_decomposition)
+    assert abs(horodecki(state) - expected) < 1e-15
 
 
 def test_w_bundle_projective_right_angles():

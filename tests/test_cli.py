@@ -166,6 +166,9 @@ def test_verify_thm1_small(tmp_path, capsys):
     assert len(rows) == 6
     for row in rows[1:]:
         assert float(row[3]) >= -1e-9
+    summary = json.loads(err.splitlines()[-1])
+    assert summary["evaluations"] > 0
+    assert summary["not_converged"] == []
 
 
 def test_scan_strength_sweep(tmp_path, capsys):

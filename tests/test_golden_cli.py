@@ -3,7 +3,11 @@
 Numbers must match within 1e-12 and everything else exactly. For
 ``achieve`` only the target bound, the attained CHSH value and the labels
 are compared: with degenerate correlation singular values, different sign
-and rotation choices for the directions are equally valid.
+and rotation choices for the directions are equally valid. For ``verify``
+the bounds must match within 1e-12, the oracle values and everything
+derived from them within 1e-9 (the oracle is a numerical search), and the
+pass/fail verdicts exactly; summary keys added after recording are not
+compared.
 """
 
 import csv
@@ -14,27 +18,29 @@ import pathlib
 import pytest
 
 from bellbound.cli import main
+from bellbound.optimize import AUDIT_CRITERIA
 
 CORPUS = json.loads((pathlib.Path(__file__).parent / "golden" / "cli_corpus.json").read_text())
 NUM_TOL = 1e-12
+ORACLE_TOL = 1e-9
 
 
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _assert_match(got, want, where="$"):
+def _assert_match(got, want, where="$", tol=NUM_TOL):
     if _is_number(want):
         assert _is_number(got), f"{where}: expected a number, got {got!r}"
-        assert abs(got - want) <= NUM_TOL, f"{where}: {got!r} vs {want!r}"
+        assert abs(got - want) <= tol, f"{where}: {got!r} vs {want!r}"
     elif isinstance(want, dict):
         assert isinstance(got, dict) and sorted(got) == sorted(want), f"{where}: keys differ"
         for key in want:
-            _assert_match(got[key], want[key], f"{where}.{key}")
+            _assert_match(got[key], want[key], f"{where}.{key}", tol)
     elif isinstance(want, list):
         assert isinstance(got, list) and len(got) == len(want), f"{where}: lengths differ"
         for k, (g, w) in enumerate(zip(got, want)):
-            _assert_match(g, w, f"{where}[{k}]")
+            _assert_match(g, w, f"{where}[{k}]", tol)
     else:
         assert got == want, f"{where}: {got!r} vs {want!r}"
 
@@ -67,6 +73,21 @@ def _run(capsys, argv):
     return code, captured.out, captured.err
 
 
+def _assert_verify_match(out, err, cmd):
+    got_rows, want_rows = _csv_cells(out), _csv_cells(cmd["stdout"])
+    assert got_rows[0] == want_rows[0] == ["trial", "bound", "oracle", "gap"]
+    assert len(got_rows) == len(want_rows)
+    for got, want in zip(got_rows[1:], want_rows[1:]):
+        where = f"trial {want[0]}"
+        assert got[0] == want[0], where
+        _assert_match(got[1], want[1], f"{where}.bound")
+        _assert_match(got[2:], want[2:], f"{where}.oracle,gap", ORACLE_TOL)
+    (got,), (want,) = _json_lines(err), _json_lines(cmd["stderr"])
+    assert set(want) <= set(got)
+    assert got["passed"] is want["passed"]
+    _assert_match({k: got[k] for k in want}, want, "summary", ORACLE_TOL)
+
+
 @pytest.mark.parametrize(
     "cmd", CORPUS["commands"], ids=[f"{c['kind']}-{c['case']}" for c in CORPUS["commands"]]
 )
@@ -81,6 +102,8 @@ def test_matches_golden(cmd, corpus_dir, capsys):
             _assert_match(got[key], want[key], key)
         for key in ("criterion", "recipe", "violated"):
             assert got[key] == want[key]
+    elif cmd["kind"] == "verify":
+        _assert_verify_match(out, err, cmd)
     else:
         _assert_match(_csv_cells(out), _csv_cells(cmd["stdout"]))
         _assert_match(_json_lines(err), _json_lines(cmd["stderr"]))
@@ -94,3 +117,4 @@ def test_corpus_covers_every_family_and_input():
         "angle-sweep",
     }
     assert {case for kind, case in kinds if kind == "bound"} == set(CORPUS["inputs"])
+    assert {case for kind, case in kinds if kind == "verify"} == set(AUDIT_CRITERIA)

@@ -11,6 +11,7 @@ from bellbound import (
     audit_bound,
     achieving_directions,
     chsh,
+    chsh_signed,
     correlation_singular_values,
     exhaustive_bias_max,
     extremal_bias_patterns,
@@ -201,3 +202,48 @@ def test_audit_samplers_raise_when_out_of_draws(monkeypatch):
         optimize.sample_thm3_trial(0, 0)
     with pytest.raises(InternalConsistencyError):
         optimize.sample_thm4_trial(0, 0)
+
+
+@pytest.mark.parametrize("kind", ["tstate", "general"])
+@pytest.mark.parametrize("angles", [None, (1.1, 2.3)])
+@pytest.mark.parametrize("biases", ["fixed-zero", "fixed-values", "free-extremal", "free-continuous"])
+def test_objective_moves_match_full_evaluation(kind, angles, biases):
+    # A random walk of accepted and rejected single-coordinate moves: every
+    # moved value must equal a fresh full evaluation at the same point bit
+    # for bit, and the exact CHSH value of the point's scenario.
+    rng = np.random.default_rng(14)
+    state = random_state(rng, kind)
+    q = StrengthQuad(0.9, 0.6, 0.8, 0.5)
+    spec = OptimizeSpec(
+        state=state, strengths=q, fixed_angles=angles, biases=biases,
+        bias_values=(0.05, -0.3, 0.1, 0.2) if biases == "fixed-values" else None,
+    )
+    override = extremal_bias_patterns(q)[5] if biases == "free-extremal" else None
+    problem = optimize._Problem(spec, bias_override=override)
+    assert problem.dim == 6 + (2 if angles is None else 0) + (4 if biases == "free-continuous" else 0)
+    value, moves, commit = problem.make_objective()
+    p = problem.random_params(rng)
+    value(p)
+    accepted = 0
+    for _ in range(400):
+        i = int(rng.integers(problem.dim))
+        old = p[i]
+        p[i] = min(max(old + float(rng.normal(0.0, 0.7)), problem.lo[i]), problem.hi[i])
+        moved = moves[i](p)
+        assert moved == problem.make_objective()[0](p)
+        assert abs(moved - abs(chsh_signed(problem.scenario(p), state))) < 1e-12
+        if rng.random() < 0.5:
+            commit()
+            accepted += 1
+        else:
+            p[i] = old
+    assert 100 < accepted < 300
+    assert value(p) == problem.make_objective()[0](p)
+
+
+def test_audit_rows_report_evaluations_and_convergence():
+    for row in audit_bound("thm1", trials=2).rows:
+        assert row.evaluations > 0
+        assert row.converged
+    for row in audit_bound("jmax", trials=2).rows:
+        assert (row.evaluations, row.converged) == (0, True)

@@ -14,11 +14,9 @@ from .errors import (
 from .linalg import (
     Frame3,
     SvdFactors,
-    axis_angle_to_matrix,
     complete_frame,
     hermitian_eigenvalues_4,
     matrix_to_axis_angle,
-    rotation_between,
     singular_values,
     svd,
 )
@@ -39,7 +37,7 @@ from .model import (
     state_from_fano,
     werner,
 )
-from .chsh import ChshVariants, bias_term, chsh, chsh_matrix_form, chsh_signed, expectation, n_matrix
+from .chsh import ChshVariants, bias_combination, chsh, chsh_matrix_form, chsh_signed, expectation, n_matrix
 from .bounds import (
     BoundReport,
     WBundle,
@@ -64,13 +62,15 @@ from .bounds import (
     w_bundle,
 )
 from .construct import (
+    ACHIEVABLE,
     AchievingConfig,
+    achieve,
     achieving_biases,
     achieving_directions,
     achieving_scenario_tstate,
     frame_from_pair,
-    m_matrix,
     reference_frames,
+    scenario_from_directions,
     thm3_achieving,
 )
 from .optimize import (

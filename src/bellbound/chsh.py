@@ -75,11 +75,6 @@ def bias_combination(bx: float, bxp: float, by: float, byp: float) -> float:
     return bx * by + bx * byp + bxp * by - bxp * byp
 
 
-def bias_term(scenario: Scenario) -> float:
-    """Bias-only contribution to the canonical combination on a T-state."""
-    return bias_combination(*scenario.biases)
-
-
 def n_matrix(scenario: Scenario) -> np.ndarray:
     """4x4 observable matrix of the trace form of the CHSH parameter."""
     ux = scenario.x.u4()

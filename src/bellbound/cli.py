@@ -14,16 +14,13 @@ import io
 import json
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import bounds as B
 from .chsh import chsh, chsh_matrix_form
-from .construct import (
-    achieving_directions,
-    achieving_scenario_tstate,
-    thm3_achieving,
-)
+from .construct import ACHIEVABLE, achieve, reference_frames, scenario_from_directions
 from .errors import (
     BellboundError,
     ConstructionError,
@@ -71,13 +68,16 @@ def _fmt12(value):
     return value
 
 
-def _emit_json(payload: dict, output: str | None) -> None:
-    text = json.dumps(_fmt12(payload), indent=2, sort_keys=True)
+def _write(text: str, output: str | None) -> None:
     if output:
         with open(output, "w") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
     else:
-        print(text)
+        sys.stdout.write(text)
+
+
+def _emit_json(payload: dict, output: str | None) -> None:
+    _write(json.dumps(_fmt12(payload), indent=2, sort_keys=True) + "\n", output)
 
 
 def _emit_csv(header: list[str], rows: list[tuple], output: str | None) -> None:
@@ -86,11 +86,7 @@ def _emit_csv(header: list[str], rows: list[tuple], output: str | None) -> None:
     writer.writerow(header)
     for row in rows:
         writer.writerow([str(cell) for cell in row])
-    if output:
-        with open(output, "w") as fh:
-            fh.write(buf.getvalue())
-    else:
-        sys.stdout.write(buf.getvalue())
+    _write(buf.getvalue(), output)
 
 
 # ---------------------------------------------------------------------------
@@ -176,39 +172,22 @@ class ScenarioFile:
             self.biases = tuple(numbers_from_json(data["biases"], "biases", 4))
 
 
-def _load_input(path: str) -> ScenarioFile:
+def _read_json(path: str):
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except json.JSONDecodeError as exc:
         raise InvalidInputError(f"could not parse {path}: {exc}") from exc
     except OSError as exc:
         raise InvalidInputError(f"could not read {path}: {exc}") from exc
-    return ScenarioFile(data)
+
+
+def _load_input(path: str) -> ScenarioFile:
+    return ScenarioFile(_read_json(path))
 
 
 # ---------------------------------------------------------------------------
 # bound
-
-
-def _pick_default_angles(doc: ScenarioFile):
-    """Optimal angles from the most specific applicable bound family, if any."""
-    q = doc.strengths
-    s1, s2, _ = correlation_singular_values(doc.state)
-    if abs(s1 - s2) <= 1e-8:
-        report = B.thm4_bound(doc.state, q)
-        return report.optimal_angles, "thm4"
-    if abs(q.sx - q.sxp) <= 1e-12:
-        sy, syp = max(q.sy, q.syp), min(q.sy, q.syp)
-        report = B.thm3_bound(doc.state, q.sx, sy, syp)
-        return report.optimal_angles, "thm3"
-    if abs(q.sy - q.syp) <= 1e-12:
-        # Exchange the sides (the bound is symmetric under it, with the
-        # relative angles swapped along).
-        sx, sxp = max(q.sx, q.sxp), min(q.sx, q.sxp)
-        report = B.thm3_bound(doc.state, q.sy, sx, sxp)
-        return (report.optimal_angles[1], report.optimal_angles[0]), "thm3-sides-exchanged"
-    return None, None
 
 
 def _report_entry(report: B.BoundReport, **extra) -> dict:
@@ -229,108 +208,64 @@ def _report_entry(report: B.BoundReport, **extra) -> dict:
     return entry
 
 
-def _inapplicable(criterion_id: str, reason: str) -> dict:
-    return {"criterion_id": criterion_id, "applicable": False, "reason": reason}
+def _entry(criterion_id: str, reason: str | None, make, **extra) -> dict:
+    """The entry of the report ``make()``, or an inapplicable one when ``reason`` is set."""
+    if reason:
+        return {"criterion_id": criterion_id, "applicable": False, "reason": reason}
+    return _report_entry(make(), **extra)
 
 
 def cmd_bound(args) -> int:
     doc = _load_input(args.input)
     state = doc.state
     q = doc.strengths
-    angles = doc.angles
-    angle_source = "input" if angles is not None else None
-    if angles is None:
-        angles, angle_source = _pick_default_angles(doc)
-    is_tstate = state.is_tstate()
     s1, s2, s3 = correlation_singular_values(state)
-    entries = []
-    entries.append(_report_entry(B.BoundReport(value=B.horodecki(state), criterion_id="horodecki")))
-    entries.append(_report_entry(B.cor2_sufficient(state, q)))
-    if angles is not None:
-        theta, phi = angles
-        entries.append(
-            _report_entry(
-                B.s0_bound(state, q, theta, phi),
-                angles_used={"theta": theta, "phi": phi},
-                angle_source=angle_source,
-            )
+    is_tstate = state.is_tstate()
+    not_tstate = None if is_tstate else "not a T-state"
+    equal_a = abs(q.sx - q.sxp) <= 1e-12
+    equal_b = abs(q.sy - q.syp) <= 1e-12
+    thm4 = B.thm4_bound(state, q) if abs(s1 - s2) <= 1e-8 else None
+    thm3 = None
+    thm3_extra = {}
+    if equal_a:
+        thm3 = B.thm3_bound(state, q.sx, max(q.sy, q.syp), min(q.sy, q.syp))
+        thm3_extra = {"b_side_swapped": q.sy < q.syp}
+    elif equal_b:
+        # Exchange the sides: the bound is symmetric under it, with the
+        # relative angles swapped along.
+        thm3 = B.thm3_bound(state, q.sy, max(q.sx, q.sxp), min(q.sx, q.sxp))
+        thm3 = replace(
+            thm3, optimal_angles=thm3.optimal_angles[::-1], notes="sides exchanged (equal strengths on side B)"
         )
-        entries.append(
-            _report_entry(
-                B.s0_tilde(state, q, theta, phi),
-                angles_used={"theta": theta, "phi": phi},
-                angle_source=angle_source,
-            )
-        )
-        if is_tstate:
-            entries.append(
-                _report_entry(
-                    B.st_bound(state, q, theta, phi),
-                    angles_used={"theta": theta, "phi": phi},
-                    angle_source=angle_source,
-                )
-            )
-            entries.append(
-                _report_entry(
-                    B.st_tilde(state, q, theta, phi),
-                    angles_used={"theta": theta, "phi": phi},
-                    angle_source=angle_source,
-                )
-            )
-        else:
-            entries.append(_inapplicable("thm2", "not a T-state"))
-            entries.append(_inapplicable("cor6", "not a T-state"))
-    else:
-        reason = "no angles given and no strength/state pattern fixes optimal ones"
-        for cid in ("thm1", "cor3") + (("thm2", "cor6") if is_tstate else ()):
-            entries.append(_inapplicable(cid, reason))
-        if not is_tstate:
-            entries.append(_inapplicable("thm2", "not a T-state"))
-            entries.append(_inapplicable("cor6", "not a T-state"))
-    if abs(q.sx - q.sxp) <= 1e-12 and abs(q.sy - q.syp) <= 1e-12:
-        entries.append(_report_entry(B.cor1_bound(state, q.sx, q.sy)))
-        if is_tstate:
-            entries.append(_report_entry(B.cor4_bound(state, q.sx, q.sy)))
-        else:
-            entries.append(_inapplicable("cor4", "not a T-state"))
-    else:
-        entries.append(_inapplicable("cor1", "strengths are not equal on each side"))
-        entries.append(_inapplicable("cor4", "strengths are not equal on each side"))
-    if abs(q.sx - q.sxp) <= 1e-12:
-        sy, syp = max(q.sy, q.syp), min(q.sy, q.syp)
-        swapped = q.sy < q.syp
-        entries.append(
-            _report_entry(
-                B.thm3_bound(state, q.sx, sy, syp, biased_tstate=False),
-                b_side_swapped=swapped,
-            )
-        )
-    elif abs(q.sy - q.syp) <= 1e-12:
-        sx, sxp = max(q.sx, q.sxp), min(q.sx, q.sxp)
-        report = B.thm3_bound(state, q.sy, sx, sxp, biased_tstate=False)
-        entries.append(
-            _report_entry(
-                B.BoundReport(
-                    value=report.value,
-                    criterion_id="thm3",
-                    optimal_angles=(report.optimal_angles[1], report.optimal_angles[0]),
-                    notes="sides exchanged (equal strengths on side B)",
-                )
-            )
-        )
-    else:
-        entries.append(_inapplicable("thm3", "no side has equal strengths"))
-    if abs(s1 - s2) <= 1e-8:
-        entries.append(_report_entry(B.thm4_bound(state, q, biased_tstate=False)))
-        if is_tstate:
-            entries.append(
-                _report_entry(
-                    B.thm4_bound(state, q, biased_tstate=True),
-                    criterion_variant="thm4+bias",
-                )
-            )
-    else:
-        entries.append(_inapplicable("thm4", f"s1(T) != s2(T) ({s1:.6g} vs {s2:.6g})"))
+    # Without input angles, the most specific family that fixes optimal
+    # ones supplies them.
+    angles, angle_source = doc.angles, "input"
+    if angles is None and thm4 is not None:
+        angles, angle_source = thm4.optimal_angles, "thm4"
+    elif angles is None and thm3 is not None:
+        angles, angle_source = thm3.optimal_angles, "thm3" if equal_a else "thm3-sides-exchanged"
+    no_angles = "no angles given and no strength/state pattern fixes optimal ones" if angles is None else None
+    at_angles = {} if angles is None else {
+        "angles_used": {"theta": angles[0], "phi": angles[1]},
+        "angle_source": angle_source,
+    }
+    unequal = None if equal_a and equal_b else "strengths are not equal on each side"
+    entries = [
+        _report_entry(B.BoundReport(value=B.horodecki(state), criterion_id="horodecki")),
+        _report_entry(B.cor2_sufficient(state, q)),
+        _entry("thm1", no_angles, lambda: B.s0_bound(state, q, *angles), **at_angles),
+        _entry("cor3", no_angles, lambda: B.s0_tilde(state, q, *angles), **at_angles),
+        _entry("thm2", not_tstate or no_angles, lambda: B.st_bound(state, q, *angles), **at_angles),
+        _entry("cor6", not_tstate or no_angles, lambda: B.st_tilde(state, q, *angles), **at_angles),
+        _entry("cor1", unequal, lambda: B.cor1_bound(state, q.sx, q.sy)),
+        _entry("cor4", unequal or not_tstate, lambda: B.cor4_bound(state, q.sx, q.sy)),
+        _entry("thm3", None if thm3 else "no side has equal strengths", lambda: thm3, **thm3_extra),
+        _entry("thm4", None if thm4 else f"s1(T) != s2(T) ({s1:.6g} vs {s2:.6g})", lambda: thm4),
+    ]
+    if thm4 is not None and is_tstate:
+        # thm4_bound's biased T-state form adds j_max to the same value.
+        biased = replace(thm4, value=thm4.value + B.j_max(q))
+        entries.append(_report_entry(biased, criterion_variant="thm4+bias"))
     payload = {
         "input": args.input,
         "state": state.to_dict(),
@@ -347,26 +282,13 @@ def cmd_bound(args) -> int:
             "swap_both": variants.swap_both,
             "matrix_form": chsh_matrix_form(doc.scenario, state),
         }
-        payload["criteria"].append(_report_entry(B.sgen_bound(doc.scenario, state)))
+        entries.append(_report_entry(B.sgen_bound(doc.scenario, state)))
     elif angles is not None:
-        from .construct import reference_frames
-        from .model import make_observable
-
         dirs = reference_frames(*angles)
-        biases = doc.biases if doc.biases is not None else (0.0, 0.0, 0.0, 0.0)
-        scenario = Scenario(
-            x=make_observable(biases[0], q.sx, dirs[0]),
-            xp=make_observable(biases[1], q.sxp, dirs[1]),
-            y=make_observable(biases[2], q.sy, dirs[2]),
-            yp=make_observable(biases[3], q.syp, dirs[3]),
-        )
-        payload["criteria"].append(
-            _report_entry(B.sgen_bound(scenario, state), notes="reference-frame directions")
-        )
+        scenario = scenario_from_directions(q, dirs, doc.biases or (0.0, 0.0, 0.0, 0.0))
+        entries.append(_report_entry(B.sgen_bound(scenario, state), notes="reference-frame directions"))
     else:
-        payload["criteria"].append(
-            _inapplicable("sgen", "needs an explicit scenario or angles")
-        )
+        entries.append(_entry("sgen", "needs an explicit scenario or angles", None))
     _emit_json(payload, args.output)
     return EXIT_OK
 
@@ -377,46 +299,14 @@ def cmd_bound(args) -> int:
 
 def cmd_achieve(args) -> int:
     doc = _load_input(args.input)
-    state = doc.state
-    q = doc.strengths
-    criterion = args.criterion
-    if criterion in ("thm1", "thm2"):
-        if doc.angles is None:
-            raise InvalidInputError(f"criterion {criterion} needs angles{{theta, phi}} in the input")
-        theta, phi = doc.angles
-        if criterion == "thm1":
-            config = achieving_directions(state, q, theta, phi)
-        else:
-            config = achieving_scenario_tstate(state, q, theta, phi)
-    elif criterion in ("cor1", "cor4"):
-        if abs(q.sx - q.sxp) > 1e-12 or abs(q.sy - q.syp) > 1e-12:
-            raise DomainError(f"criterion {criterion} requires equal strengths on each side")
-        report = B.cor1_bound(state, q.sx, q.sy) if criterion == "cor1" else B.cor4_bound(state, q.sx, q.sy)
-        theta, phi = report.optimal_angles
-        if criterion == "cor1":
-            config = achieving_directions(state, q, theta, phi)
-        else:
-            config = achieving_scenario_tstate(state, q, theta, phi)
-    elif criterion == "thm3":
-        if abs(q.sx - q.sxp) > 1e-12:
-            raise DomainError("criterion thm3 requires equal strengths on side A (sx = sxp)")
-        sy, syp = max(q.sy, q.syp), min(q.sy, q.syp)
-        config = thm3_achieving(state, q.sx, sy, syp)
-    elif criterion == "thm4":
-        report = B.thm4_bound(state, q)
-        config = achieving_directions(state, q, *report.optimal_angles)
-    else:
-        raise InvalidInputError(
-            f"criterion {criterion!r} has no achieving construction "
-            "(choose thm1, thm2, cor1, cor4, thm3 or thm4)"
-        )
+    config = achieve(args.criterion, doc.state, doc.strengths, doc.angles)
     payload = {
-        "criterion": criterion,
+        "criterion": args.criterion,
         "recipe": config.recipe_id,
         "target_bound": config.target_bound,
         "attained_chsh": config.attained_chsh,
         "violated": config.attained_chsh > 2.0,
-        "state": state.to_dict(),
+        "state": doc.state.to_dict(),
         "scenario": config.scenario.to_dict(),
         "angles": {"theta": config.scenario.theta, "phi": config.scenario.phi},
     }
@@ -576,13 +466,7 @@ def cmd_scan(args) -> int:
 
 
 def cmd_compat(args) -> int:
-    try:
-        with open(args.input) as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise InvalidInputError(f"could not parse {args.input}: {exc}") from exc
-    except OSError as exc:
-        raise InvalidInputError(f"could not read {args.input}: {exc}") from exc
+    data = _read_json(args.input)
     if not isinstance(data, dict) or "x" not in data or "xp" not in data:
         raise InvalidInputError("compat input needs observables under keys 'x' and 'xp'")
     x = observable_from_dict(data["x"], "x")
@@ -628,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_achieve.add_argument(
         "--criterion",
         required=True,
-        choices=["thm1", "thm2", "cor1", "cor4", "thm3", "thm4"],
+        choices=ACHIEVABLE,
     )
     p_achieve.add_argument("--output")
     p_achieve.set_defaults(handler=cmd_achieve)

@@ -6,6 +6,7 @@ from reference directions in the standard basis, one orthogonal transform
 per side rotates the measurement directions so the trace pairing of the
 two matrices becomes the sum of products of their singular values. Bias
 patterns that attain the bias-only maximum are chosen by a sign recipe.
+``achieve`` maps each tight criterion to its angles and recipe.
 """
 
 from __future__ import annotations
@@ -16,10 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chsh import bias_combination, chsh, chsh_signed
-from .errors import ConstructionError, InvalidInputError
+from .errors import ConstructionError, DomainError, InvalidInputError
 from .linalg import Frame3, complete_frame, svd
 from .model import FanoState, Scenario, StrengthQuad, make_observable
-from .bounds import s0_bound, st_bound, thm3_bound, w_bundle
+from .bounds import cor1_bound, cor4_bound, s0_bound, st_bound, thm3_bound, thm4_bound, w_bundle
 
 _ATTAIN_TOL = 1e-6
 
@@ -83,11 +84,6 @@ def frame_from_pair(u, v) -> Frame3:
     return Frame3(e1=e1, e2=e2, e3=e3 / float(np.sqrt(e3 @ e3)))
 
 
-def m_matrix(state: FanoState, frame_a: Frame3, frame_b: Frame3) -> np.ndarray:
-    """Correlation matrix expressed between two frames: M_jk = e_j^T T f_k."""
-    return frame_a.as_matrix().T @ state.t @ frame_b.as_matrix()
-
-
 def _embed_w(w: np.ndarray) -> np.ndarray:
     out = np.zeros((3, 3))
     out[:2, :2] = w
@@ -109,7 +105,8 @@ def optimal_transforms(state: FanoState, q: StrengthQuad, theta: float, phi: flo
     return o1, o2
 
 
-def _scenario_from_directions(q: StrengthQuad, dirs, biases=(0.0, 0.0, 0.0, 0.0)) -> Scenario:
+def scenario_from_directions(q: StrengthQuad, dirs, biases=(0.0, 0.0, 0.0, 0.0)) -> Scenario:
+    """Scenario with strengths ``q``, directions (x, x', y, y') and ``biases``."""
     x, xp, y, yp = dirs
     return Scenario(
         x=make_observable(biases[0], q.sx, x),
@@ -138,7 +135,7 @@ def achieving_directions(state: FanoState, q: StrengthQuad, theta: float, phi: f
     refs = reference_frames(theta, phi)
     o1, o2 = optimal_transforms(state, q, theta, phi)
     dirs = (o1 @ refs[0], o1 @ refs[1], o2 @ refs[2], o2 @ refs[3])
-    scenario = _scenario_from_directions(q, dirs)
+    scenario = scenario_from_directions(q, dirs)
     attained = chsh(scenario, state).canonical
     config = AchievingConfig(
         scenario=scenario, target_bound=target, attained_chsh=attained, recipe_id="appendixA"
@@ -182,18 +179,14 @@ def achieving_scenario_tstate(
         dirs[2] = -dirs[2]
         dirs[3] = -dirs[3]
     biases = achieving_biases(q, beta=beta)
-    if bias_term_of(biases) < 0.0:
+    if bias_combination(*biases) < 0.0:
         biases = tuple(-b for b in biases)
-    scenario = _scenario_from_directions(q, tuple(dirs), biases)
+    scenario = scenario_from_directions(q, tuple(dirs), biases)
     attained = chsh(scenario, state).canonical
     config = AchievingConfig(
         scenario=scenario, target_bound=target, attained_chsh=attained, recipe_id="appendixA"
     )
     return _check_attainment(config, theta, phi)
-
-
-def bias_term_of(biases) -> float:
-    return bias_combination(*biases)
 
 
 def thm3_achieving(state: FanoState, s_a: float, sy: float, syp: float) -> AchievingConfig:
@@ -226,7 +219,7 @@ def thm3_achieving(state: FanoState, s_a: float, sy: float, syp: float) -> Achie
     half = math.atan2(syp * s2, sy * s1)
     x = math.cos(half) * x1 + math.sin(half) * x2
     xp = math.cos(half) * x1 - math.sin(half) * x2
-    scenario = _scenario_from_directions(StrengthQuad(s_a, s_a, sy, syp), (x, xp, y, yp))
+    scenario = scenario_from_directions(StrengthQuad(s_a, s_a, sy, syp), (x, xp, y, yp))
     attained = chsh(scenario, state).canonical
     config = AchievingConfig(
         scenario=scenario,
@@ -235,3 +228,31 @@ def thm3_achieving(state: FanoState, s_a: float, sy: float, syp: float) -> Achie
         recipe_id="thm3",
     )
     return _check_attainment(config, 2.0 * half, 0.5 * math.pi)
+
+
+ACHIEVABLE = ("thm1", "thm2", "cor1", "cor4", "thm3", "thm4")
+
+
+def achieve(criterion: str, state: FanoState, q: StrengthQuad, angles=None) -> AchievingConfig:
+    """Scenario attaining a criterion's bound, for thm1 and thm2 at ``angles`` (theta, phi)."""
+    if criterion in ("thm1", "thm2"):
+        if angles is None:
+            raise InvalidInputError(f"criterion {criterion} needs angles{{theta, phi}} in the input")
+    elif criterion in ("cor1", "cor4"):
+        if abs(q.sx - q.sxp) > 1e-12 or abs(q.sy - q.syp) > 1e-12:
+            raise DomainError(f"criterion {criterion} requires equal strengths on each side")
+        angles = (cor1_bound if criterion == "cor1" else cor4_bound)(state, q.sx, q.sy).optimal_angles
+    elif criterion == "thm3":
+        if abs(q.sx - q.sxp) > 1e-12:
+            raise DomainError("criterion thm3 requires equal strengths on side A (sx = sxp)")
+        return thm3_achieving(state, q.sx, max(q.sy, q.syp), min(q.sy, q.syp))
+    elif criterion == "thm4":
+        angles = thm4_bound(state, q).optimal_angles
+    else:
+        raise InvalidInputError(
+            f"criterion {criterion!r} has no achieving construction "
+            "(choose thm1, thm2, cor1, cor4, thm3 or thm4)"
+        )
+    # The biased T-state bounds add the bias recipe to the directions.
+    recipe = achieving_scenario_tstate if criterion in ("thm2", "cor4") else achieving_directions
+    return recipe(state, q, *angles)

@@ -84,28 +84,6 @@ def hermitian_eigenvalues_4(h) -> np.ndarray:
     return np.linalg.eigvalsh(0.5 * (a + a.conj().T))[::-1].copy()
 
 
-def _check_frame(frame: Frame3, tol: float = 1e-9) -> None:
-    vecs = (frame.e1, frame.e2, frame.e3)
-    for vec in vecs:
-        arr = np.asarray(vec, dtype=float)
-        if arr.shape != (3,) or not np.all(np.isfinite(arr)):
-            raise InvalidInputError("frame vectors must be finite 3-vectors")
-        if abs(float(arr @ arr) - 1.0) > 2.0 * tol:
-            raise InvalidInputError("degenerate frame: vector norm differs from 1")
-    if abs(float(vecs[0] @ vecs[1])) > tol or abs(float(vecs[0] @ vecs[2])) > tol \
-            or abs(float(vecs[1] @ vecs[2])) > tol:
-        raise InvalidInputError("degenerate frame: vectors are not orthogonal")
-    if float(np.max(np.abs(np.cross(vecs[0], vecs[1]) - vecs[2]))) > 1e-6:
-        raise InvalidInputError("degenerate frame: not right-handed")
-
-
-def rotation_between(src: Frame3, dst: Frame3) -> np.ndarray:
-    """Proper rotation R with R @ src.ek = dst.ek for k = 1, 2, 3."""
-    _check_frame(src)
-    _check_frame(dst)
-    return dst.as_matrix() @ src.as_matrix().T
-
-
 def complete_frame(e1, e2_hint=None) -> Frame3:
     """Extend a unit vector to a right-handed orthonormal frame.
 
@@ -141,19 +119,8 @@ def complete_frame(e1, e2_hint=None) -> Frame3:
     return Frame3(e1=v1, e2=v2, e3=v3)
 
 
-def axis_angle_to_matrix(w) -> np.ndarray:
-    """Rotation matrix for an axis-angle 3-vector (angle = |w|)."""
-    vec = np.asarray(w, dtype=float)
-    angle = float(np.sqrt(vec @ vec))
-    if angle < 1e-300:
-        return np.eye(3)
-    k = vec / angle
-    kmat = np.array([[0.0, -k[2], k[1]], [k[2], 0.0, -k[0]], [-k[1], k[0], 0.0]])
-    return np.eye(3) + math.sin(angle) * kmat + (1.0 - math.cos(angle)) * (kmat @ kmat)
-
-
 def matrix_to_axis_angle(rot) -> np.ndarray:
-    """Axis-angle 3-vector of a proper rotation matrix (inverse of above)."""
+    """Axis-angle 3-vector (angle = |w|, in [0, pi]) of a proper rotation matrix."""
     r = np.asarray(rot, dtype=float)
     skew = np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
     sin_ang = 0.5 * float(np.sqrt(skew @ skew))

@@ -25,6 +25,7 @@ import itertools
 import math
 import os
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -42,9 +43,10 @@ from .bounds import (
 )
 from .chsh import bias_combination, chsh, chsh_signed
 from .construct import (
+    achieve,
     achieving_directions,
-    achieving_scenario_tstate,
     frame_from_pair,
+    scenario_from_directions,
     thm3_achieving,
 )
 from .errors import InternalConsistencyError, InvalidInputError
@@ -353,13 +355,7 @@ class _Problem:
         r00, r10, r20, r01, r11, r21 = _rot_cols01(p[3], p[4], p[5])
         y = np.array([r00 * cph + r01 * sph, r10 * cph + r11 * sph, r20 * cph + r21 * sph])
         yp = np.array([r00 * cph - r01 * sph, r10 * cph - r11 * sph, r20 * cph - r21 * sph])
-        q = self.spec.strengths
-        return Scenario(
-            x=make_observable(biases[0], q.sx, x),
-            xp=make_observable(biases[1], q.sxp, xp),
-            y=make_observable(biases[2], q.sy, y),
-            yp=make_observable(biases[3], q.syp, yp),
-        )
+        return scenario_from_directions(self.spec.strengths, (x, xp, y, yp), biases)
 
     def params_from_scenario(self, scenario: Scenario) -> list[float]:
         frame_a = frame_from_pair(scenario.x.direction, scenario.xp.direction)
@@ -639,35 +635,26 @@ def _search(state, q, angles, biases, restarts, seed, warm=None) -> OptimizeResu
     return maximize_chsh(spec)
 
 
-def sample_thm1_trial(seed: int, trial: int):
+# State kinds the soundness audits cycle through, and the oracle's bias
+# mode per tight criterion: zero unbiased, extremal for the T-state forms.
+_KINDS = ("tstate", "general", "pure")
+_ORACLE_BIASES = {"thm1": "fixed-zero", "cor1": "fixed-zero", "thm2": "free-extremal", "cor4": "free-extremal"}
+
+
+def sample_thm1_trial(seed: int, trial: int, kind: str | None = None):
+    # By default even trials draw T-states and odd trials general states.
     rng = _trial_rng(seed, trial)
-    state = random_state(rng, "tstate" if trial % 2 == 0 else "general")
+    state = random_state(rng, kind or ("tstate" if trial % 2 == 0 else "general"))
     q = StrengthQuad(*rng.uniform(0.0, 1.0, 4))
     theta, phi = (float(v) for v in rng.uniform(0.0, math.pi, 2))
     return state, q, theta, phi
 
 
-def _trial_thm1(seed: int, trial: int, restarts: int):
-    state, q, theta, phi = sample_thm1_trial(seed, trial)
-    bound = s0_bound(state, q, theta, phi).value
-    warm = achieving_directions(state, q, theta, phi).scenario
-    result = _search(state, q, (theta, phi), "fixed-zero", restarts, _opt_seed(seed, trial), warm)
-    return bound, result
-
-
-def sample_thm2_trial(seed: int, trial: int):
-    rng = _trial_rng(seed, trial)
-    state = random_state(rng, "tstate")
-    q = StrengthQuad(*rng.uniform(0.0, 1.0, 4))
-    theta, phi = (float(v) for v in rng.uniform(0.0, math.pi, 2))
-    return state, q, theta, phi
-
-
-def _trial_thm2(seed: int, trial: int, restarts: int):
-    state, q, theta, phi = sample_thm2_trial(seed, trial)
-    bound = st_bound(state, q, theta, phi).value
-    warm = achieving_scenario_tstate(state, q, theta, phi).scenario
-    result = _search(state, q, (theta, phi), "free-extremal", restarts, _opt_seed(seed, trial), warm)
+def _trial_fixed_angles(criterion: str, seed: int, trial: int, restarts: int):
+    state, q, theta, phi = sample_thm1_trial(seed, trial, "tstate" if criterion == "thm2" else None)
+    bound = (s0_bound if criterion == "thm1" else st_bound)(state, q, theta, phi).value
+    warm = achieve(criterion, state, q, (theta, phi)).scenario
+    result = _search(state, q, (theta, phi), _ORACLE_BIASES[criterion], restarts, _opt_seed(seed, trial), warm)
     return bound, result
 
 
@@ -749,43 +736,23 @@ def thm4_oracle(state, q, report, restarts: int, seed: int) -> OptimizeResult:
     return _search(state, q, None, "fixed-zero", restarts, seed, warm)
 
 
-def sample_cor1_trial(seed: int, trial: int):
+def _trial_equal_strengths(criterion: str, seed: int, trial: int, restarts: int):
+    # The bound is the corollary's closed form; the construction's target (thm1
+    # or thm2 at the optimal angles) equals it only up to rounding.
     rng = _trial_rng(seed, trial)
-    state = random_state(rng, "tstate" if trial % 2 == 0 else "general")
+    state = random_state(rng, "tstate" if criterion == "cor4" or trial % 2 == 0 else "general")
     s_a, s_b = (float(v) for v in rng.uniform(0.0, 1.0, 2))
-    return state, s_a, s_b
-
-
-def _trial_cor1(seed: int, trial: int, restarts: int):
-    state, s_a, s_b = sample_cor1_trial(seed, trial)
-    report = cor1_bound(state, s_a, s_b)
+    bound = (cor1_bound if criterion == "cor1" else cor4_bound)(state, s_a, s_b).value
     q = StrengthQuad(s_a, s_a, s_b, s_b)
-    warm = achieving_directions(state, q, *report.optimal_angles).scenario
-    result = _search(state, q, None, "fixed-zero", restarts, _opt_seed(seed, trial), warm)
-    return report.value, result
-
-
-def _trial_cor4(seed: int, trial: int, restarts: int):
-    rng = _trial_rng(seed, trial)
-    state = random_state(rng, "tstate")
-    s_a, s_b = (float(v) for v in rng.uniform(0.0, 1.0, 2))
-    report = cor4_bound(state, s_a, s_b)
-    q = StrengthQuad(s_a, s_a, s_b, s_b)
-    warm = achieving_scenario_tstate(state, q, *report.optimal_angles).scenario
-    result = _search(state, q, None, "free-extremal", restarts, _opt_seed(seed, trial), warm)
-    return report.value, result
+    warm = achieve(criterion, state, q).scenario
+    result = _search(state, q, None, _ORACLE_BIASES[criterion], restarts, _opt_seed(seed, trial), warm)
+    return bound, result
 
 
 def _trial_sgen(seed: int, trial: int, restarts: int):
     rng = _trial_rng(seed, trial)
-    kinds = ("tstate", "general", "pure")
-    state = random_state(rng, kinds[trial % 3])
-    scenario = Scenario(
-        x=random_observable(rng),
-        xp=random_observable(rng),
-        y=random_observable(rng),
-        yp=random_observable(rng),
-    )
+    state = random_state(rng, _KINDS[trial % 3])
+    scenario = Scenario(*(random_observable(rng) for _ in range(4)))
     bound = sgen_bound(scenario, state).value
     # The bound is scenario-specific, so the matching "oracle" is the
     # exact CHSH value of that very scenario.
@@ -794,8 +761,7 @@ def _trial_sgen(seed: int, trial: int, restarts: int):
 
 def _trial_horodecki_upper(seed: int, trial: int, restarts: int):
     rng = _trial_rng(seed, trial)
-    kinds = ("tstate", "general", "pure")
-    state = random_state(rng, kinds[trial % 3])
+    state = random_state(rng, _KINDS[trial % 3])
     q = StrengthQuad(*rng.uniform(0.0, 1.0, 4))
     bound = max(2.0, horodecki(state))
     result = _search(state, q, None, "free-continuous", restarts, _opt_seed(seed, trial))
@@ -810,8 +776,7 @@ def _trial_jmax(seed: int, trial: int, restarts: int):
 
 def _trial_zero_strength(seed: int, trial: int, restarts: int):
     rng = _trial_rng(seed, trial)
-    kinds = ("tstate", "general", "pure")
-    state = random_state(rng, kinds[trial % 3])
+    state = random_state(rng, _KINDS[trial % 3])
     sx, sxp, sy = (float(v) for v in rng.uniform(0.0, 1.0, 3))
     q = StrengthQuad(sx, sxp, sy, 0.0)
     result = _search(state, q, None, "free-continuous", restarts, _opt_seed(seed, trial))
@@ -828,12 +793,12 @@ class _AuditCriterion:
 
 
 _AUDIT_REGISTRY: dict[str, _AuditCriterion] = {
-    "thm1": _AuditCriterion(_trial_thm1, tightness_claimed=True),
-    "thm2": _AuditCriterion(_trial_thm2, tightness_claimed=True),
+    "thm1": _AuditCriterion(partial(_trial_fixed_angles, "thm1"), tightness_claimed=True),
+    "thm2": _AuditCriterion(partial(_trial_fixed_angles, "thm2"), tightness_claimed=True),
     "thm3": _AuditCriterion(_trial_thm3, tightness_claimed=True, restarts=8),
     "thm4": _AuditCriterion(_trial_thm4, tightness_claimed=True, restarts=8),
-    "cor1": _AuditCriterion(_trial_cor1, tightness_claimed=True),
-    "cor4": _AuditCriterion(_trial_cor4, tightness_claimed=True),
+    "cor1": _AuditCriterion(partial(_trial_equal_strengths, "cor1"), tightness_claimed=True),
+    "cor4": _AuditCriterion(partial(_trial_equal_strengths, "cor4"), tightness_claimed=True),
     "sgen": _AuditCriterion(_trial_sgen, tightness_claimed=False),
     "horodecki-upper": _AuditCriterion(_trial_horodecki_upper, tightness_claimed=False),
     "jmax": _AuditCriterion(_trial_jmax, tightness_claimed=True, overshoot_tol=1e-12, undershoot_tol=1e-12),

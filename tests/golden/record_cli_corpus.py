@@ -4,7 +4,10 @@ Runs ``bound`` on a fixed set of input documents, ``achieve`` for the
 criteria that apply to them, one ``scan`` per family and ``verify`` for
 every audit criterion (seed 0, three trials, one process), and writes the
 inputs, argument lists, exit codes and outputs to ``cli_corpus.json`` next
-to this file. Run it at the commit whose outputs are the reference:
+to this file. Recording is add-only: the inputs and commands already in the
+file are kept byte for byte, and only commands whose (kind, case) is not in
+it yet are run and appended. So a reference, once recorded, never moves.
+Add new cases at the commit whose outputs are the reference:
 
     PYTHONPATH=src python tests/golden/record_cli_corpus.py
 
@@ -103,6 +106,32 @@ INPUTS = {
         "state": GENERAL,
         "strengths": [0.9, 0.9, 0.8, 0.5],
     },
+    # No angles and no strength pattern that fixes them, on a T-state.
+    "rotated-tstate-no-angles": {
+        "state": ROTATED_TSTATE,
+        "strengths": [0.95, 0.7, 0.9, 0.6],
+    },
+    # Equal A strengths with sy < syp: thm3 exchanges the B observables.
+    "general-equal-a-swapped": {
+        "state": GENERAL,
+        "strengths": [0.9, 0.9, 0.5, 0.8],
+    },
+    # Equal strengths on both sides, but not a T-state.
+    "general-equal-both": {
+        "state": GENERAL,
+        "strengths": [0.85, 0.85, 0.7, 0.7],
+    },
+    # s1(T) = s2(T) on a state with a local Bloch vector: thm4 without its
+    # biased T-state variant.
+    "werner-local-a": {
+        "state": {
+            "kind": "fano",
+            "a": [0.1, 0.0, 0.0],
+            "b": [0.0, 0.0, 0.0],
+            "t": [[-0.5, 0.0, 0.0], [0.0, -0.5, 0.0], [0.0, 0.0, -0.5]],
+        },
+        "strengths": [0.9, 0.6, 0.8, 0.7],
+    },
 }
 
 ACHIEVE = (
@@ -120,6 +149,8 @@ ACHIEVE = (
     ("rotated-tstate-angles", "cor4"),
     ("general-angles", "thm1"),
     ("general-equal-a", "thm3"),
+    ("general-equal-a-swapped", "thm3"),
+    ("werner-local-a", "thm4"),
 )
 
 SCANS = {
@@ -165,8 +196,8 @@ def commands() -> list[dict]:
     return out
 
 
-def write_inputs(directory) -> None:
-    for name, doc in INPUTS.items():
+def write_inputs(directory, inputs: dict) -> None:
+    for name, doc in inputs.items():
         pathlib.Path(directory, input_file(name)).write_text(json.dumps(doc))
 
 
@@ -179,19 +210,26 @@ def run(argv: list[str]) -> dict:
     return {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
-def record() -> dict:
+def record(existing: dict) -> dict:
+    """``existing`` plus the inputs and commands it does not hold yet."""
+    inputs = dict(INPUTS, **existing["inputs"])
+    known = {(cmd["kind"], cmd["case"]) for cmd in existing["commands"]}
+    new = [cmd for cmd in commands() if (cmd["kind"], cmd["case"]) not in known]
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
-        write_inputs(tmp)
+        write_inputs(tmp, inputs)
         os.chdir(tmp)
         try:
-            results = [dict(cmd, **run(cmd["argv"])) for cmd in commands()]
+            results = [dict(cmd, **run(cmd["argv"])) for cmd in new]
         finally:
             os.chdir(cwd)
-    return {"inputs": INPUTS, "commands": results}
+    return {"inputs": inputs, "commands": existing["commands"] + results}
 
 
 if __name__ == "__main__":
     target = pathlib.Path(__file__).with_name("cli_corpus.json")
-    target.write_text(json.dumps(record(), indent=1, sort_keys=True) + "\n")
-    print(f"wrote {target}")
+    existing = json.loads(target.read_text()) if target.exists() else {"inputs": {}, "commands": []}
+    corpus = record(existing)
+    target.write_text(json.dumps(corpus, indent=1, sort_keys=True) + "\n")
+    added = len(corpus["commands"]) - len(existing["commands"])
+    print(f"wrote {target}: {added} new commands")

@@ -6,7 +6,7 @@ import pytest
 from bellbound import (
     Scenario,
     StrengthQuad,
-    bias_term,
+    bias_combination,
     chsh,
     chsh_matrix_form,
     chsh_signed,
@@ -135,7 +135,7 @@ def test_tstate_splits_into_direction_and_bias_terms():
         unbiased = Scenario(
             *(make_observable(0.0, o.strength, o.direction) for o in scenario.observables())
         )
-        split = chsh_signed(unbiased, state) + bias_term(scenario)
+        split = chsh_signed(unbiased, state) + bias_combination(*scenario.biases)
         assert abs(chsh(scenario, state).canonical - abs(split)) < 1e-12
 
 

@@ -132,6 +132,36 @@ def test_achieve_tstate_precondition(tmp_path, capsys):
     assert "T-state" in err
 
 
+_LOCAL_A = {"kind": "fano", "a": [0, 0, 0.3], "b": [0, 0, 0], "t": [[0, 0, 0], [0, 0, 0], [0, 0, 0]]}
+
+
+@pytest.mark.parametrize(
+    "criterion, doc, message",
+    [
+        ("thm1", _singlet_doc(angles=None), "criterion thm1 needs angles{theta, phi} in the input"),
+        ("cor1", _singlet_doc(strengths=[1, 0.9, 1, 1]), "criterion cor1 requires equal strengths on each side"),
+        ("cor4", _singlet_doc(strengths=[1, 1, 1, 0.9]), "criterion cor4 requires equal strengths on each side"),
+        (
+            "thm3",
+            _singlet_doc(strengths=[1, 0.9, 1, 1]),
+            "criterion thm3 requires equal strengths on side A (sx = sxp)",
+        ),
+        (
+            "cor4",
+            {"state": _LOCAL_A, "strengths": [0.9, 0.9, 0.9, 0.9]},
+            "cor4 requires a T-state (|a| and |b| below 1e-10); got |a| = 3.000e-01, |b| = 0.000e+00",
+        ),
+    ],
+    ids=["thm1-without-angles", "cor1-unequal", "cor4-unequal", "thm3-unequal-a", "cor4-not-tstate"],
+)
+def test_achieve_precondition_exits_2(tmp_path, capsys, criterion, doc, message):
+    path = _write(tmp_path, "in.json", doc)
+    code, out, err = _run(capsys, ["achieve", "--input", path, "--criterion", criterion])
+    assert code == 2
+    assert err == f"error: {message}\n"
+    assert out == ""
+
+
 def test_achieve_thm3(tmp_path, capsys):
     path = _write(tmp_path, "in.json", _singlet_doc(strengths=[1, 1, 1, 0.5], angles=None))
     code, out, _ = _run(capsys, ["achieve", "--input", path, "--criterion", "thm3"])

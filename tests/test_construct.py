@@ -10,28 +10,23 @@ from bellbound import (
     achieving_biases,
     achieving_directions,
     achieving_scenario_tstate,
-    bell_diagonal,
-    bias_term,
+    bias_combination,
     chsh,
-    complete_frame,
     cor1_bound,
     correlation_singular_values,
     frame_from_pair,
     j_max,
-    m_matrix,
     product_state,
     random_state,
     reference_frames,
     s0_bound,
     singlet,
-    singular_values,
     st_bound,
     svd,
     thm3_achieving,
     thm3_bound,
     w_bundle,
 )
-from bellbound.construct import bias_term_of
 
 PI2 = math.pi / 2
 SQ2 = math.sqrt(2.0)
@@ -46,27 +41,6 @@ def test_reference_frames_angles():
     assert np.allclose(x, xp)
     x, xp, _, _ = reference_frames(math.pi, 1.0)
     assert np.allclose(x, -xp)
-
-
-def test_m_matrix_examples():
-    frame = complete_frame(np.array([1.0, 0, 0]), e2_hint=np.array([0, 1.0, 0]))
-    m = m_matrix(singlet(), frame, frame)
-    assert np.allclose(m, -np.eye(3), atol=1e-14)
-    state = bell_diagonal(0.7, -0.4, 0.3)
-    basis = complete_frame(np.array([1.0, 0, 0]), e2_hint=np.array([0, 1.0, 0]))
-    m = m_matrix(state, basis, basis)
-    assert np.allclose(m, state.t, atol=1e-14)
-
-
-def test_m_matrix_preserves_singular_values():
-    rng = np.random.default_rng(61)
-    for _ in range(200):
-        state = random_state(rng, "general")
-        frame_a = frame_from_pair(_unit(rng), _unit(rng))
-        frame_b = frame_from_pair(_unit(rng), _unit(rng))
-        sm = singular_values(m_matrix(state, frame_a, frame_b))
-        st = singular_values(state.t)
-        assert np.max(np.abs(sm - st)) < 1e-10
 
 
 def _unit(rng):
@@ -114,9 +88,9 @@ def test_achieving_preserves_strengths_and_angles():
 def test_achieving_biases_examples():
     assert achieving_biases(StrengthQuad(1, 1, 1, 1)) == (0.0, 0.0, 0.0, 0.0)
     biases = achieving_biases(StrengthQuad(0, 0, 0, 0))
-    assert bias_term_of(biases) == 2.0
+    assert bias_combination(*biases) == 2.0
     biases = achieving_biases(StrengthQuad(1, 0.5, 1, 0.5))
-    assert abs(bias_term_of(biases) - 0.25) < 1e-15
+    assert abs(bias_combination(*biases) - 0.25) < 1e-15
 
 
 def test_achieving_biases_match_exhaustive():
@@ -124,11 +98,11 @@ def test_achieving_biases_match_exhaustive():
     for _ in range(500):
         q = StrengthQuad(*rng.uniform(0, 1, 4))
         best = max(
-            abs(bias_term_of([s * (1 - v) for s, v in zip(pattern, q.as_tuple())]))
+            abs(bias_combination(*[s * (1 - v) for s, v in zip(pattern, q.as_tuple())]))
             for pattern in itertools.product((1, -1), repeat=4)
         )
         for beta in (1.0, -1.0):
-            got = bias_term_of(achieving_biases(q, beta=beta))
+            got = bias_combination(*achieving_biases(q, beta=beta))
             assert abs(got - j_max(q)) < 1e-12
         assert abs(best - j_max(q)) < 1e-12
     with pytest.raises(InvalidInputError):
@@ -210,6 +184,8 @@ def test_trace_pairing_bounded_by_singular_products():
         w_embedded[:2, :2] = wb.w
         frame_a = frame_from_pair(_unit(rng), _unit(rng))
         frame_b = frame_from_pair(_unit(rng), _unit(rng))
-        pairing = abs(np.sum(w_embedded * m_matrix(state, frame_a, frame_b)))
+        # T expressed between the two frames: M_jk = e_j^T T f_k.
+        m = frame_a.as_matrix().T @ state.t @ frame_b.as_matrix()
+        pairing = abs(np.sum(w_embedded * m))
         bound = s0_bound(state, q, theta, phi).value
         assert pairing <= bound + 1e-9

@@ -422,8 +422,11 @@ def max_reversibility(x: Observable) -> float:
 def compat_full(x: Observable, xp: Observable) -> bool:
     """Known necessary-and-sufficient compatibility condition.
 
-    (1 - R^2 - R'^2)(1 - B^2/R^2 - B'^2/R'^2) <= (S S' cos(theta) - |B B'|)^2
-    with R the maximum reversibility of each observable. A vanishing R
+    (1 - R^2 - R'^2)(1 - B^2/R^2 - B'^2/R'^2) <= (S S' cos(theta) - B B')^2
+    with R the maximum reversibility of each observable (Yu, Liu, Li and
+    Oh, PRA 81, 062116 (2010); Busch and Schmidt, QIP 9, 143 (2010)). The
+    signed product keeps the verdict unchanged when one observable's
+    outcomes are relabelled, (B', n') -> (-B', -n'). A vanishing R
     (projective observable) contributes 0 to the bias sum when its bias is
     zero and makes the condition depend on the sign of the first factor
     otherwise.
@@ -431,7 +434,7 @@ def compat_full(x: Observable, xp: Observable) -> bool:
     rx = max_reversibility(x)
     rxp = max_reversibility(xp)
     cos_theta = float(x.direction @ xp.direction)
-    rhs = (x.strength * xp.strength * cos_theta - abs(x.bias * xp.bias)) ** 2
+    rhs = (x.strength * xp.strength * cos_theta - x.bias * xp.bias) ** 2
     first = 1.0 - rx * rx - rxp * rxp
     bias_sum = 0.0
     infinite_bias = False

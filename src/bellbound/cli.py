@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -227,16 +228,24 @@ def cmd_bound(args) -> int:
     thm4 = B.thm4_bound(state, q) if abs(s1 - s2) <= 1e-8 else None
     thm3 = None
     thm3_extra = {}
+    # thm3 takes the unequal side's stronger observable first. Exchanging
+    # that side's two observables is the same as negating the equal side's
+    # second one, so in the input's labels the equal side's angle becomes
+    # pi minus itself.
     if equal_a:
         thm3 = B.thm3_bound(state, q.sx, max(q.sy, q.syp), min(q.sy, q.syp))
         thm3_extra = {"b_side_swapped": q.sy < q.syp}
+        if q.sy < q.syp:
+            theta, phi = thm3.optimal_angles
+            thm3 = replace(thm3, optimal_angles=(math.pi - theta, phi))
     elif equal_b:
         # Exchange the sides: the bound is symmetric under it, with the
         # relative angles swapped along.
         thm3 = B.thm3_bound(state, q.sy, max(q.sx, q.sxp), min(q.sx, q.sxp))
-        thm3 = replace(
-            thm3, optimal_angles=thm3.optimal_angles[::-1], notes="sides exchanged (equal strengths on side B)"
-        )
+        phi, theta = thm3.optimal_angles
+        if q.sx < q.sxp:
+            phi = math.pi - phi
+        thm3 = replace(thm3, optimal_angles=(theta, phi), notes="sides exchanged (equal strengths on side B)")
     # Without input angles, the most specific family that fixes optimal
     # ones supplies them.
     angles, angle_source = doc.angles, "input"
@@ -495,7 +504,13 @@ def cmd_compat(args) -> int:
 # argument parsing
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``bellbound`` argument parser, built once per process.
+
+    Parsing leaves the parser unchanged and each call gets a fresh
+    namespace, so ``main`` reuses it; callers must not modify it.
+    """
     parser = argparse.ArgumentParser(
         prog="bellbound",
         description="CHSH bounds for qubit observables of arbitrary strength and bias.",

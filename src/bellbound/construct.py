@@ -12,7 +12,7 @@ patterns that attain the bias-only maximum are chosen by a sign recipe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -245,7 +245,16 @@ def achieve(criterion: str, state: FanoState, q: StrengthQuad, angles=None) -> A
     elif criterion == "thm3":
         if abs(q.sx - q.sxp) > 1e-12:
             raise DomainError("criterion thm3 requires equal strengths on side A (sx = sxp)")
-        return thm3_achieving(state, q.sx, max(q.sy, q.syp), min(q.sy, q.syp))
+        config = thm3_achieving(state, q.sx, max(q.sy, q.syp), min(q.sy, q.syp))
+        if q.sy >= q.syp:
+            return config
+        # Back to the input's labels: exchanging y and y' is the same as
+        # negating x', so theta -> pi - theta and the CHSH value is unchanged.
+        built = config.scenario
+        dirs = (built.x.direction, -built.xp.direction, built.yp.direction, built.y.direction)
+        scenario = scenario_from_directions(q, dirs)
+        config = replace(config, scenario=scenario, attained_chsh=chsh(scenario, state).canonical)
+        return _check_attainment(config, scenario.theta, scenario.phi)
     elif criterion == "thm4":
         angles = thm4_bound(state, q).optimal_angles
     else:

@@ -1,8 +1,9 @@
 """Record the golden CLI corpus used by ``tests/test_golden_cli.py``.
 
 Runs ``bound`` on a fixed set of input documents, ``achieve`` for the
-criteria that apply to them, one ``scan`` per family and ``verify`` for
-every audit criterion (seed 0, three trials, one process), and writes the
+criteria that apply to them, one ``scan`` per family, ``verify`` for
+every audit criterion (seed 0, three trials, one process) and ``compat``
+on a few observable pairs, and writes the
 inputs, argument lists, exit codes and outputs to ``cli_corpus.json`` next
 to this file. Recording is add-only: the inputs and commands already in the
 file are kept byte for byte, and only commands whose (kind, case) is not in
@@ -26,6 +27,9 @@ import os
 import pathlib
 import tempfile
 
+import numpy as np
+
+from bellbound import random_observable
 from bellbound.cli import main
 from bellbound.optimize import AUDIT_CRITERIA
 
@@ -134,6 +138,40 @@ INPUTS = {
     },
 }
 
+
+def seeded_pair(index: int, relabel_xp: bool = False) -> dict:
+    """Pair ``index`` of ``random_observable`` draws (x, xp, x, xp, ...) at seed 2024.
+
+    ``relabel_xp`` exchanges xp's outcomes: (B', n') -> (-B', -n'), which
+    leaves joint measurability unchanged.
+    """
+    rng = np.random.default_rng(2024)
+    for _ in range(2 * index):
+        random_observable(rng)
+    x, xp = random_observable(rng).to_dict(), random_observable(rng).to_dict()
+    if relabel_xp:
+        xp = dict(xp, bias=-xp["bias"], direction=[-c for c in xp["direction"]])
+    return {"x": x, "xp": xp}
+
+
+# Observable pairs for ``compat``, named by the signs of their two biases.
+COMPAT_INPUTS = {
+    "compat-unbiased-boundary": {
+        "x": {"bias": 0.0, "strength": 0.5**0.5, "direction": [1.0, 0.0, 0.0]},
+        "xp": {"bias": 0.0, "strength": 0.5**0.5, "direction": [0.0, 1.0, 0.0]},
+    },
+    "compat-positive-compatible": seeded_pair(9),
+    "compat-positive-necessary-only": seeded_pair(77),
+    "compat-negative-compatible": seeded_pair(1),
+    "compat-negative-incompatible": seeded_pair(25),
+    # Opposite signs, recorded after compat_full took the signed bias
+    # product. Pair 117 has an explicit joint POVM; pair 43 has none.
+    "compat-opposite-compatible": seeded_pair(117),
+    "compat-opposite-incompatible": seeded_pair(43),
+    "compat-opposite-relabelled-compatible": seeded_pair(9, relabel_xp=True),
+    "compat-opposite-relabelled-necessary-only": seeded_pair(77, relabel_xp=True),
+}
+
 ACHIEVE = (
     ("singlet-angles", "thm1"),
     ("singlet-angles", "thm2"),
@@ -193,6 +231,8 @@ def commands() -> list[dict]:
                 "argv": ["verify", "--criterion", criterion, *VERIFY_ARGS],
             }
         )
+    for name in COMPAT_INPUTS:
+        out.append({"kind": "compat", "case": name, "argv": ["compat", "--input", input_file(name)]})
     return out
 
 
@@ -212,7 +252,7 @@ def run(argv: list[str]) -> dict:
 
 def record(existing: dict) -> dict:
     """``existing`` plus the inputs and commands it does not hold yet."""
-    inputs = dict(INPUTS, **existing["inputs"])
+    inputs = {**INPUTS, **COMPAT_INPUTS, **existing["inputs"]}
     known = {(cmd["kind"], cmd["case"]) for cmd in existing["commands"]}
     new = [cmd for cmd in commands() if (cmd["kind"], cmd["case"]) not in known]
     cwd = os.getcwd()

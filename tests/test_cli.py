@@ -1,13 +1,19 @@
+import contextlib
 import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from bellbound import cli, construct
+from bellbound.model import random_rotation, random_state
 from bellbound.cli import main
+from bellbound.construct import ACHIEVABLE
 
 SQ2 = math.sqrt(2.0)
 PI2 = math.pi / 2
@@ -169,6 +175,76 @@ def test_achieve_thm3(tmp_path, capsys):
     achieved = json.loads(out)
     assert abs(achieved["attained_chsh"] - 2 * math.sqrt(1.25)) < 1e-9
     assert abs(achieved["angles"]["phi"] - PI2) < 1e-9
+
+
+def _state_doc(rng, kind):
+    if kind == "werner":
+        return {"kind": "werner", "w": float(rng.uniform(0.2, 1.0))}
+    if kind == "rotated-werner":
+        # s1(T) = s2(T) = s3(T) = w with no diagonal structure.
+        t = -float(rng.uniform(0.2, 1.0)) * random_rotation(rng)
+        return {"kind": "fano", "a": [0.0] * 3, "b": [0.0] * 3, "t": t.tolist()}
+    return {"kind": "fano", **random_state(rng, kind).to_dict()}
+
+
+_STATE_KINDS = ("general", "tstate", "pure", "werner", "rotated-werner")
+
+
+def test_default_angles_attain_their_source_bound(tmp_path, capsys):
+    # Without input angles, thm1 at the reported angles must reach the bound
+    # that supplied them, whatever the order of the unequal side's strengths.
+    rng = np.random.default_rng(2026)
+    seen = set()
+    for k in range(150):
+        kind = _STATE_KINDS[k % len(_STATE_KINDS)]
+        q = [float(v) for v in rng.uniform(0.2, 1.0, 4)]
+        pattern = k // len(_STATE_KINDS) % 3
+        if pattern == 0:
+            q[1] = q[0]
+        elif pattern == 1:
+            q[3] = q[2]
+        path = _write(tmp_path, "in.json", {"state": _state_doc(rng, kind), "strengths": q})
+        code, out, _ = _run(capsys, ["bound", "--input", path])
+        assert code == 0
+        report = json.loads(out)
+        thm1 = _criterion(report, "thm1")
+        source = thm1.get("angle_source")
+        if source is None:
+            continue
+        want = _criterion(report, "thm4" if source == "thm4" else "thm3")
+        assert abs(thm1["value"] - want["value"]) <= 1e-12, (k, source, q)
+        reversed_order = q[2] < q[3] if source == "thm3" else q[0] < q[1]
+        seen.add((source, reversed_order))
+    assert seen >= {
+        ("thm3", False), ("thm3", True),
+        ("thm3-sides-exchanged", False), ("thm3-sides-exchanged", True),
+        ("thm4", False), ("thm4", True),
+    }
+
+
+def test_achieve_keeps_input_strength_order(tmp_path, capsys):
+    rng = np.random.default_rng(2027)
+    kinds = {"thm1": _STATE_KINDS, "thm2": ("tstate", "werner"), "cor1": _STATE_KINDS,
+             "cor4": ("tstate", "werner"), "thm3": _STATE_KINDS, "thm4": ("werner", "rotated-werner")}
+    for k in range(120):
+        criterion = ACHIEVABLE[k % len(ACHIEVABLE)]
+        choices = kinds[criterion]
+        q = [float(v) for v in rng.uniform(0.2, 1.0, 4)]
+        if criterion in ("cor1", "cor4"):
+            q[1], q[3] = q[0], q[2]
+        elif criterion == "thm3":
+            q[1] = q[0]
+        doc = {"state": _state_doc(rng, choices[k // len(ACHIEVABLE) % len(choices)]), "strengths": q}
+        if criterion in ("thm1", "thm2"):
+            doc["angles"] = {"theta": float(rng.uniform(0, math.pi)), "phi": float(rng.uniform(0, math.pi))}
+        path = _write(tmp_path, "in.json", doc)
+        code, out, err = _run(capsys, ["achieve", "--input", path, "--criterion", criterion])
+        assert code == 0, err
+        achieved = json.loads(out)
+        scenario = achieved["scenario"]
+        got = [scenario[name]["strength"] for name in ("x", "xp", "y", "yp")]
+        assert np.allclose(got, q, rtol=1e-11, atol=0), (criterion, got, q)
+        assert abs(achieved["attained_chsh"] - achieved["target_bound"]) <= 1e-9
 
 
 def test_verify_passes_and_is_reproducible(tmp_path, capsys):
@@ -346,3 +422,78 @@ def test_compat_malformed_input_exits_2(tmp_path, capsys, doc):
     path = _write(tmp_path, "pair.json", doc)
     code, _, err = _run(capsys, ["compat", "--input", path])
     assert code == 2 and err.startswith("error: ")
+
+
+def _call_in_process(argv, output=None):
+    """Exit code, stdout, stderr and the ``--output`` file of one ``main`` call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+    written = None
+    if output is not None and os.path.exists(output):
+        with open(output) as fh:
+            written = fh.read()
+        os.remove(output)
+    return code, out.getvalue(), err.getvalue(), written
+
+
+def test_parser_built_once_gives_fresh_parser_outputs(tmp_path, monkeypatch):
+    good = _write(tmp_path, "in.json", _singlet_doc(strengths=[0.9, 0.9, 0.8, 0.6], angles=None))
+    angles = _write(tmp_path, "angles.json", _singlet_doc(strengths=[0.9, 0.7, 0.8, 0.6]))
+    pair = _write(tmp_path, "pair.json", {"x": {"bias": 0.1, "strength": 0.6, "direction": [1, 0, 0]},
+                                          "xp": {"bias": -0.2, "strength": 0.7, "direction": [0, 1, 0]}})
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    unphysical = _write(tmp_path, "unphysical.json", {"state": {"kind": "bell_diagonal", "t": [1, 1, 1]},
+                                                      "strengths": [1, 1, 1, 1]})
+    output = str(tmp_path / "out.txt")
+    calls = [
+        (["bound", "--input", good], None),
+        (["bound", "--input", angles, "--output", output], None),
+        (["achieve", "--input", angles, "--criterion", "thm1"], None),
+        (["achieve", "--input", good, "--criterion", "thm3", "--output", output], None),
+        (["verify", "--criterion", "jmax", "--trials", "3", "--seed", "1"], None),
+        (["verify", "--criterion", "sgen", "--trials", "2", "--threads", "1", "--output", output], None),
+        (["scan", "--family", "werner-sweep", "--start", "0", "--stop", "1", "--steps", "5"], None),
+        (["scan", "--family", "angle-sweep", "--start", "0", "--stop", "1", "--steps", "4",
+          "--input", good, "--output", output], None),
+        (["compat", "--input", pair], None),
+        # argparse errors and help
+        ([], None),
+        (["frobnicate"], None),
+        (["bound"], None),
+        (["achieve", "--input", good, "--criterion", "thm9"], None),
+        (["verify", "--criterion", "thm1", "--trials", "many"], None),
+        (["bound", "--input", good, "--unknown"], None),
+        (["--help"], None),
+        (["achieve", "--help"], None),
+        # handler errors: exit 2, 3 and 4
+        (["bound", "--input", str(bad)], None),
+        (["achieve", "--input", good, "--criterion", "thm1"], None),
+        (["bound", "--input", unphysical], None),
+        (["achieve", "--input", angles, "--criterion", "thm1"], "fail-construction"),
+    ]
+    # Wider than any help line, so the help text does not depend on the terminal.
+    monkeypatch.setenv("COLUMNS", "200")
+
+    def run(argv, mode):
+        with monkeypatch.context() as patch:
+            if mode == "fail-construction":
+                patch.setattr(construct, "_ATTAIN_TOL", -1.0)
+            return _call_in_process(argv, output)
+
+    fresh = []
+    for argv, mode in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(run(argv, mode))
+    codes = {result[0] if isinstance(result[0], int) else result[0][1] for result in fresh}
+    assert {0, 2, 3, 4} <= codes
+    assert ("SystemExit", 0) in [result[0] for result in fresh]
+    cli.build_parser.cache_clear()
+    for _ in range(2):
+        for (argv, mode), want in zip(calls, fresh):
+            assert run(argv, mode) == want, argv
+    assert cli.build_parser.cache_info().misses == 1

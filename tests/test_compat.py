@@ -91,6 +91,48 @@ def test_full_matches_busch_for_unbiased():
         assert compat_full(x, xp) == compat_busch(x, xp)
 
 
+def _relabelled(obs):
+    # Exchanging the outcomes maps (B, S n) to (-B, -S n).
+    return make_observable(-obs.bias, obs.strength, -obs.direction)
+
+
+def test_full_unchanged_by_relabelling_outcomes():
+    rng = np.random.default_rng(47)
+    for _ in range(2000):
+        x = random_observable(rng)
+        xp = random_observable(rng)
+        verdict = compat_full(x, xp)
+        assert compat_full(x, _relabelled(xp)) == verdict
+        assert compat_full(_relabelled(x), xp) == verdict
+
+
+_PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+def test_full_opposite_sign_pairs_with_joint_povm():
+    # Pairs of random_observable draws at seed 2024 with opposite-sign
+    # biases, each with an explicit joint POVM: G++ = g0 I + g . sigma,
+    # and the other three joint effects follow from the marginals.
+    joint = {
+        117: (0.271520, 0.186806, 0.136697, 0.133120),
+        209: (0.386000, -0.292136, -0.194349, -0.150367),
+        226: (0.449952, -0.363476, -0.078324, 0.252220),
+    }
+    rng = np.random.default_rng(2024)
+    pairs = [(random_observable(rng), random_observable(rng)) for _ in range(max(joint) + 1)]
+    identity = np.eye(2)
+    for index, (g0, *g) in joint.items():
+        x, xp = pairs[index]
+        assert x.bias * xp.bias < 0
+        e_x = 0.5 * (identity + x.operator())
+        e_xp = 0.5 * (identity + xp.operator())
+        g_pp = g0 * identity + np.einsum("k,kij->ij", g, _PAULI)
+        for effect in (g_pp, e_x - g_pp, e_xp - g_pp, identity - e_x - e_xp + g_pp):
+            assert np.linalg.eigvalsh(effect)[0] > 1e-4, index
+        assert compat_full(x, xp), index
+        assert compat_necessary(x, xp), index
+
+
 def test_full_implies_necessary():
     rng = np.random.default_rng(45)
     for _ in range(2000):

@@ -94,7 +94,7 @@ def _assert_verify_match(out, err, cmd):
 def test_matches_golden(cmd, corpus_dir, capsys):
     code, out, err = _run(capsys, cmd["argv"])
     assert code == cmd["code"]
-    if cmd["kind"] == "bound":
+    if cmd["kind"] in ("bound", "compat"):
         _assert_match(json.loads(out), json.loads(cmd["stdout"]))
     elif cmd["kind"] == "achieve":
         got, want = json.loads(out), json.loads(cmd["stdout"])
@@ -116,5 +116,7 @@ def test_corpus_covers_every_family_and_input():
         "werner-sweep",
         "angle-sweep",
     }
-    assert {case for kind, case in kinds if kind == "bound"} == set(CORPUS["inputs"])
+    bound = {case for kind, case in kinds if kind == "bound"}
+    compat = {case for kind, case in kinds if kind == "compat"}
+    assert not bound & compat and bound | compat == set(CORPUS["inputs"])
     assert {case for kind, case in kinds if kind == "verify"} == set(AUDIT_CRITERIA)

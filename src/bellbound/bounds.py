@@ -2,9 +2,10 @@
 
 Every bound here is a function of the measurement strengths, the relative
 angles on each side, and the singular values of the spin correlation
-matrix. Evaluation routes are doubled where cheap: the 2x2 strength/angle
-matrix is decomposed both in closed form and by SVD, and the two must
-agree or an internal-consistency error is raised.
+matrix. Evaluation routes are doubled where cheap: the spectrum of the
+2x2 strength/angle matrix is computed both from W's entries and from the
+paper's strength/angle closed form, and the two must agree or an
+internal-consistency error is raised.
 """
 
 from __future__ import annotations
@@ -131,31 +132,37 @@ def _i_pm_squared(q: StrengthQuad, theta: float, phi: float, absolute: bool) -> 
 def w_bundle(q: StrengthQuad, theta: float, phi: float) -> WBundle:
     """Strength/angle matrix W with both spectral routes cross-checked.
 
-    The singular-value sum and difference are computed from the SVD of W
-    and validated against the explicit closed form (compared on squares,
-    which avoids square-root noise when the difference is near zero).
+    The singular-value sum and difference come from W's entries through
+    the exact 2x2 identity s1 +- s2 = sqrt(|W|_F^2 +- 2 |det W|), written
+    as hypot(w00 + w11, w01 - w10) and hypot(w00 - w11, w01 + w10), the
+    larger of the two being the sum. They are validated against the
+    paper's strength/angle closed form (compared on squares, which avoids
+    square-root noise when the difference is near zero).
     """
     theta = _check_angle(theta, "theta")
     phi = _check_angle(phi, "phi")
     ca, cb, cc, cd = coefficients_abcd(q)
     cth, sth = math.cos(0.5 * theta), math.sin(0.5 * theta)
     cph, sph = math.cos(0.5 * phi), math.sin(0.5 * phi)
-    w = np.array(
-        [
-            [ca * cth * cph, cb * cth * sph],
-            [cc * sth * cph, -cd * sth * sph],
-        ]
-    )
-    s = singular_values(w)
-    i_plus = float(s[0] + s[1])
-    i_minus = float(s[0] - s[1])
+    w00 = ca * cth * cph
+    w01 = cb * cth * sph
+    w10 = cc * sth * cph
+    w11 = -cd * sth * sph
+    w = np.array([[w00, w01], [w10, w11]])
+    i_plus = math.hypot(w00 + w11, w01 - w10)
+    i_minus = math.hypot(w00 - w11, w01 + w10)
+    if i_plus < i_minus:
+        i_plus, i_minus = i_minus, i_plus
     plus_sq, minus_sq = _i_pm_squared(q, theta, phi, absolute=False)
     if abs(i_plus * i_plus - plus_sq) > 1e-8 or abs(i_minus * i_minus - minus_sq) > 1e-8:
         raise InternalConsistencyError(
-            "closed-form and SVD routes for the strength/angle matrix disagree: "
+            "W's entries and the strength/angle closed form disagree on the "
+            "spectrum of the strength/angle matrix: "
             f"sum^2 {i_plus * i_plus:.15g} vs {plus_sq:.15g}, "
             f"diff^2 {i_minus * i_minus:.15g} vs {minus_sq:.15g}"
         )
+    s_max = 0.5 * (i_plus + i_minus)
+    s_min = 0.5 * (i_plus - i_minus)
     return WBundle(
         w=w,
         coeff_a=ca,
@@ -164,8 +171,8 @@ def w_bundle(q: StrengthQuad, theta: float, phi: float) -> WBundle:
         coeff_d=cd,
         i_plus=i_plus,
         i_minus=i_minus,
-        w_eig_plus=float(s[0] * s[0]),
-        w_eig_minus=float(s[1] * s[1]),
+        w_eig_plus=s_max * s_max,
+        w_eig_minus=s_min * s_min,
     )
 
 

@@ -566,9 +566,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_negative_numbers(argv: list[str]) -> list[str]:
+    """Attach a negative number to the ``--start``/``--stop`` before it.
+
+    argparse takes a token such as ``-1e-05`` or ``-inf`` for an option
+    flag, because its negative-number pattern knows no exponent or
+    infinity, so ``--start -1e-05`` fails with "expected one argument".
+    ``--start=-1e-05`` parses the same value, so such a pair is rewritten
+    to that form when ``float`` accepts the token.
+    """
+    out = []
+    for token in argv:
+        if out and out[-1] in ("--start", "--stop") and token.startswith("-"):
+            try:
+                float(token)
+            except ValueError:
+                pass
+            else:
+                out[-1] += "=" + token
+                continue
+        out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_numbers(sys.argv[1:] if argv is None else argv))
     try:
         return args.handler(args)
     except UnphysicalStateError as exc:

@@ -6,6 +6,7 @@ import pytest
 from bellbound import bounds as bounds_module
 from bellbound import (
     DomainError,
+    InternalConsistencyError,
     InvalidInputError,
     StrengthQuad,
     bell_diagonal,
@@ -98,6 +99,77 @@ def test_w_bundle_routes_agree():
         s = svd(wb.w).s
         assert abs(wb.i_plus - (s[0] + s[1])) < 1e-10
         assert abs(wb.i_minus - (s[0] - s[1])) < 1e-10
+
+
+def _w_bundle_cases(rng):
+    corner_angles = (0.0, PI2, math.pi)
+    for theta in corner_angles:
+        for phi in corner_angles:
+            yield StrengthQuad(*rng.uniform(0, 1, 4)), theta, phi
+    for corner in (0.0, 1.0):
+        for k in range(4):
+            strengths = list(rng.uniform(0, 1, 4))
+            strengths[k] = corner
+            yield StrengthQuad(*strengths), *rng.uniform(0, math.pi, 2)
+        yield StrengthQuad(corner, corner, corner, corner), *rng.uniform(0, math.pi, 2)
+    for _ in range(20):
+        # Equal strengths per side at right angles: equal singular values.
+        sa, sb = rng.uniform(0, 1, 2)
+        yield StrengthQuad(sa, sa, sb, sb), PI2, PI2
+    for _ in range(400):
+        yield StrengthQuad(*rng.uniform(0, 1, 4)), *rng.uniform(0, math.pi, 2)
+
+
+def _assert_spectrum_matches_svd(wb):
+    s = np.linalg.svd(wb.w, compute_uv=False)
+    assert abs(wb.i_plus - (s[0] + s[1])) < 1e-12
+    assert abs(wb.i_minus - (s[0] - s[1])) < 1e-12
+    assert abs(wb.w_eig_plus - s[0] ** 2) < 1e-12
+    assert abs(wb.w_eig_minus - s[1] ** 2) < 1e-12
+
+
+def test_w_bundle_spectrum_matches_numpy_svd():
+    rng = np.random.default_rng(41)
+    equal_singular_values = 0
+    for q, theta, phi in _w_bundle_cases(rng):
+        wb = w_bundle(q, theta, phi)
+        # det W = -2 sx sxp sy syp sin(theta) sin(phi) <= 0 for valid strengths.
+        assert np.linalg.det(wb.w) <= 1e-15
+        _assert_spectrum_matches_svd(wb)
+        equal_singular_values += wb.i_minus < 1e-15
+    assert equal_singular_values >= 20
+
+
+def test_w_bundle_spectrum_with_positive_determinant(monkeypatch):
+    # Negating W's second row keeps its singular values and flips the sign
+    # of det W, which valid strengths cannot reach.
+    coefficients = bounds_module.coefficients_abcd
+
+    def flipped(q):
+        ca, cb, cc, cd = coefficients(q)
+        return ca, cb, -cc, -cd
+
+    monkeypatch.setattr(bounds_module, "coefficients_abcd", flipped)
+    rng = np.random.default_rng(42)
+    positive = 0
+    for q, theta, phi in _w_bundle_cases(rng):
+        wb = w_bundle(q, theta, phi)
+        positive += np.linalg.det(wb.w) > 1e-12
+        _assert_spectrum_matches_svd(wb)
+    assert positive >= 300
+
+
+@pytest.mark.parametrize("shift", [(1e-6, 0.0), (0.0, 1e-6)], ids=["sum", "difference"])
+def test_w_bundle_cross_check_fires(monkeypatch, shift):
+    closed_form = bounds_module._i_pm_squared
+
+    def shifted(q, theta, phi, absolute):
+        plus, minus = closed_form(q, theta, phi, absolute)
+        return plus + shift[0], minus + shift[1]
+
+    monkeypatch.setattr(bounds_module, "_i_pm_squared", shifted)
+    with pytest.raises(InternalConsistencyError, match="strength/angle closed form"):
+        w_bundle(StrengthQuad(0.9, 0.7, 0.8, 0.6), 1.1, 2.0)
 
 
 def test_w_bundle_equal_strengths_eigenvalues():

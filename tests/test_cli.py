@@ -268,7 +268,7 @@ def test_verify_thm1_small(tmp_path, capsys):
          "--restarts", "3", "--output", str(out_path)],
     )
     assert code == 0
-    rows = list(csv.reader(out_path.open()))
+    rows = list(csv.reader(io.StringIO(out_path.read_text())))
     assert len(rows) == 6
     for row in rows[1:]:
         assert float(row[3]) >= -1e-9
@@ -329,6 +329,40 @@ def test_scan_bad_range(capsys):
         capsys, ["scan", "--family", "werner-sweep", "--start", "1", "--stop", "0", "--steps", "5"]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "option, value, other",
+    [
+        ("--start", "-7.08682677163508e-05", ["--stop", "0.5"]),
+        # A werner-sweep start drawn by the sweep benchmark at seed 6, op 1631.
+        ("--start", "-3.657519059996339e-05", ["--stop", "0.5"]),
+        ("--stop", "-1e-05", ["--start", "-0.2"]),
+    ],
+)
+def test_scan_negative_exponent_value_parses_like_equals_form(option, value, other):
+    head = ["scan", "--family", "werner-sweep", "--steps", "7"]
+    spaced = _call_in_process(head + [option, value] + other)
+    joined = _call_in_process(head + [f"{option}={value}"] + other)
+    assert spaced == joined
+    assert spaced[0] == 0
+    row = spaced[1].splitlines()[1 if option == "--start" else -1]
+    assert abs(float(row.split(",")[0]) - float(value)) < 1e-15
+
+
+def test_scan_missing_start_value_still_a_usage_error():
+    code, out, err, _ = _call_in_process(
+        ["scan", "--family", "werner-sweep", "--start", "--stop", "1", "--steps", "5"]
+    )
+    assert code == ("SystemExit", 2) and out == ""
+    assert err.rstrip().endswith("error: argument --start: expected one argument")
+
+
+def test_scan_negative_infinite_start_exits_2():
+    code, out, err, _ = _call_in_process(
+        ["scan", "--family", "werner-sweep", "--start", "-inf", "--stop", "1", "--steps", "5"]
+    )
+    assert (code, out, err) == (2, "", "error: need start < stop\n")
 
 
 def test_compat_boundary_pair(tmp_path, capsys):

@@ -1,8 +1,9 @@
 """CLI outputs against the recorded golden corpus (tests/golden/cli_corpus.json).
 
 Numbers must match within 1e-12 and everything else exactly. For
-``achieve`` only the target bound, the attained CHSH value and the labels
-are compared: with degenerate correlation singular values, different sign
+``achieve`` the target bound, the attained CHSH value, the angles, each
+observable's strength and bias, and the labels are compared, but not the
+directions: with degenerate correlation singular values, different sign
 and rotation choices for the directions are equally valid. For ``verify``
 the bounds must match within 1e-12, the oracle values and everything
 derived from them within 1e-9 (the oracle is a numerical search), and the
@@ -98,8 +99,12 @@ def test_matches_golden(cmd, corpus_dir, capsys):
         _assert_match(json.loads(out), json.loads(cmd["stdout"]))
     elif cmd["kind"] == "achieve":
         got, want = json.loads(out), json.loads(cmd["stdout"])
-        for key in ("target_bound", "attained_chsh"):
+        for key in ("target_bound", "attained_chsh", "angles"):
             _assert_match(got[key], want[key], key)
+        assert sorted(got["scenario"]) == sorted(want["scenario"])
+        for name, observable in want["scenario"].items():
+            for key in ("strength", "bias"):
+                _assert_match(got["scenario"][name][key], observable[key], f"{name}.{key}")
         for key in ("criterion", "recipe", "violated"):
             assert got[key] == want[key]
     elif cmd["kind"] == "verify":

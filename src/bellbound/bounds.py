@@ -18,7 +18,7 @@ import numpy as np
 from .chsh import chsh, n_matrix
 from .errors import DomainError, InternalConsistencyError, InvalidInputError
 from .linalg import singular_values
-from .model import FanoState, Observable, Scenario, StrengthQuad, correlation_singular_values
+from .model import TSTATE_TOL, FanoState, Observable, Scenario, StrengthQuad, correlation_singular_values
 
 # Slack used when classifying boundary cases of the compatibility
 # conditions, so that exactly-saturating pairs count as compatible.
@@ -41,23 +41,12 @@ _CRITERIA = (
 
 @dataclass(frozen=True)
 class WBundle:
-    """The 2x2 strength/angle matrix with its derived spectral data.
-
-    ``i_plus``/``i_minus`` are the sum and difference of the two singular
-    values; ``w_eig_plus``/``w_eig_minus`` are the eigenvalues of W^T W.
-    ``coeff_a`` .. ``coeff_d`` are the four strength combinations that fill
-    the matrix entries.
-    """
+    """The 2x2 strength/angle matrix with the sum and difference of its
+    two singular values, ``i_plus`` and ``i_minus``."""
 
     w: np.ndarray
-    coeff_a: float
-    coeff_b: float
-    coeff_c: float
-    coeff_d: float
     i_plus: float
     i_minus: float
-    w_eig_plus: float
-    w_eig_minus: float
 
 
 @dataclass(frozen=True)
@@ -88,20 +77,16 @@ def _check_angle(angle: float, name: str) -> float:
 def _require_tstate(state: FanoState, criterion: str) -> None:
     if not state.is_tstate():
         raise DomainError(
-            f"{criterion} requires a T-state (|a| and |b| below 1e-10); "
+            f"{criterion} requires a T-state (|a| and |b| below {TSTATE_TOL:g}); "
             f"got |a| = {float(np.max(np.abs(state.a))):.3e}, "
             f"|b| = {float(np.max(np.abs(state.b))):.3e}"
         )
 
 
-def horodecki(t) -> float:
-    """2 sqrt(s1^2 + s2^2) for a 3x3 correlation matrix, in [0, 2 sqrt(2)].
-
-    Given a ``FanoState``, reads the singular values of its cached
-    decomposition instead of decomposing t again.
-    """
-    s = t.t_svd.s if isinstance(t, FanoState) else singular_values(np.asarray(t, dtype=float))
-    return 2.0 * math.hypot(float(s[0]), float(s[1]))
+def horodecki(state: FanoState) -> float:
+    """2 sqrt(s1^2 + s2^2) of the state's correlation matrix, in [0, 2 sqrt(2)]."""
+    s1, s2, _ = correlation_singular_values(state)
+    return 2.0 * math.hypot(s1, s2)
 
 
 def coefficients_abcd(q: StrengthQuad) -> tuple[float, float, float, float]:
@@ -161,19 +146,7 @@ def w_bundle(q: StrengthQuad, theta: float, phi: float) -> WBundle:
             f"sum^2 {i_plus * i_plus:.15g} vs {plus_sq:.15g}, "
             f"diff^2 {i_minus * i_minus:.15g} vs {minus_sq:.15g}"
         )
-    s_max = 0.5 * (i_plus + i_minus)
-    s_min = 0.5 * (i_plus - i_minus)
-    return WBundle(
-        w=w,
-        coeff_a=ca,
-        coeff_b=cb,
-        coeff_c=cc,
-        coeff_d=cd,
-        i_plus=i_plus,
-        i_minus=i_minus,
-        w_eig_plus=s_max * s_max,
-        w_eig_minus=s_min * s_min,
-    )
+    return WBundle(w=w, i_plus=i_plus, i_minus=i_minus)
 
 
 def s0_bound(state: FanoState, q: StrengthQuad, theta: float, phi: float) -> BoundReport:
@@ -278,29 +251,19 @@ def strength_thresholds(radius_r: float) -> tuple[float, float]:
     return (1.0 / math.sqrt(radius_r), 2.0 / (1.0 + radius_r))
 
 
-def thm3_bound(
-    state: FanoState,
-    s_a: float,
-    sy: float,
-    syp: float,
-    biased_tstate: bool = False,
-) -> BoundReport:
+def thm3_bound(state: FanoState, s_a: float, sy: float, syp: float) -> BoundReport:
     """Tight bound for equal strengths s_a on side A and sy >= syp on side B.
 
-    Unbiased: 2 s_a sqrt(s1^2 sy^2 + s2^2 syp^2). With ``biased_tstate``
-    the state must be a T-state and 2 (1 - s_a)(1 - syp) is added. The
-    optimal angles are unique for sy != syp: tan(theta/2) = syp s2 / (sy s1)
-    and phi = pi/2.
+    Unbiased: 2 s_a sqrt(s1^2 sy^2 + s2^2 syp^2). On a T-state the biased
+    form adds ``j_max`` of the strengths, 2 (1 - s_a)(1 - syp). The optimal
+    angles are unique for sy != syp: tan(theta/2) = syp s2 / (sy s1) and
+    phi = pi/2.
     """
     s_a, sy, syp = float(s_a), float(sy), float(syp)
     if sy < syp:
         raise InvalidInputError("requires sy >= syp; swap the B-side observables")
-    if biased_tstate:
-        _require_tstate(state, "thm3 (biased T-state form)")
     s1, s2, _ = correlation_singular_values(state)
     value = 2.0 * s_a * math.hypot(s1 * sy, s2 * syp)
-    if biased_tstate:
-        value += 2.0 * (1.0 - s_a) * (1.0 - syp)
     theta = 2.0 * math.atan2(syp * s2, sy * s1)
     return BoundReport(value=value, criterion_id="thm3", optimal_angles=(theta, 0.5 * math.pi))
 
@@ -320,15 +283,14 @@ def thm4_branch(q: StrengthQuad) -> tuple[bool, float, float, float]:
     return (c > 0.0 and abs(a * b) <= c * c, a, b, c)
 
 
-def thm4_bound(state: FanoState, q: StrengthQuad, biased_tstate: bool = False) -> BoundReport:
+def thm4_bound(state: FanoState, q: StrengthQuad) -> BoundReport:
     """Tight bound and optimal angles for states with s1(T) = s2(T).
 
     First branch: s1 sqrt(2 (sx^2 + sxp^2)(sy^2 + syp^2)) at interior
     angles. Otherwise s1 max(|A|, |B|, |C|, |D|) at extremal angles
-    cos(theta) = sign(sy - syp), cos(phi) = sign(sx - sxp).
+    cos(theta) = sign(sy - syp), cos(phi) = sign(sx - sxp). On a T-state
+    the biased form adds ``j_max`` of the strengths.
     """
-    if biased_tstate:
-        _require_tstate(state, "thm4 (biased T-state form)")
     s1, s2, _ = correlation_singular_values(state)
     if abs(s1 - s2) > 1e-8:
         raise DomainError(
@@ -357,8 +319,6 @@ def thm4_bound(state: FanoState, q: StrengthQuad, biased_tstate: bool = False) -
             0.0 if sx >= sxp else math.pi,
         )
         note = "extremal-angle branch"
-    if biased_tstate:
-        value += j_max(q)
     return BoundReport(value=value, criterion_id="thm4", optimal_angles=angles, notes=note)
 
 

@@ -272,7 +272,7 @@ def cmd_bound(args) -> int:
         _entry("thm4", None if thm4 else f"s1(T) != s2(T) ({s1:.6g} vs {s2:.6g})", lambda: thm4),
     ]
     if thm4 is not None and is_tstate:
-        # thm4_bound's biased T-state form adds j_max to the same value.
+        # On a T-state, thm4's biased form adds j_max to the same value.
         biased = replace(thm4, value=thm4.value + B.j_max(q))
         entries.append(_report_entry(biased, criterion_variant="thm4+bias"))
     payload = {
@@ -389,13 +389,17 @@ def bisect_root(fun, lo: float, hi: float, tol: float = 1e-9) -> float:
     return 0.5 * (lo + hi)
 
 
+def _grid(start: float, stop: float, steps: int) -> list[float]:
+    """``steps`` evenly spaced points from ``start`` to exactly ``stop``."""
+    return [start + (stop - start) * k / (steps - 1) for k in range(steps - 1)] + [stop]
+
+
 def strength_sweep(state: FanoState, start: float, stop: float, steps: int):
     """Common-strength sweep rows plus bisected violation crossings."""
     s1, s2, _ = correlation_singular_values(state)
     radius = math.hypot(s1, s2)
     rows = []
-    for k in range(steps):
-        s = start + (stop - start) * k / (steps - 1)
+    for s in _grid(start, stop, steps):
         unbiased = 2.0 * s * s * radius
         biased = unbiased + 2.0 * (1.0 - s) * (1.0 - s)
         rows.append((s, unbiased, biased, unbiased > 2.0, biased > 2.0))
@@ -419,8 +423,7 @@ def strength_sweep(state: FanoState, start: float, stop: float, steps: int):
 
 def werner_sweep(start: float, stop: float, steps: int):
     rows = []
-    for k in range(steps):
-        w = start + (stop - start) * k / (steps - 1)
+    for w in _grid(start, stop, steps):
         value = 2.0 * math.sqrt(2.0) * abs(w)
         rows.append((w, value, value > 2.0))
     onset = bisect_root(lambda w: 2.0 * math.sqrt(2.0) * w - 2.0, 0.0, 1.0)
@@ -429,8 +432,7 @@ def werner_sweep(start: float, stop: float, steps: int):
 
 def angle_sweep(state: FanoState, q: StrengthQuad, start: float, stop: float, steps: int):
     rows = []
-    for k in range(steps):
-        angle = start + (stop - start) * k / (steps - 1)
+    for angle in _grid(start, stop, steps):
         value = B.s0_bound(state, q, angle, angle).value
         rows.append((angle, value, value > 2.0))
     return rows, {}
@@ -539,10 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--tolerance", type=float, default=None, help="undershoot tolerance")
     p_verify.add_argument("--restarts", type=int, default=None)
     p_verify.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="worker processes for the trials, at most one per CPU (default: BELLBOUND_THREADS)",
+        "--threads", type=int, default=1, help="worker processes for the trials, at most one per CPU"
     )
     p_verify.add_argument("--output", help="write the per-trial CSV here instead of stdout")
     p_verify.set_defaults(handler=cmd_verify)

@@ -147,28 +147,23 @@ def _sign(value: float) -> float:
     return 1.0 if value >= 0.0 else -1.0
 
 
-def achieving_biases(q: StrengthQuad, beta: float = 1.0) -> tuple[float, float, float, float]:
+def achieving_biases(q: StrengthQuad) -> tuple[float, float, float, float]:
     """Extremal biases (|bias| = 1 - strength) attaining the bias-only maximum.
 
-    ``beta`` is the free sign of the Y bias; the remaining signs follow
-    from the strength ordering on each side.
+    The Y bias is positive; the remaining signs follow from the strength
+    ordering on each side.
     """
-    if beta not in (1.0, -1.0, 1, -1):
-        raise InvalidInputError("beta must be +1 or -1")
-    beta = float(beta)
     rx = 1.0 - q.sx
     rxp = 1.0 - q.sxp
     ry = 1.0 - q.sy
     ryp = 1.0 - q.syp
-    beta_p = beta * _sign(rx - rxp)
-    alpha = _sign(beta * ry + beta_p * ryp)
-    alpha_p = _sign(beta * ry - beta_p * ryp)
-    return (alpha * rx, alpha_p * rxp, beta * ry, beta_p * ryp)
+    beta_p = _sign(rx - rxp)
+    alpha = _sign(ry + beta_p * ryp)
+    alpha_p = _sign(ry - beta_p * ryp)
+    return (alpha * rx, alpha_p * rxp, ry, beta_p * ryp)
 
 
-def achieving_scenario_tstate(
-    state: FanoState, q: StrengthQuad, theta: float, phi: float, beta: float = 1.0
-) -> AchievingConfig:
+def achieving_scenario_tstate(state: FanoState, q: StrengthQuad, theta: float, phi: float) -> AchievingConfig:
     """Biased scenario attaining the T-state bound (directions plus biases)."""
     target = st_bound(state, q, theta, phi).value
     base = achieving_directions(state, q, theta, phi)
@@ -178,7 +173,7 @@ def achieving_scenario_tstate(
         # Flip the B side so the direction term adds to the bias term.
         dirs[2] = -dirs[2]
         dirs[3] = -dirs[3]
-    biases = achieving_biases(q, beta=beta)
+    biases = achieving_biases(q)
     if bias_combination(*biases) < 0.0:
         biases = tuple(-b for b in biases)
     scenario = scenario_from_directions(q, tuple(dirs), biases)
@@ -197,9 +192,7 @@ def thm3_achieving(state: FanoState, s_a: float, sy: float, syp: float) -> Achie
     fixed by tan(theta/2) = syp s2 / (sy s1). phi comes out orthogonal.
     """
     s_a, sy, syp = float(s_a), float(sy), float(syp)
-    if sy < syp:
-        raise InvalidInputError("requires sy >= syp; swap the B-side observables")
-    report = thm3_bound(state, s_a, sy, syp)
+    report = thm3_bound(state, s_a, sy, syp)  # rejects sy < syp
     fac = state.t_svd
     s1, s2 = float(fac.s[0]), float(fac.s[1])
     if s1 <= 1e-12:

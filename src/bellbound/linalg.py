@@ -84,13 +84,12 @@ def hermitian_eigenvalues_4(h) -> np.ndarray:
     return np.linalg.eigvalsh(0.5 * (a + a.conj().T))[::-1].copy()
 
 
-def complete_frame(e1, e2_hint=None) -> Frame3:
+def complete_frame(e1) -> Frame3:
     """Extend a unit vector to a right-handed orthonormal frame.
 
-    If ``e2_hint`` is given and not parallel to ``e1``, e2 is the unit
-    component of the hint orthogonal to e1. Otherwise e2 comes from
-    orthogonalizing the standard basis vector with the smallest
-    |component| along e1, which makes the completion deterministic.
+    e2 comes from orthogonalizing the standard basis vector with the
+    smallest |component| along e1, which makes the completion
+    deterministic.
     """
     v1 = np.asarray(e1, dtype=float)
     if v1.shape != (3,) or not np.all(np.isfinite(v1)):
@@ -99,21 +98,11 @@ def complete_frame(e1, e2_hint=None) -> Frame3:
     if abs(norm1 - 1.0) > 1e-10:
         raise InvalidInputError("e1 must be a unit vector within 1e-10")
     v1 = v1 / norm1
-    v2 = None
-    if e2_hint is not None:
-        hint = np.asarray(e2_hint, dtype=float)
-        if hint.shape != (3,) or not np.all(np.isfinite(hint)):
-            raise InvalidInputError("e2_hint must be a finite 3-vector")
-        ortho = hint - (hint @ v1) * v1
-        res = float(np.sqrt(ortho @ ortho))
-        if res > 1e-8:
-            v2 = ortho / res
-    if v2 is None:
-        idx = int(np.argmin(np.abs(v1)))
-        basis = np.zeros(3)
-        basis[idx] = 1.0
-        ortho = basis - (basis @ v1) * v1
-        v2 = ortho / float(np.sqrt(ortho @ ortho))
+    idx = int(np.argmin(np.abs(v1)))
+    basis = np.zeros(3)
+    basis[idx] = 1.0
+    ortho = basis - (basis @ v1) * v1
+    v2 = ortho / float(np.sqrt(ortho @ ortho))
     v3 = np.cross(v1, v2)
     v3 = v3 / float(np.sqrt(v3 @ v3))
     return Frame3(e1=v1, e2=v2, e3=v3)

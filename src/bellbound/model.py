@@ -20,6 +20,8 @@ from .linalg import SvdFactors, hermitian_eigenvalues_4, svd
 # Minimum admissible eigenvalue of a reconstructed density matrix. Absorbs
 # kernel roundoff without admitting meaningfully unphysical states.
 PHYSICALITY_EIG_FLOOR = -1e-10
+# A T-state's a and b have every |component| below this.
+TSTATE_TOL = 1e-10
 
 _PAULI = (
     np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -154,8 +156,9 @@ class FanoState:
         theta = self.theta_matrix()
         return 0.25 * np.tensordot(theta.ravel(), _KRON16, axes=1)
 
-    def is_tstate(self, tol: float = 1e-10) -> bool:
-        return float(np.max(np.abs(self.a))) < tol and float(np.max(np.abs(self.b))) < tol
+    def is_tstate(self) -> bool:
+        """Whether the marginals are maximally mixed, a = b = 0 within ``TSTATE_TOL``."""
+        return float(np.max(np.abs(self.a))) < TSTATE_TOL and float(np.max(np.abs(self.b))) < TSTATE_TOL
 
     def to_dict(self) -> dict:
         return {
@@ -374,7 +377,7 @@ def random_state(seed, kind: str = "general") -> FanoState:
         g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         rho = g @ g.conj().T
         return state_from_density(rho / np.trace(rho).real)
-    if kind in ("pure", "two-qubit-pure"):
+    if kind == "pure":
         psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         psi = psi / np.sqrt(np.vdot(psi, psi).real)
         return state_from_density(np.outer(psi, psi.conj()))

@@ -42,13 +42,7 @@ from .bounds import (
     thm4_bound,
 )
 from .chsh import bias_combination, chsh, chsh_signed
-from .construct import (
-    achieve,
-    achieving_directions,
-    frame_from_pair,
-    scenario_from_directions,
-    thm3_achieving,
-)
+from .construct import achieve, frame_from_pair, scenario_from_directions
 from .errors import InternalConsistencyError, InvalidInputError
 from .linalg import matrix_to_axis_angle
 from .model import (
@@ -84,7 +78,6 @@ class OptimizeSpec:
     bias_values: tuple[float, float, float, float] | None = None
     restarts: int = 32
     seed: int = 0
-    refine_tolerance: float = 1e-8
     warm_starts: tuple[Scenario, ...] = ()
 
     def __post_init__(self):
@@ -98,8 +91,8 @@ class OptimizeSpec:
                     raise InvalidInputError("bias values violate strength + |bias| <= 1")
         if self.restarts < 1:
             raise InvalidInputError("restarts must be >= 1")
-        if not self.refine_tolerance > 0.0:
-            raise InvalidInputError("refine_tolerance must be positive")
+        if self.seed < 0:
+            raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
         if self.fixed_angles is not None:
             th, ph = self.fixed_angles
             if not (0.0 - 1e-12 <= th <= math.pi + 1e-12 and 0.0 - 1e-12 <= ph <= math.pi + 1e-12):
@@ -143,7 +136,7 @@ class _Problem:
     objective, and each bias is a block of its own.
     """
 
-    def __init__(self, spec: OptimizeSpec, bias_override=None):
+    def __init__(self, spec: OptimizeSpec):
         self.spec = spec
         # Python floats throughout: arithmetic on numpy scalars (as the audit
         # samplers draw them) costs several times more in the hot loop.
@@ -153,10 +146,8 @@ class _Problem:
             self.theta0, self.phi0 = float(spec.fixed_angles[0]), float(spec.fixed_angles[1])
         else:
             self.theta0 = self.phi0 = 0.5 * math.pi
-        self.free_bias = spec.biases == "free-continuous" and bias_override is None
-        if bias_override is not None:
-            self.fixed_bias = tuple(float(b) for b in bias_override)
-        elif spec.biases == "fixed-values":
+        self.free_bias = spec.biases == "free-continuous"
+        if spec.biases == "fixed-values":
             self.fixed_bias = tuple(float(b) for b in spec.bias_values)
         else:
             self.fixed_bias = (0.0, 0.0, 0.0, 0.0)
@@ -454,6 +445,7 @@ def _coordinate_refine(objective, lo, hi, p: list[float], tol: float, step0: flo
 # trail its own local optimum by at most O(coarse^2) in value, so nothing
 # meaningful is lost by not polishing it.
 _COARSE_TOL = 1e-4
+_REFINE_TOL = 1e-8
 
 
 def _run_starts(problem: _Problem, spec: OptimizeSpec):
@@ -461,15 +453,13 @@ def _run_starts(problem: _Problem, spec: OptimizeSpec):
     objective = problem.make_objective()
     lo = problem.lo
     hi = problem.hi
-    tol = spec.refine_tolerance
-    coarse = max(tol, _COARSE_TOL)
     best_val = -math.inf
     best_p = None
     total_evals = 0
     converged = True
     for scenario in spec.warm_starts:
         start = problem.params_from_scenario(scenario)
-        val, p, evals, conv = _coordinate_refine(objective, lo, hi, start, tol)
+        val, p, evals, conv = _coordinate_refine(objective, lo, hi, start, _REFINE_TOL)
         total_evals += evals
         converged = converged and conv
         if val > best_val:
@@ -477,10 +467,11 @@ def _run_starts(problem: _Problem, spec: OptimizeSpec):
             best_p = list(p)
     for _ in range(spec.restarts):
         start = problem.random_params(rng)
-        val, p, evals, conv = _coordinate_refine(objective, lo, hi, start, coarse)
+        val, p, evals, conv = _coordinate_refine(objective, lo, hi, start, _COARSE_TOL)
         total_evals += evals
-        if coarse > tol and val > best_val:
-            val, p, evals, conv = _coordinate_refine(objective, lo, hi, p, tol, step0=4.0 * coarse)
+        if val > best_val:
+            step0 = 4.0 * _COARSE_TOL
+            val, p, evals, conv = _coordinate_refine(objective, lo, hi, p, _REFINE_TOL, step0=step0)
             total_evals += evals
         converged = converged and conv
         if val > best_val:
@@ -554,12 +545,13 @@ def _maximize_extremal(spec: OptimizeSpec) -> OptimizeResult:
     total_evals = 0
     converged = True
     for biases in extremal_bias_patterns(spec.strengths):
-        problem = _Problem(spec, bias_override=biases)
-        val, p, evals, conv = _run_starts(problem, spec)
+        fixed = replace(spec, biases="fixed-values", bias_values=biases)
+        problem = _Problem(fixed)
+        val, p, evals, conv = _run_starts(problem, fixed)
         total_evals += evals
         converged = converged and conv
         if best_result is None or val > best_result[0]:
-            best_result = (val, problem.scenario(p, biases=biases))
+            best_result = (val, problem.scenario(p))
     return _finalize(spec, best_result[1], total_evals, converged)
 
 
@@ -683,13 +675,10 @@ def sample_thm3_trial(seed: int, trial: int):
 def _trial_thm3(seed: int, trial: int, restarts: int):
     state, s_a, sy, syp = sample_thm3_trial(seed, trial)
     bound = thm3_bound(state, s_a, sy, syp).value
-    result = thm3_oracle(state, s_a, sy, syp, restarts=restarts, seed=_opt_seed(seed, trial))
+    q = StrengthQuad(s_a, s_a, sy, syp)
+    warm = achieve("thm3", state, q).scenario
+    result = _search(state, q, None, "fixed-zero", restarts, _opt_seed(seed, trial), warm)
     return bound, result
-
-
-def thm3_oracle(state, s_a, sy, syp, restarts: int, seed: int) -> OptimizeResult:
-    warm = thm3_achieving(state, s_a, sy, syp).scenario
-    return _search(state, StrengthQuad(s_a, s_a, sy, syp), None, "fixed-zero", restarts, seed, warm)
 
 
 def sample_thm4_trial(seed: int, trial: int):
@@ -726,14 +715,10 @@ def sample_thm4_trial(seed: int, trial: int):
 
 def _trial_thm4(seed: int, trial: int, restarts: int):
     state, q = sample_thm4_trial(seed, trial)
-    report = thm4_bound(state, q)
-    result = thm4_oracle(state, q, report, restarts=restarts, seed=_opt_seed(seed, trial))
-    return report.value, result
-
-
-def thm4_oracle(state, q, report, restarts: int, seed: int) -> OptimizeResult:
-    warm = achieving_directions(state, q, *report.optimal_angles).scenario
-    return _search(state, q, None, "fixed-zero", restarts, seed, warm)
+    bound = thm4_bound(state, q).value
+    warm = achieve("thm4", state, q).scenario
+    result = _search(state, q, None, "fixed-zero", restarts, _opt_seed(seed, trial), warm)
+    return bound, result
 
 
 def _trial_equal_strengths(criterion: str, seed: int, trial: int, restarts: int):
@@ -826,15 +811,6 @@ def _audit_one(args) -> AuditRow:
     )
 
 
-def default_thread_count() -> int:
-    """Requested worker processes from BELLBOUND_THREADS (default 1, sequential)."""
-    raw = os.environ.get("BELLBOUND_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise InvalidInputError(f"BELLBOUND_THREADS must be an integer, got {raw!r}")
-
-
 def worker_count(requested: int, trials: int, cpus: int | None) -> int:
     """Worker processes for an audit: the request, capped by the trials and the CPUs."""
     return max(1, min(int(requested), int(trials), cpus or 1))
@@ -846,15 +822,15 @@ def audit_bound(
     seed: int = 0,
     tolerance: float | None = None,
     restarts: int | None = None,
-    threads: int | None = None,
+    threads: int = 1,
 ) -> AuditReport:
     """Compare a closed-form bound against the oracle over seeded trials.
 
     Per-trial seeds derive from (seed, trial index), so results do not
     depend on the execution order or the number of worker processes.
-    ``threads`` (default BELLBOUND_THREADS) asks for worker processes; at
-    most ``os.cpu_count()`` and at most one per trial are started. ``tolerance``
-    overrides the undershoot tolerance for tightness-claimed criteria.
+    ``threads`` asks for worker processes; at most ``os.cpu_count()`` and
+    at most one per trial are started. ``tolerance`` overrides the
+    undershoot tolerance for tightness-claimed criteria.
     """
     if criterion_id not in _AUDIT_REGISTRY:
         raise InvalidInputError(
@@ -862,12 +838,15 @@ def audit_bound(
         )
     if trials < 1:
         raise InvalidInputError("trials must be >= 1")
+    if seed < 0:
+        raise InvalidInputError(f"seed must be >= 0, got {seed}")
+    if tolerance is not None and not (math.isfinite(tolerance) and tolerance >= 0.0):
+        raise InvalidInputError(f"tolerance must be finite and >= 0, got {tolerance}")
     cfg = _AUDIT_REGISTRY[criterion_id]
     undershoot_tol = cfg.undershoot_tol if tolerance is None else float(tolerance)
     n_restarts = cfg.restarts if restarts is None else int(restarts)
     jobs = [(criterion_id, int(seed), trial, n_restarts) for trial in range(trials)]
-    requested = default_thread_count() if threads is None else int(threads)
-    workers = worker_count(requested, trials, os.cpu_count())
+    workers = worker_count(threads, trials, os.cpu_count())
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 

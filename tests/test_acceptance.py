@@ -9,6 +9,7 @@ import numpy as np
 
 from bellbound import (
     StrengthQuad,
+    achieve,
     achieving_directions,
     audit_bound,
     compat_busch,
@@ -30,7 +31,7 @@ from bellbound import (
     thm4_branch,
 )
 from bellbound.cli import bisect_root
-from bellbound.optimize import sample_thm3_trial, sample_thm4_trial, thm3_oracle, thm4_oracle
+from bellbound.optimize import sample_thm3_trial, sample_thm4_trial
 
 SQ2 = math.sqrt(2.0)
 PI2 = math.pi / 2
@@ -127,7 +128,11 @@ def test_criterion_5_thm3_audit():
         for trial in range(100):
             state, s_a, sy, syp = sample_thm3_trial(505, trial)
             bound = thm3_bound(state, s_a, sy, syp).value
-            result = thm3_oracle(state, s_a, sy, syp, restarts=8, seed=trial)
+            q = StrengthQuad(s_a, s_a, sy, syp)
+            warm = achieve("thm3", state, q).scenario
+            result = maximize_chsh(
+                OptimizeSpec(state=state, strengths=q, restarts=8, seed=trial, warm_starts=(warm,))
+            )
             worst_over = max(worst_over, result.best_value - bound)
             worst_under = max(worst_under, bound - result.best_value)
             assert sy - syp > 1e-6  # sampler keeps the B strengths apart
@@ -151,7 +156,10 @@ def test_criterion_6_thm4_audit():
             report = thm4_bound(state, q)
             first, a, b, c = thm4_branch(q)
             branch_counts[0 if first else 1] += 1
-            result = thm4_oracle(state, q, report, restarts=8, seed=trial)
+            warm = achieve("thm4", state, q).scenario
+            result = maximize_chsh(
+                OptimizeSpec(state=state, strengths=q, restarts=8, seed=trial, warm_starts=(warm,))
+            )
             worst_over = max(worst_over, result.best_value - report.value)
             worst_under = max(worst_under, report.value - result.best_value)
             worst_angle = max(

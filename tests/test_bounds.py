@@ -55,14 +55,15 @@ def _random_quad(rng):
 
 
 def test_horodecki_examples():
-    assert abs(horodecki(singlet().t) - 2 * SQ2) < 1e-14
-    assert abs(horodecki(werner(0.5).t) - SQ2) < 1e-14
-    assert horodecki(np.zeros((3, 3))) == 0.0
+    assert abs(horodecki(singlet()) - 2 * SQ2) < 1e-14
+    assert abs(horodecki(werner(0.5)) - SQ2) < 1e-14
+    assert horodecki(bell_diagonal(0, 0, 0)) == 0.0
 
 
 def test_horodecki_of_a_state_reads_its_cached_decomposition(monkeypatch):
     state = random_state(np.random.default_rng(31), "general")
-    expected = horodecki(state.t)
+    s = np.linalg.svd(state.t, compute_uv=False)
+    expected = 2 * math.hypot(s[0], s[1])
 
     def no_second_decomposition(t):
         raise AssertionError("horodecki(state) decomposed t again")
@@ -74,7 +75,7 @@ def test_horodecki_of_a_state_reads_its_cached_decomposition(monkeypatch):
 def test_w_bundle_projective_right_angles():
     wb = w_bundle(StrengthQuad(1, 1, 1, 1), PI2, PI2)
     assert np.allclose(wb.w, [[1, 1], [1, -1]], atol=1e-14)
-    assert (wb.coeff_a, wb.coeff_b, wb.coeff_c, wb.coeff_d) == (2, 2, 2, 2)
+    assert bounds_module.coefficients_abcd(StrengthQuad(1, 1, 1, 1)) == (2, 2, 2, 2)
     assert abs(wb.i_plus - 2 * SQ2) < 1e-12
     assert abs(wb.i_minus) < 1e-12
 
@@ -124,8 +125,8 @@ def _assert_spectrum_matches_svd(wb):
     s = np.linalg.svd(wb.w, compute_uv=False)
     assert abs(wb.i_plus - (s[0] + s[1])) < 1e-12
     assert abs(wb.i_minus - (s[0] - s[1])) < 1e-12
-    assert abs(wb.w_eig_plus - s[0] ** 2) < 1e-12
-    assert abs(wb.w_eig_minus - s[1] ** 2) < 1e-12
+    assert abs(0.5 * (wb.i_plus + wb.i_minus) - s[0]) < 1e-12
+    assert abs(0.5 * (wb.i_plus - wb.i_minus) - s[1]) < 1e-12
 
 
 def test_w_bundle_spectrum_matches_numpy_svd():
@@ -181,8 +182,10 @@ def test_w_bundle_equal_strengths_eigenvalues():
         theta, phi = rng.uniform(0, math.pi, 2)
         wb = w_bundle(StrengthQuad(sa, sa, sb, sb), theta, phi)
         root = math.sqrt(max(0.0, 1 - math.sin(theta) ** 2 * math.sin(phi) ** 2))
-        assert abs(wb.w_eig_plus - 2 * sa**2 * sb**2 * (1 + root)) < 1e-10
-        assert abs(wb.w_eig_minus - 2 * sa**2 * sb**2 * (1 - root)) < 1e-10
+        s1 = 0.5 * (wb.i_plus + wb.i_minus)
+        s2 = 0.5 * (wb.i_plus - wb.i_minus)
+        assert abs(s1**2 - 2 * sa**2 * sb**2 * (1 + root)) < 1e-10
+        assert abs(s2**2 - 2 * sa**2 * sb**2 * (1 - root)) < 1e-10
 
 
 def test_w_bundle_rejects_bad_angles():
@@ -418,12 +421,20 @@ def test_thm3_weak_arm_limit():
 
 
 def test_thm3_biased_tstate_variant():
-    report = thm3_bound(singlet(), 0.9, 0.8, 0.5, biased_tstate=True)
+    # The paper's biased T-state form, 2 s_a sqrt(s1^2 sy^2 + s2^2 syp^2)
+    # + 2 (1 - s_a)(1 - syp), is thm3_bound plus the bias term j_max.
+    report = thm3_bound(singlet(), 0.9, 0.8, 0.5)
     base = 2 * 0.9 * math.hypot(0.8, 0.5)
-    assert abs(report.value - (base + 2 * 0.1 * 0.5)) < 1e-12
-    bloch = state_from_fano([0, 0, 0.4], np.zeros(3), np.zeros((3, 3)))
-    with pytest.raises(DomainError):
-        thm3_bound(bloch, 0.9, 0.8, 0.5, biased_tstate=True)
+    assert abs(report.value + j_max(StrengthQuad(0.9, 0.9, 0.8, 0.5)) - (base + 2 * 0.1 * 0.5)) < 1e-12
+    rng = np.random.default_rng(27)
+    for _ in range(2000):
+        state = random_state(rng, "tstate")
+        s_a = float(rng.uniform(0, 1))
+        sy, syp = sorted(rng.uniform(0, 1, 2), reverse=True)
+        s1, s2, _ = correlation_singular_values(state)
+        paper = 2 * s_a * math.hypot(s1 * sy, s2 * syp) + 2 * (1 - s_a) * (1 - syp)
+        value = thm3_bound(state, s_a, sy, syp).value + j_max(StrengthQuad(s_a, s_a, sy, syp))
+        assert abs(value - paper) < 1e-14
 
 
 def test_thm3_requires_ordered_strengths():
@@ -451,8 +462,8 @@ def test_thm4_zero_strength_uses_extremal_branch():
     q = StrengthQuad(0.9, 0.7, 0.8, 0.0)
     first, _, _, c = thm4_branch(q)
     assert c == 0.0 and not first
-    report = thm4_bound(werner(0.9), q, biased_tstate=True)
-    assert report.value <= 2.0 + 1e-12
+    report = thm4_bound(werner(0.9), q)
+    assert report.value + j_max(q) <= 2.0 + 1e-12
     assert "extremal" in report.notes
 
 
@@ -478,12 +489,6 @@ def test_thm4_requires_equal_singular_values():
         thm4_bound(bell_diagonal(0.9, -0.3, 0.3), StrengthQuad(1, 1, 1, 1))
 
 
-def test_thm4_biased_requires_tstate():
-    bloch = state_from_fano([0, 0, 0.4], np.zeros(3), np.zeros((3, 3)))
-    with pytest.raises(DomainError):
-        thm4_bound(bloch, StrengthQuad(1, 1, 1, 1), biased_tstate=True)
-
-
 def test_schwarz_chain():
     rng = np.random.default_rng(25)
     for trial in range(200):
@@ -495,7 +500,7 @@ def test_schwarz_chain():
         middle = math.sqrt(np.trace(wb.w.T @ wb.w)) * math.hypot(s1, s2)
         value = s0_bound(state, q, theta, phi).value
         assert value <= middle + 1e-10
-        assert middle <= horodecki(state.t) + 1e-10
+        assert middle <= horodecki(state) + 1e-10
 
 
 def test_s0_monotone_in_strengths_at_right_angles():

@@ -105,7 +105,7 @@ def test_variants_nonnegative_and_bounded():
         state = random_state(rng, kinds[trial % 3])
         scenario = Scenario(*(random_observable(rng) for _ in range(4)))
         variants = chsh(scenario, state)
-        cap = max(2.0, horodecki(state.t)) + 1e-9
+        cap = max(2.0, horodecki(state)) + 1e-9
         for value in (variants.canonical, variants.swap_x, variants.swap_y, variants.swap_both):
             assert 0.0 <= value <= cap
 

@@ -277,6 +277,20 @@ def test_verify_thm1_small(tmp_path, capsys):
     assert summary["not_converged"] == []
 
 
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("--seed", "-1", "seed must be >= 0, got -1"),
+        ("--tolerance", "nan", "tolerance must be finite and >= 0, got nan"),
+        ("--tolerance", "inf", "tolerance must be finite and >= 0, got inf"),
+        ("--tolerance", "-1", "tolerance must be finite and >= 0, got -1.0"),
+    ],
+)
+def test_verify_rejects_negative_seed_and_bad_tolerance(option, value, message):
+    code, out, err, _ = _call_in_process(["verify", "--criterion", "jmax", "--trials", "2", option, value])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_scan_strength_sweep(tmp_path, capsys):
     code, out, err = _run(
         capsys,
@@ -348,6 +362,19 @@ def test_scan_negative_exponent_value_parses_like_equals_form(option, value, oth
     assert spaced[0] == 0
     row = spaced[1].splitlines()[1 if option == "--start" else -1]
     assert abs(float(row.split(",")[0]) - float(value)) < 1e-15
+
+
+@pytest.mark.parametrize(
+    "start, stop, steps", [("-1e-5", "0.5", "2"), ("-0.2", "-1e-05", "7")]
+)
+def test_scan_last_row_is_exactly_stop(start, stop, steps):
+    # start + (stop - start) * k / (steps - 1) at k = steps - 1 can miss stop
+    # by an ulp (0.49999999999999994 for the first case).
+    code, out, _, _ = _call_in_process(
+        ["scan", "--family", "werner-sweep", "--start", start, "--stop", stop, "--steps", steps]
+    )
+    assert code == 0
+    assert out.splitlines()[-1].split(",")[0] == repr(float(stop))
 
 
 def test_scan_missing_start_value_still_a_usage_error():

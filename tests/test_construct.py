@@ -2,10 +2,8 @@ import itertools
 import math
 
 import numpy as np
-import pytest
 
 from bellbound import (
-    InvalidInputError,
     StrengthQuad,
     achieving_biases,
     achieving_directions,
@@ -101,12 +99,9 @@ def test_achieving_biases_match_exhaustive():
             abs(bias_combination(*[s * (1 - v) for s, v in zip(pattern, q.as_tuple())]))
             for pattern in itertools.product((1, -1), repeat=4)
         )
-        for beta in (1.0, -1.0):
-            got = bias_combination(*achieving_biases(q, beta=beta))
-            assert abs(got - j_max(q)) < 1e-12
+        got = bias_combination(*achieving_biases(q))
+        assert abs(got - j_max(q)) < 1e-12
         assert abs(best - j_max(q)) < 1e-12
-    with pytest.raises(InvalidInputError):
-        achieving_biases(StrengthQuad(1, 1, 1, 1), beta=0.5)
 
 
 def test_achieving_biases_respect_constraint():

@@ -155,14 +155,6 @@ def test_complete_frame_default_rule():
     assert np.allclose(f.e3, [0.0, 1.0, 0.0], atol=1e-15)
 
 
-def test_complete_frame_hint():
-    f = complete_frame(np.array([1.0, 0.0, 0.0]), e2_hint=np.array([1.0, 1.0, 0.0]) / math.sqrt(2))
-    assert np.allclose(f.e2, [0.0, 1.0, 0.0], atol=1e-15)
-    # A parallel hint falls back to the deterministic basis rule.
-    f = complete_frame(np.array([1.0, 0.0, 0.0]), e2_hint=np.array([1.0, 0.0, 0.0]))
-    assert np.allclose(f.e2, [0.0, 1.0, 0.0], atol=1e-15)
-
-
 def test_complete_frame_random_orthonormal():
     rng = np.random.default_rng(4)
     for _ in range(200):

@@ -98,7 +98,7 @@ def test_bell_diagonal_spectrum_formula():
 
 
 def test_werner_threshold():
-    assert abs(horodecki(werner(1 / math.sqrt(2)).t) - 2.0) < 1e-12
+    assert abs(horodecki(werner(1 / math.sqrt(2))) - 2.0) < 1e-12
 
 
 def test_random_state_deterministic():

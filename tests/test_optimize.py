@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -79,6 +80,30 @@ def test_deterministic_per_seed():
         assert np.array_equal(o1.direction, o2.direction)
 
 
+def test_free_extremal_general_states_pinned():
+    # Free-extremal search on general states runs the sixteen sign patterns
+    # as fixed-values problems; values, evaluation counts and the winning
+    # biases are pinned bit for bit to results recorded with Python 3.11
+    # and numpy 2.4 on x86-64.
+    expected = [
+        (1.5518053465162895, 41902,
+         (-0.32102328423208215, 0.7882019562070719, -0.10690676489978568, 0.8609195493298832)),
+        (1.320854398965548, 44615,
+         (0.4875143407945103, -0.30073651936250667, 0.6467091094156436, 0.8804149722245846)),
+        (1.5791140015271252, 31253,
+         (0.469668075797011, -0.719803091873271, 0.21892306908432113, -0.8818629076340282)),
+    ]
+    rng = np.random.default_rng(2027)
+    for k, (value, evaluations, biases) in enumerate(expected):
+        state = random_state(rng, "general")
+        q = StrengthQuad(*rng.uniform(0.1, 0.9, 4))
+        spec = OptimizeSpec(state=state, strengths=q, biases="free-extremal", restarts=1, seed=k)
+        result = maximize_chsh(spec)
+        got = (result.best_value, result.evaluations, result.best_scenario.biases)
+        assert got == (value, evaluations, biases)
+        assert result.converged
+
+
 def test_monotone_in_restarts():
     state = random_state(12, "tstate")
     q = StrengthQuad(0.9, 0.8, 0.7, 0.6)
@@ -128,7 +153,7 @@ def test_spec_validation():
     with pytest.raises(InvalidInputError):
         OptimizeSpec(state=state, strengths=q, restarts=0)
     with pytest.raises(InvalidInputError):
-        OptimizeSpec(state=state, strengths=q, refine_tolerance=0.0)
+        OptimizeSpec(state=state, strengths=q, seed=-1)
     with pytest.raises(InvalidInputError):
         OptimizeSpec(state=state, strengths=q, fixed_angles=(4.0, 1.0))
 
@@ -218,8 +243,10 @@ def test_objective_moves_match_full_evaluation(kind, angles, biases):
         state=state, strengths=q, fixed_angles=angles, biases=biases,
         bias_values=(0.05, -0.3, 0.1, 0.2) if biases == "fixed-values" else None,
     )
-    override = extremal_bias_patterns(q)[5] if biases == "free-extremal" else None
-    problem = optimize._Problem(spec, bias_override=override)
+    if biases == "free-extremal":
+        # The free-extremal search runs one fixed-values problem per sign pattern.
+        spec = replace(spec, biases="fixed-values", bias_values=extremal_bias_patterns(q)[5])
+    problem = optimize._Problem(spec)
     assert problem.dim == 6 + (2 if angles is None else 0) + (4 if biases == "free-continuous" else 0)
     value, moves, commit = problem.make_objective()
     p = problem.random_params(rng)

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import ModuleType
 
 import numpy as np
 
-from .chsh import chsh, n_matrix
+from .chsh import n_matrix
 from .errors import DomainError, InternalConsistencyError, InvalidInputError
 from .linalg import singular_values
 from .model import TSTATE_TOL, FanoState, Observable, Scenario, StrengthQuad, correlation_singular_values
@@ -45,17 +46,21 @@ class WBundle:
     two singular values, ``i_plus`` and ``i_minus``."""
 
     w: np.ndarray
-    i_plus: float
-    i_minus: float
+    i_plus: float | np.ndarray
+    i_minus: float | np.ndarray
 
 
 @dataclass(frozen=True)
 class BoundReport:
-    """A computed bound with its criterion label and optional optimal angles."""
+    """A computed bound with its criterion label and optional optimal angles.
 
-    value: float
+    ``value``, and with it ``violated``, is an array when the bound was
+    evaluated over an array of angles.
+    """
+
+    value: float | np.ndarray
     criterion_id: str
-    violated: bool = field(init=False)
+    violated: bool | np.ndarray = field(init=False)
     optimal_angles: tuple[float, float] | None = None
     notes: str = ""
 
@@ -67,7 +72,45 @@ class BoundReport:
         object.__setattr__(self, "violated", self.value > 2.0)
 
 
-def _check_angle(angle: float, name: str) -> float:
+def _max2(a: float, b: float) -> float:
+    return b if b > a else a
+
+
+def _min2(a: float, b: float) -> float:
+    return b if b < a else a
+
+
+# The float counterparts of the numpy calls that the angle-dependent
+# bounds make, so one expression serves a float angle and an array of
+# angles. Single-point callers stay on Python floats: this is a module
+# object because attribute loads from modules are the cheap ones, and
+# ``_max2``/``_min2`` are builtin ``max``/``min`` of two values without
+# their call overhead.
+_FLOATS = ModuleType("bellbound.bounds.floats")
+_FLOATS.__dict__.update(
+    cos=math.cos,
+    sin=math.sin,
+    hypot=math.hypot,
+    sqrt=math.sqrt,
+    maximum=_max2,
+    minimum=_min2,
+    all=bool,
+)
+
+
+def _lib(theta, phi):
+    """numpy when either angle is an array, the float functions otherwise."""
+    return np if isinstance(theta, np.ndarray) or isinstance(phi, np.ndarray) else _FLOATS
+
+
+def _check_angle(angle, name: str):
+    """The angle, or each angle of an array, range-checked and clamped to [0, pi]."""
+    if isinstance(angle, np.ndarray):
+        inside = np.isfinite(angle) & (angle >= -1e-12) & (angle <= math.pi + 1e-12)
+        if not inside.all():
+            bad = float(angle[~inside][0])
+            raise InvalidInputError(f"{name} must lie in [0, pi] (radians), got {bad}")
+        return np.minimum(np.maximum(angle.astype(float), 0.0), math.pi)
     angle = float(angle)
     if not (math.isfinite(angle) and -1e-12 <= angle <= math.pi + 1e-12):
         raise InvalidInputError(f"{name} must lie in [0, pi] (radians), got {angle}")
@@ -100,21 +143,36 @@ def coefficients_abcd(q: StrengthQuad) -> tuple[float, float, float, float]:
     )
 
 
-def _i_pm_squared(q: StrengthQuad, theta: float, phi: float, absolute: bool) -> tuple[float, float]:
+def _i_pm_squared(q: StrengthQuad, theta, phi, absolute: bool, xp):
     sx, sxp, sy, syp = q.as_tuple()
     base = (sx * sx + sxp * sxp) * (sy * sy + syp * syp)
-    term_theta = 2.0 * sx * sxp * (sy * sy - syp * syp) * math.cos(theta)
-    term_phi = 2.0 * sy * syp * (sx * sx - sxp * sxp) * math.cos(phi)
+    term_theta = 2.0 * sx * sxp * (sy * sy - syp * syp) * xp.cos(theta)
+    term_phi = 2.0 * sy * syp * (sx * sx - sxp * sxp) * xp.cos(phi)
     if absolute:
         term_theta = abs(term_theta)
         term_phi = abs(term_phi)
-    cross = 4.0 * sx * sxp * sy * syp * math.sin(theta) * math.sin(phi)
+    cross = 4.0 * sx * sxp * sy * syp * xp.sin(theta) * xp.sin(phi)
     plus = base + term_theta + term_phi + cross
     minus = base + term_theta + term_phi - cross
-    return (max(plus, 0.0), max(minus, 0.0))
+    return (xp.maximum(plus, 0.0), xp.maximum(minus, 0.0))
 
 
-def w_bundle(q: StrengthQuad, theta: float, phi: float) -> WBundle:
+def _spectrum_mismatch(i_plus, i_minus, plus_sq, minus_sq, theta, phi) -> InternalConsistencyError:
+    """The cross-check failure, reported at the point where the routes differ most."""
+    gap = np.maximum(np.abs(i_plus * i_plus - plus_sq), np.abs(i_minus * i_minus - minus_sq))
+    columns = np.broadcast_arrays(gap, i_plus, i_minus, plus_sq, minus_sq, theta, phi)
+    k = int(np.argmax(columns[0]))
+    _, i_plus, i_minus, plus_sq, minus_sq, theta, phi = (float(c.flat[k]) for c in columns)
+    return InternalConsistencyError(
+        "W's entries and the strength/angle closed form disagree on the "
+        "spectrum of the strength/angle matrix: "
+        f"sum^2 {i_plus * i_plus:.15g} vs {plus_sq:.15g}, "
+        f"diff^2 {i_minus * i_minus:.15g} vs {minus_sq:.15g} "
+        f"at theta = {theta!r}, phi = {phi!r}"
+    )
+
+
+def w_bundle(q: StrengthQuad, theta, phi) -> WBundle:
     """Strength/angle matrix W with both spectral routes cross-checked.
 
     The singular-value sum and difference come from W's entries through
@@ -123,36 +181,38 @@ def w_bundle(q: StrengthQuad, theta: float, phi: float) -> WBundle:
     larger of the two being the sum. They are validated against the
     paper's strength/angle closed form (compared on squares, which avoids
     square-root noise when the difference is near zero).
+
+    ``theta`` and ``phi`` are floats or numpy arrays that broadcast
+    together; with arrays every point is checked and evaluated in one
+    pass, ``i_plus`` and ``i_minus`` take the broadcast shape and ``w``
+    has shape (2, 2) followed by it.
     """
     theta = _check_angle(theta, "theta")
     phi = _check_angle(phi, "phi")
+    xp = _lib(theta, phi)
     ca, cb, cc, cd = coefficients_abcd(q)
-    cth, sth = math.cos(0.5 * theta), math.sin(0.5 * theta)
-    cph, sph = math.cos(0.5 * phi), math.sin(0.5 * phi)
+    cth, sth = xp.cos(0.5 * theta), xp.sin(0.5 * theta)
+    cph, sph = xp.cos(0.5 * phi), xp.sin(0.5 * phi)
     w00 = ca * cth * cph
     w01 = cb * cth * sph
     w10 = cc * sth * cph
     w11 = -cd * sth * sph
     w = np.array([[w00, w01], [w10, w11]])
-    i_plus = math.hypot(w00 + w11, w01 - w10)
-    i_minus = math.hypot(w00 - w11, w01 + w10)
-    if i_plus < i_minus:
-        i_plus, i_minus = i_minus, i_plus
-    plus_sq, minus_sq = _i_pm_squared(q, theta, phi, absolute=False)
-    if abs(i_plus * i_plus - plus_sq) > 1e-8 or abs(i_minus * i_minus - minus_sq) > 1e-8:
-        raise InternalConsistencyError(
-            "W's entries and the strength/angle closed form disagree on the "
-            "spectrum of the strength/angle matrix: "
-            f"sum^2 {i_plus * i_plus:.15g} vs {plus_sq:.15g}, "
-            f"diff^2 {i_minus * i_minus:.15g} vs {minus_sq:.15g}"
-        )
+    i_sum = xp.hypot(w00 + w11, w01 - w10)
+    i_diff = xp.hypot(w00 - w11, w01 + w10)
+    i_plus, i_minus = xp.maximum(i_sum, i_diff), xp.minimum(i_sum, i_diff)
+    plus_sq, minus_sq = _i_pm_squared(q, theta, phi, False, xp)
+    agree = (abs(i_plus * i_plus - plus_sq) <= 1e-8) & (abs(i_minus * i_minus - minus_sq) <= 1e-8)
+    if not xp.all(agree):
+        raise _spectrum_mismatch(i_plus, i_minus, plus_sq, minus_sq, theta, phi)
     return WBundle(w=w, i_plus=i_plus, i_minus=i_minus)
 
 
-def s0_bound(state: FanoState, q: StrengthQuad, theta: float, phi: float) -> BoundReport:
+def s0_bound(state: FanoState, q: StrengthQuad, theta, phi) -> BoundReport:
     """Tight CHSH bound for unbiased observables with fixed strengths and angles.
 
-    Equals s1(T) s1(W) + s2(T) s2(W) for the strength/angle matrix W.
+    Equals s1(T) s1(W) + s2(T) s2(W) for the strength/angle matrix W. Over
+    arrays of angles the report's ``value`` and ``violated`` are arrays.
     """
     bundle = w_bundle(q, theta, phi)
     s1, s2, _ = correlation_singular_values(state)
@@ -160,17 +220,19 @@ def s0_bound(state: FanoState, q: StrengthQuad, theta: float, phi: float) -> Bou
     return BoundReport(value=value, criterion_id="thm1")
 
 
-def s0_tilde(state: FanoState, q: StrengthQuad, theta: float, phi: float) -> BoundReport:
+def s0_tilde(state: FanoState, q: StrengthQuad, theta, phi) -> BoundReport:
     """Best bound over the four CHSH relabelings (absolute-value form).
 
     Exceeds the canonical bound unless the strengths are equal on each
-    side, in which case the two coincide.
+    side, in which case the two coincide. Takes angle arrays as
+    ``s0_bound`` does.
     """
     theta = _check_angle(theta, "theta")
     phi = _check_angle(phi, "phi")
-    plus_sq, minus_sq = _i_pm_squared(q, theta, phi, absolute=True)
+    xp = _lib(theta, phi)
+    plus_sq, minus_sq = _i_pm_squared(q, theta, phi, True, xp)
     s1, s2, _ = correlation_singular_values(state)
-    value = 0.5 * (s1 + s2) * math.sqrt(plus_sq) + 0.5 * (s1 - s2) * math.sqrt(minus_sq)
+    value = 0.5 * (s1 + s2) * xp.sqrt(plus_sq) + 0.5 * (s1 - s2) * xp.sqrt(minus_sq)
     return BoundReport(value=value, criterion_id="cor3")
 
 

@@ -85,8 +85,7 @@ def _emit_csv(header: list[str], rows: list[tuple], output: str | None) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([str(cell) for cell in row])
+    writer.writerows(rows)
     _write(buf.getvalue(), output)
 
 
@@ -366,8 +365,11 @@ def cmd_verify(args) -> int:
 # scan
 
 
-def bisect_root(fun, lo: float, hi: float, tol: float = 1e-9) -> float:
-    """Bisection for a sign change of ``fun`` on [lo, hi]."""
+_BISECT_TOL = 1e-9
+
+
+def bisect_root(fun, lo: float, hi: float) -> float:
+    """Bisection for a sign change of ``fun`` on [lo, hi], to within ``_BISECT_TOL``."""
     flo = fun(lo)
     fhi = fun(hi)
     if flo == 0.0:
@@ -376,7 +378,7 @@ def bisect_root(fun, lo: float, hi: float, tol: float = 1e-9) -> float:
         return hi
     if (flo > 0.0) == (fhi > 0.0):
         raise InvalidInputError(f"no sign change on [{lo}, {hi}]")
-    while hi - lo > tol:
+    while hi - lo > _BISECT_TOL:
         mid = 0.5 * (lo + hi)
         fmid = fun(mid)
         if fmid == 0.0:
@@ -431,11 +433,11 @@ def werner_sweep(start: float, stop: float, steps: int):
 
 
 def angle_sweep(state: FanoState, q: StrengthQuad, start: float, stop: float, steps: int):
-    rows = []
-    for angle in _grid(start, stop, steps):
-        value = B.s0_bound(state, q, angle, angle).value
-        rows.append((angle, value, value > 2.0))
-    return rows, {}
+    """Rows of the thm1 bound at theta = phi, the whole grid in one ``s0_bound`` call."""
+    grid = _grid(start, stop, steps)
+    angles = np.array(grid)
+    report = B.s0_bound(state, q, angles, angles)
+    return list(zip(grid, report.value.tolist(), report.violated.tolist())), {}
 
 
 def cmd_scan(args) -> int:

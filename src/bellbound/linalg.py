@@ -38,10 +38,15 @@ class Frame3:
         return np.column_stack([self.e1, self.e2, self.e3])
 
 
-def _as_square(m, sizes=(2, 3, 4)) -> np.ndarray:
+_SQUARE_SIZES = (2, 3, 4)
+
+
+def _as_square(m) -> np.ndarray:
     a = np.asarray(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] not in sizes:
-        raise InvalidInputError(f"expected a square matrix of size {sizes}, got shape {a.shape}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] not in _SQUARE_SIZES:
+        raise InvalidInputError(
+            f"expected a square matrix of size {_SQUARE_SIZES}, got shape {a.shape}"
+        )
     if not np.isfinite(a).all():
         raise InvalidInputError("matrix entries must be finite")
     return a

@@ -34,12 +34,15 @@ _SIGMA4 = (_ID2,) + _PAULI
 _KRON16 = np.stack([np.kron(_SIGMA4[mu], _SIGMA4[nu]) for mu in range(4) for nu in range(4)])
 
 
-def _unit3(v, name: str, tol: float = 1e-6) -> np.ndarray:
+_UNIT_TOL = 1e-6
+
+
+def _unit3(v, name: str) -> np.ndarray:
     arr = np.asarray(v, dtype=float)
     if arr.shape != (3,) or not np.all(np.isfinite(arr)):
         raise InvalidInputError(f"{name} must be a finite 3-vector")
     norm = float(np.sqrt(arr @ arr))
-    if abs(norm - 1.0) > tol:
+    if abs(norm - 1.0) > _UNIT_TOL:
         raise InvalidInputError(f"{name} must be a unit vector (|{name}| = {norm:.6g})")
     return arr / norm
 

@@ -1,7 +1,6 @@
 """Acceptance suite: one test per criterion, each printing a PASS line
 with its runtime. Tolerances are pinned here and nowhere else."""
 
-import itertools
 import math
 import time
 
@@ -21,7 +20,6 @@ from bellbound import (
     OptimizeSpec,
     random_observable,
     random_rotation,
-    random_state,
     s0_bound,
     singlet,
     st_bound,

@@ -160,17 +160,32 @@ def test_w_bundle_spectrum_with_positive_determinant(monkeypatch):
     assert positive >= 300
 
 
-@pytest.mark.parametrize("shift", [(1e-6, 0.0), (0.0, 1e-6)], ids=["sum", "difference"])
-def test_w_bundle_cross_check_fires(monkeypatch, shift):
+_GRID_THETA = np.array([0.3, 1.1, 2.9])
+_GRID_PHI = np.array([2.5, 2.0, 0.0])
+
+
+@pytest.mark.parametrize(
+    "shift, theta, phi",
+    [
+        pytest.param((1e-6, 0.0), 1.1, 2.0, id="sum"),
+        pytest.param((0.0, 1e-6), 1.1, 2.0, id="difference"),
+        pytest.param((1e-6, 0.0), _GRID_THETA, _GRID_PHI, id="sum-array"),
+        pytest.param((0.0, 1e-6), _GRID_THETA, _GRID_PHI, id="difference-array"),
+    ],
+)
+def test_w_bundle_cross_check_fires(monkeypatch, shift, theta, phi):
     closed_form = bounds_module._i_pm_squared
 
-    def shifted(q, theta, phi, absolute):
-        plus, minus = closed_form(q, theta, phi, absolute)
-        return plus + shift[0], minus + shift[1]
+    def shifted(q, theta, phi, absolute, xp):
+        # Off at theta = 1.1 only, so an array's error must name that point.
+        plus, minus = closed_form(q, theta, phi, absolute, xp)
+        at = np.asarray(theta) == 1.1
+        return plus + shift[0] * at, minus + shift[1] * at
 
     monkeypatch.setattr(bounds_module, "_i_pm_squared", shifted)
-    with pytest.raises(InternalConsistencyError, match="strength/angle closed form"):
-        w_bundle(StrengthQuad(0.9, 0.7, 0.8, 0.6), 1.1, 2.0)
+    with pytest.raises(InternalConsistencyError, match="strength/angle closed form") as caught:
+        w_bundle(StrengthQuad(0.9, 0.7, 0.8, 0.6), theta, phi)
+    assert str(caught.value).endswith("at theta = 1.1, phi = 2.0")
 
 
 def test_w_bundle_equal_strengths_eigenvalues():
@@ -193,6 +208,67 @@ def test_w_bundle_rejects_bad_angles():
         w_bundle(StrengthQuad(1, 1, 1, 1), -0.1, 1.0)
     with pytest.raises(InvalidInputError):
         w_bundle(StrengthQuad(1, 1, 1, 1), 1.0, 3.5)
+
+
+@pytest.mark.parametrize(
+    "theta, phi, message",
+    [
+        (np.array([0.0, 1.0, 3.5, -0.1]), 1.0, "theta must lie in [0, pi] (radians), got 3.5"),
+        (
+            1.0,
+            np.array([math.pi + 1e-12, math.pi + 1e-11]),
+            "phi must lie in [0, pi] (radians), got 3.14159265359",
+        ),
+        (np.array([0.5, math.nan]), np.array([0.5, 0.5]), "theta must lie in [0, pi] (radians), got nan"),
+    ],
+    ids=["first-bad-named", "just-past-slack", "nan"],
+)
+def test_w_bundle_rejects_one_bad_angle_in_an_array(theta, phi, message):
+    with pytest.raises(InvalidInputError) as caught:
+        s0_bound(singlet(), StrengthQuad(1, 1, 1, 1), theta, phi)
+    assert str(caught.value).startswith(message)
+
+
+def _array_cases(rng):
+    """States, strength quads and angle arrays for the array/float comparison."""
+    corner_angles = [0.0, math.pi, math.pi + 1e-12, math.pi + 5e-13, PI2]
+    for trial in range(60):
+        state = random_state(rng, ("general", "tstate", "pure")[trial % 3])
+        kind = trial % 5
+        if kind == 0:
+            q = _random_quad(rng)
+        elif kind == 1:
+            sa, sb = rng.uniform(0, 1, 2)
+            q = StrengthQuad(sa, sa, sb, sb)
+        elif kind == 2:
+            q = StrengthQuad(*rng.choice([0.0, 1.0], 4))
+        elif kind == 3:
+            q = StrengthQuad(1.0, 1.0, 1.0, 1.0)
+        else:
+            strengths = list(rng.uniform(0, 1, 4))
+            strengths[trial % 4] = float(trial % 2)
+            q = StrengthQuad(*strengths)
+        theta = np.concatenate([corner_angles, rng.uniform(0, math.pi, 40)])
+        phi = np.concatenate([corner_angles[::-1], rng.uniform(0, math.pi, 40)])
+        yield state, q, theta, phi
+
+
+@pytest.mark.parametrize("bound", [s0_bound, s0_tilde], ids=["s0_bound", "s0_tilde"])
+def test_array_angles_match_float_calls(bound):
+    rng = np.random.default_rng(61)
+    for state, q, theta, phi in _array_cases(rng):
+        report = bound(state, q, theta, phi)
+        assert report.value.shape == theta.shape == report.violated.shape
+        for k in range(theta.size):
+            single = bound(state, q, float(theta[k]), float(phi[k]))
+            assert abs(report.value[k] - single.value) <= 1e-15
+            assert bool(report.violated[k]) == single.violated
+        # Angles up to 1e-12 past pi are clamped to pi.
+        assert report.value[2] == report.value[1] and report.value[3] == report.value[1]
+        # Arrays broadcast: a (theta, phi) grid in one call.
+        grid = bound(state, q, theta[:, None], phi[None, :5]).value
+        assert grid.shape == (theta.size, 5)
+        assert abs(grid[7, 4] - bound(state, q, float(theta[7]), float(phi[4])).value) <= 1e-15
 
 
 def test_s0_examples():

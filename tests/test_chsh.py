@@ -1,11 +1,9 @@
 import math
 
 import numpy as np
-import pytest
 
 from bellbound import (
     Scenario,
-    StrengthQuad,
     bias_combination,
     chsh,
     chsh_matrix_form,

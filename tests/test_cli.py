@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from bellbound import cli, construct
+from bellbound import StrengthQuad, bounds, cli, construct
 from bellbound.model import random_rotation, random_state
 from bellbound.cli import main
 from bellbound.construct import ACHIEVABLE
@@ -336,6 +336,27 @@ def test_scan_angle_sweep(tmp_path, capsys):
     grid = math.pi / 320
     assert min(abs(angle_at_top - expected), abs(angle_at_top - (math.pi - expected))) < grid
     assert abs(max(values) - 2 * math.sqrt(0.90)) < 1e-4
+
+
+def test_scan_angle_sweep_clamps_stop_just_past_pi(tmp_path, capsys):
+    # --stop may exceed pi by up to 1e-12: the row keeps the given grid
+    # value, and its bound is the bound at pi.
+    doc = {"state": {"kind": "bell_diagonal", "t": [0.9, -0.3, 0.3]}, "strengths": [0.9, 0.7, 0.8, 0.6]}
+    path = _write(tmp_path, "in.json", doc)
+    stop = math.pi + 5e-13
+    code, out, _ = _run(
+        capsys,
+        ["scan", "--family", "angle-sweep", "--start", "3.0", "--stop", repr(stop),
+         "--steps", "3", "--input", path],
+    )
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert [r[0] for r in rows] == [repr(x) for x in cli._grid(3.0, stop, 3)]
+    assert rows[-1][0] == repr(stop)
+    state = cli._parse_state(doc["state"])
+    at_pi = bounds.s0_bound(state, StrengthQuad(0.9, 0.7, 0.8, 0.6), math.pi, math.pi)
+    assert abs(float(rows[-1][1]) - at_pi.value) <= 1e-15
+    assert rows[-1][2] == str(at_pi.violated)
 
 
 def test_scan_bad_range(capsys):

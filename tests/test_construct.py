@@ -9,7 +9,6 @@ from bellbound import (
     achieving_directions,
     achieving_scenario_tstate,
     bias_combination,
-    chsh,
     cor1_bound,
     correlation_singular_values,
     frame_from_pair,
@@ -20,7 +19,6 @@ from bellbound import (
     s0_bound,
     singlet,
     st_bound,
-    svd,
     thm3_achieving,
     thm3_bound,
     w_bundle,

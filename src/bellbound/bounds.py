@@ -19,11 +19,15 @@ import numpy as np
 from .chsh import n_matrix
 from .errors import DomainError, InternalConsistencyError, InvalidInputError
 from .linalg import singular_values
-from .model import TSTATE_TOL, FanoState, Observable, Scenario, StrengthQuad, correlation_singular_values
+from .model import TSTATE_TOL, FanoState, Observable, Scenario, StrengthQuad, check_angle, correlation_singular_values
 
 # Slack used when classifying boundary cases of the compatibility
 # conditions, so that exactly-saturating pairs count as compatible.
 COMPAT_SLACK = 1e-10
+# Two strengths this close count as equal (cor1, cor4 and thm3 need equal ones).
+EQUAL_STRENGTH_TOL = 1e-12
+# s1(T) and s2(T) this close count as equal, as thm4 needs.
+EQUAL_SINGULAR_VALUE_TOL = 1e-8
 
 _CRITERIA = (
     "horodecki",
@@ -103,20 +107,6 @@ def _lib(theta, phi):
     return np if isinstance(theta, np.ndarray) or isinstance(phi, np.ndarray) else _FLOATS
 
 
-def _check_angle(angle, name: str):
-    """The angle, or each angle of an array, range-checked and clamped to [0, pi]."""
-    if isinstance(angle, np.ndarray):
-        inside = np.isfinite(angle) & (angle >= -1e-12) & (angle <= math.pi + 1e-12)
-        if not inside.all():
-            bad = float(angle[~inside][0])
-            raise InvalidInputError(f"{name} must lie in [0, pi] (radians), got {bad}")
-        return np.minimum(np.maximum(angle.astype(float), 0.0), math.pi)
-    angle = float(angle)
-    if not (math.isfinite(angle) and -1e-12 <= angle <= math.pi + 1e-12):
-        raise InvalidInputError(f"{name} must lie in [0, pi] (radians), got {angle}")
-    return min(max(angle, 0.0), math.pi)
-
-
 def _require_tstate(state: FanoState, criterion: str) -> None:
     if not state.is_tstate():
         raise DomainError(
@@ -187,8 +177,8 @@ def w_bundle(q: StrengthQuad, theta, phi) -> WBundle:
     pass, ``i_plus`` and ``i_minus`` take the broadcast shape and ``w``
     has shape (2, 2) followed by it.
     """
-    theta = _check_angle(theta, "theta")
-    phi = _check_angle(phi, "phi")
+    theta = check_angle(theta, "theta")
+    phi = check_angle(phi, "phi")
     xp = _lib(theta, phi)
     ca, cb, cc, cd = coefficients_abcd(q)
     cth, sth = xp.cos(0.5 * theta), xp.sin(0.5 * theta)
@@ -227,8 +217,8 @@ def s0_tilde(state: FanoState, q: StrengthQuad, theta, phi) -> BoundReport:
     side, in which case the two coincide. Takes angle arrays as
     ``s0_bound`` does.
     """
-    theta = _check_angle(theta, "theta")
-    phi = _check_angle(phi, "phi")
+    theta = check_angle(theta, "theta")
+    phi = check_angle(phi, "phi")
     xp = _lib(theta, phi)
     plus_sq, minus_sq = _i_pm_squared(q, theta, phi, True, xp)
     s1, s2, _ = correlation_singular_values(state)
@@ -354,10 +344,9 @@ def thm4_bound(state: FanoState, q: StrengthQuad) -> BoundReport:
     the biased form adds ``j_max`` of the strengths.
     """
     s1, s2, _ = correlation_singular_values(state)
-    if abs(s1 - s2) > 1e-8:
-        raise DomainError(
-            f"requires s1(T) = s2(T) within 1e-8, got s1 = {s1:.12g}, s2 = {s2:.12g}"
-        )
+    if abs(s1 - s2) > EQUAL_SINGULAR_VALUE_TOL:
+        tol = np.format_float_scientific(EQUAL_SINGULAR_VALUE_TOL, trim="-", exp_digits=1)
+        raise DomainError(f"requires s1(T) = s2(T) within {tol}, got s1 = {s1:.12g}, s2 = {s2:.12g}")
     sx, sxp, sy, syp = q.as_tuple()
     first, _, _, _ = thm4_branch(q)
     if first:

@@ -3,7 +3,9 @@
 Exit codes: 0 success, 2 parse/input error, 3 unphysical state,
 4 construction failure, 5 audit failure. All numeric JSON output is
 rounded to 12 significant digits; CSV cells use the shortest
-round-trip representation. Angles are radians in [0, pi].
+round-trip representation. Angles are radians in [0, pi] and strengths
+lie in [0, 1]: a value at most 1e-12 outside its interval is clamped
+into it, and one further out exits 2.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ from .model import (
     Scenario,
     StrengthQuad,
     bell_diagonal,
+    check_angle,
+    check_strength,
     number_from_json,
     numbers_from_json,
     observable_from_dict,
@@ -130,12 +134,7 @@ def _parse_angles(data: dict) -> tuple[float, float]:
     for key in ("theta", "phi"):
         if key not in data:
             raise InvalidInputError(f"angles.{key} is required when angles are given")
-        val = number_from_json(data[key], f"angles.{key}")
-        if not (0.0 <= val <= math.pi + 1e-12):
-            raise InvalidInputError(
-                f"angles.{key} = {val} outside [0, pi]; angles are radians only"
-            )
-        angles.append(val)
+        angles.append(check_angle(number_from_json(data[key], f"angles.{key}"), f"angles.{key}"))
     return (angles[0], angles[1])
 
 
@@ -222,9 +221,9 @@ def cmd_bound(args) -> int:
     s1, s2, s3 = correlation_singular_values(state)
     is_tstate = state.is_tstate()
     not_tstate = None if is_tstate else "not a T-state"
-    equal_a = abs(q.sx - q.sxp) <= 1e-12
-    equal_b = abs(q.sy - q.syp) <= 1e-12
-    thm4 = B.thm4_bound(state, q) if abs(s1 - s2) <= 1e-8 else None
+    equal_a = abs(q.sx - q.sxp) <= B.EQUAL_STRENGTH_TOL
+    equal_b = abs(q.sy - q.syp) <= B.EQUAL_STRENGTH_TOL
+    thm4 = B.thm4_bound(state, q) if abs(s1 - s2) <= B.EQUAL_SINGULAR_VALUE_TOL else None
     thm3 = None
     thm3_extra = {}
     # thm3 takes the unequal side's stronger observable first. Exchanging
@@ -401,10 +400,11 @@ def strength_sweep(state: FanoState, start: float, stop: float, steps: int):
     s1, s2, _ = correlation_singular_values(state)
     radius = math.hypot(s1, s2)
     rows = []
-    for s in _grid(start, stop, steps):
+    for given in _grid(start, stop, steps):
+        s = check_strength(given, "strength")
         unbiased = 2.0 * s * s * radius
         biased = unbiased + 2.0 * (1.0 - s) * (1.0 - s)
-        rows.append((s, unbiased, biased, unbiased > 2.0, biased > 2.0))
+        rows.append((given, unbiased, biased, unbiased > 2.0, biased > 2.0))
     summary = {"radius": radius}
     if radius > 1.0:
         unbiased_cross = bisect_root(lambda s: 2.0 * s * s * radius - 2.0, 0.0, 1.0)
@@ -435,7 +435,7 @@ def werner_sweep(start: float, stop: float, steps: int):
 def angle_sweep(state: FanoState, q: StrengthQuad, start: float, stop: float, steps: int):
     """Rows of the thm1 bound at theta = phi, the whole grid in one ``s0_bound`` call."""
     grid = _grid(start, stop, steps)
-    angles = np.array(grid)
+    angles = check_angle(np.array(grid), "angle")
     report = B.s0_bound(state, q, angles, angles)
     return list(zip(grid, report.value.tolist(), report.violated.tolist())), {}
 
@@ -447,8 +447,6 @@ def cmd_scan(args) -> int:
         raise InvalidInputError("need start < stop")
     doc = _load_input(args.input) if args.input else None
     if args.family == "strength-sweep":
-        if not (0.0 <= args.start and args.stop <= 1.0):
-            raise InvalidInputError("strength sweep range must lie in [0, 1]")
         state = doc.state if doc else singlet()
         if not state.is_tstate():
             raise DomainError("strength sweep compares the T-state bounds; needs a T-state")
@@ -460,8 +458,6 @@ def cmd_scan(args) -> int:
         rows, summary = werner_sweep(args.start, args.stop, args.steps)
         header = ["w", "horodecki", "violated"]
     elif args.family == "angle-sweep":
-        if not (0.0 <= args.start and args.stop <= math.pi + 1e-12):
-            raise InvalidInputError("angle sweep range must lie in [0, pi]")
         state = doc.state if doc else singlet()
         q = doc.strengths if doc else StrengthQuad(1.0, 1.0, 1.0, 1.0)
         rows, summary = angle_sweep(state, q, args.start, args.stop, args.steps)

@@ -19,8 +19,8 @@ import numpy as np
 from .chsh import bias_combination, chsh, chsh_signed
 from .errors import ConstructionError, DomainError, InvalidInputError
 from .linalg import Frame3, complete_frame, svd
-from .model import FanoState, Scenario, StrengthQuad, make_observable
-from .bounds import cor1_bound, cor4_bound, s0_bound, st_bound, thm3_bound, thm4_bound, w_bundle
+from .model import FanoState, Scenario, StrengthQuad, check_angle, make_observable
+from .bounds import EQUAL_STRENGTH_TOL, cor1_bound, cor4_bound, s0_bound, st_bound, thm3_bound, thm4_bound, w_bundle
 
 _ATTAIN_TOL = 1e-6
 
@@ -41,10 +41,8 @@ def reference_frames(theta: float, phi: float) -> tuple[np.ndarray, np.ndarray, 
     All four live in the standard basis: x and x' straddle e1 in the
     e1-e2 plane at half-angle theta/2, likewise y and y' at phi/2.
     """
-    theta = float(theta)
-    phi = float(phi)
-    if not (0.0 - 1e-12 <= theta <= math.pi + 1e-12 and 0.0 - 1e-12 <= phi <= math.pi + 1e-12):
-        raise InvalidInputError("theta and phi must lie in [0, pi]")
+    theta = check_angle(theta, "theta")
+    phi = check_angle(phi, "phi")
     cth, sth = math.cos(0.5 * theta), math.sin(0.5 * theta)
     cph, sph = math.cos(0.5 * phi), math.sin(0.5 * phi)
     x = np.array([cth, sth, 0.0])
@@ -232,11 +230,11 @@ def achieve(criterion: str, state: FanoState, q: StrengthQuad, angles=None) -> A
         if angles is None:
             raise InvalidInputError(f"criterion {criterion} needs angles{{theta, phi}} in the input")
     elif criterion in ("cor1", "cor4"):
-        if abs(q.sx - q.sxp) > 1e-12 or abs(q.sy - q.syp) > 1e-12:
+        if abs(q.sx - q.sxp) > EQUAL_STRENGTH_TOL or abs(q.sy - q.syp) > EQUAL_STRENGTH_TOL:
             raise DomainError(f"criterion {criterion} requires equal strengths on each side")
         angles = (cor1_bound if criterion == "cor1" else cor4_bound)(state, q.sx, q.sy).optimal_angles
     elif criterion == "thm3":
-        if abs(q.sx - q.sxp) > 1e-12:
+        if abs(q.sx - q.sxp) > EQUAL_STRENGTH_TOL:
             raise DomainError("criterion thm3 requires equal strengths on side A (sx = sxp)")
         config = thm3_achieving(state, q.sx, max(q.sy, q.syp), min(q.sy, q.syp))
         if q.sy >= q.syp:

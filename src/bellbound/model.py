@@ -47,6 +47,35 @@ def _unit3(v, name: str) -> np.ndarray:
     return arr / norm
 
 
+# How far outside its interval an angle, strength or bias may lie and still
+# be accepted, so that a caller's roundoff at an end is no input error.
+RANGE_SLACK = 1e-12
+
+
+def _clamped(value, name: str, low: float, high: float, interval: str):
+    """``value``, or each value of an array, checked against [low, high] and clamped into it."""
+    if isinstance(value, np.ndarray):
+        inside = np.isfinite(value) & (value >= low - RANGE_SLACK) & (value <= high + RANGE_SLACK)
+        if not inside.all():
+            raise InvalidInputError(f"{name} must lie in {interval}, got {float(value[~inside][0])}")
+        return np.minimum(np.maximum(value.astype(float), low), high)
+    value = float(value)
+    # NaN fails both comparisons, and an infinity one of them.
+    if not low - RANGE_SLACK <= value <= high + RANGE_SLACK:
+        raise InvalidInputError(f"{name} must lie in {interval}, got {value}")
+    return low if value < low else high if value > high else value
+
+
+def check_angle(angle, name: str):
+    """The angle, or each angle of an array, checked and clamped to [0, pi]; errors name the first bad value."""
+    return _clamped(angle, name, 0.0, math.pi, "[0, pi] (radians)")
+
+
+def check_strength(strength, name: str):
+    """The strength checked and clamped to [0, 1] by the rule of ``check_angle``."""
+    return _clamped(strength, name, 0.0, 1.0, "[0, 1]")
+
+
 @dataclass(frozen=True, eq=False)
 class Observable:
     """Two-valued qubit observable: bias, strength in [0, 1], unit direction."""
@@ -76,21 +105,15 @@ class Observable:
 
 def make_observable(bias: float, strength: float, direction) -> Observable:
     """Validated observable; directions within 1e-6 of unit norm are renormalized."""
-    bias = float(bias)
-    strength = float(strength)
-    if not (math.isfinite(bias) and math.isfinite(strength)):
-        raise InvalidInputError("bias and strength must be finite")
-    if strength < 0.0 or strength > 1.0 + 1e-12:
-        raise InvalidInputError(f"strength must lie in [0, 1], got {strength}")
-    if abs(bias) > 1.0 + 1e-12:
-        raise InvalidInputError(f"bias must lie in [-1, 1], got {bias}")
+    strength = check_strength(strength, "strength")
+    bias = _clamped(bias, "bias", -1.0, 1.0, "[-1, 1]")
     if strength + abs(bias) > 1.0 + 1e-12:
         raise ConstraintError(
             f"strength + |bias| = {strength + abs(bias):.6g} exceeds 1"
         )
     return Observable(
-        bias=max(-1.0, min(1.0, bias)),
-        strength=min(strength, 1.0),
+        bias=bias,
+        strength=strength,
         direction=_unit3(direction, "direction"),
     )
 
@@ -268,9 +291,11 @@ class StrengthQuad:
     syp: float
 
     def __post_init__(self):
+        # Values inside [0, 1] are kept as given, so an int stays an int.
         for name, val in zip(("sx", "sxp", "sy", "syp"), self.as_tuple()):
-            if not (math.isfinite(val) and -1e-12 <= val <= 1.0 + 1e-12):
-                raise InvalidInputError(f"strength {name} must lie in [0, 1], got {val}")
+            clamped = check_strength(val, f"strength {name}")
+            if clamped != val:
+                object.__setattr__(self, name, clamped)
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.sx, self.sxp, self.sy, self.syp)
@@ -387,23 +412,15 @@ def random_state(seed, kind: str = "general") -> FanoState:
     raise InvalidInputError(f"unknown state kind {kind!r}")
 
 
-def random_observable(seed, fixed_strength: float | None = None, unbiased: bool = False) -> Observable:
+def random_observable(seed) -> Observable:
     """Seeded random observable with direction uniform on the sphere.
 
-    The strength is uniform in [0, 1] unless fixed; the bias is uniform
-    in [-(1 - strength), 1 - strength], or 0 if ``unbiased``.
+    The strength is uniform in [0, 1] and the bias uniform in
+    [-(1 - strength), 1 - strength], drawn in that order after the
+    direction.
     """
     rng = _rng(seed)
     direction = random_direction(rng)
-    if fixed_strength is None:
-        strength = float(rng.uniform(0.0, 1.0))
-    else:
-        strength = float(fixed_strength)
-        if not 0.0 <= strength <= 1.0:
-            raise InvalidInputError("fixed_strength must lie in [0, 1]")
-    if unbiased:
-        bias = 0.0
-    else:
-        room = 1.0 - strength
-        bias = float(rng.uniform(-room, room)) if room > 0.0 else 0.0
-    return make_observable(bias, strength, direction)
+    strength = float(rng.uniform(0.0, 1.0))
+    room = 1.0 - strength
+    return make_observable(float(rng.uniform(-room, room)), strength, direction)

@@ -49,6 +49,7 @@ from .model import (
     FanoState,
     Scenario,
     StrengthQuad,
+    check_angle,
     correlation_singular_values,
     make_observable,
     random_observable,
@@ -95,8 +96,7 @@ class OptimizeSpec:
             raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
         if self.fixed_angles is not None:
             th, ph = self.fixed_angles
-            if not (0.0 - 1e-12 <= th <= math.pi + 1e-12 and 0.0 - 1e-12 <= ph <= math.pi + 1e-12):
-                raise InvalidInputError("fixed angles must lie in [0, pi]")
+            object.__setattr__(self, "fixed_angles", (check_angle(th, "fixed theta"), check_angle(ph, "fixed phi")))
 
 
 @dataclass(frozen=True)

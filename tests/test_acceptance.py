@@ -16,6 +16,7 @@ from bellbound import (
     compat_necessary,
     exhaustive_bias_max,
     j_max,
+    make_observable,
     maximize_chsh,
     OptimizeSpec,
     random_observable,
@@ -29,10 +30,17 @@ from bellbound import (
     thm4_branch,
 )
 from bellbound.cli import bisect_root
+from bellbound.model import random_direction
 from bellbound.optimize import sample_thm3_trial, sample_thm4_trial
 
 SQ2 = math.sqrt(2.0)
 PI2 = math.pi / 2
+
+
+def _unbiased_observable(rng):
+    # random_observable's draws in its order, direction then strength, with no bias.
+    direction = random_direction(rng)
+    return make_observable(0.0, rng.uniform(0.0, 1.0), direction)
 
 
 class _Timer:
@@ -212,8 +220,9 @@ def test_criterion_9_compatibility_implications():
         gap_pair_found = False
         for pair_index in range(10_000):
             unbiased = pair_index % 2 == 1
-            x = random_observable(rng, unbiased=unbiased)
-            xp = random_observable(rng, unbiased=unbiased)
+            draw = _unbiased_observable if unbiased else random_observable
+            x = draw(rng)
+            xp = draw(rng)
             necessary = compat_necessary(x, xp)
             full = compat_full(x, xp)
             if full:

@@ -18,6 +18,7 @@ from bellbound import (
     state_from_fano,
     sgen_bound,
 )
+from bellbound.model import random_direction
 
 SQ2 = math.sqrt(2.0)
 
@@ -151,10 +152,7 @@ def test_zero_strength_arm_respects_local_bound():
     kinds = ("tstate", "general", "pure")
     for trial in range(300):
         state = random_state(rng, kinds[trial % 3])
-        scenario = Scenario(
-            x=random_observable(rng),
-            xp=random_observable(rng),
-            y=random_observable(rng),
-            yp=random_observable(rng, fixed_strength=0.0),
-        )
+        x, xp, y = (random_observable(rng) for _ in range(3))
+        direction = random_direction(rng)
+        scenario = Scenario(x, xp, y, make_observable(rng.uniform(-1.0, 1.0), 0.0, direction))
         assert chsh(scenario, state).canonical <= 2.0 + 1e-9

@@ -28,7 +28,10 @@ json_value = st.recursive(
     max_leaves=8,
 )
 
-unit = st.floats(0.0, 1.0)
+# Strengths and angles reach 2e-12 past their intervals, so the clamped
+# band (1e-12) and the rejected values just beyond it are both drawn.
+unit = st.floats(-2e-12, 1 + 2e-12)
+angle = st.floats(-2e-12, math.pi + 2e-12)
 small = st.floats(-0.1, 0.1)
 
 
@@ -62,7 +65,7 @@ observable = st.fixed_dictionaries(
 parameters = st.fixed_dictionaries(
     {"state": state, "strengths": strengths},
     optional={
-        "angles": st.fixed_dictionaries({"theta": st.floats(0.0, math.pi), "phi": st.floats(0.0, math.pi)}),
+        "angles": st.fixed_dictionaries({"theta": angle, "phi": angle}),
         "biases": st.lists(st.floats(-0.2, 0.2), min_size=4, max_size=4),
     },
 )

@@ -23,6 +23,7 @@ from bellbound import (
     thm3_bound,
     werner,
 )
+from bellbound.model import random_direction
 
 
 def test_make_observable_projective_and_coin():
@@ -154,12 +155,19 @@ def test_pure_product_states_rank_one():
 
 
 def test_random_observable_contracts():
-    proj = random_observable(5, fixed_strength=1.0, unbiased=True)
-    assert proj.strength == 1.0 and proj.bias == 0.0
     for seed in range(200):
-        obs = random_observable(seed, fixed_strength=0.3)
-        assert abs(obs.bias) <= 0.7 + 1e-15
+        obs = random_observable(seed)
+        assert 0.0 <= obs.strength <= 1.0
+        assert abs(obs.bias) <= 1.0 - obs.strength + 1e-15
         assert abs(np.linalg.norm(obs.direction) - 1.0) < 1e-12
+        # The draws come in this order: direction, strength, bias.
+        rng = np.random.default_rng(seed)
+        direction = random_direction(rng)
+        strength = rng.uniform(0.0, 1.0)
+        room = 1.0 - strength
+        same = make_observable(rng.uniform(-room, room), strength, direction)
+        assert (obs.bias, obs.strength) == (same.bias, same.strength)
+        assert np.array_equal(obs.direction, same.direction)
     o1 = random_observable(42)
     o2 = random_observable(42)
     assert o1.bias == o2.bias and o1.strength == o2.strength

@@ -60,8 +60,7 @@ def _clamped(value, name: str, low: float, high: float, interval: str):
             raise InvalidInputError(f"{name} must lie in {interval}, got {float(value[~inside][0])}")
         return np.minimum(np.maximum(value.astype(float), low), high)
     value = float(value)
-    # NaN fails both comparisons, and an infinity one of them.
-    if not low - RANGE_SLACK <= value <= high + RANGE_SLACK:
+    if not (math.isfinite(value) and low - RANGE_SLACK <= value <= high + RANGE_SLACK):
         raise InvalidInputError(f"{name} must lie in {interval}, got {value}")
     return low if value < low else high if value > high else value
 

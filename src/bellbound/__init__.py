@@ -15,6 +15,7 @@ from .linalg import (
     Frame3,
     SvdFactors,
     complete_frame,
+    frame_from_pair,
     hermitian_eigenvalues_4,
     matrix_to_axis_angle,
     singular_values,
@@ -32,6 +33,7 @@ from .model import (
     random_observable,
     random_rotation,
     random_state,
+    scenario_from_directions,
     singlet,
     state_from_density,
     state_from_fano,
@@ -68,9 +70,7 @@ from .construct import (
     achieving_biases,
     achieving_directions,
     achieving_scenario_tstate,
-    frame_from_pair,
     reference_frames,
-    scenario_from_directions,
     thm3_achieving,
 )
 from .optimize import (

@@ -257,14 +257,15 @@ def _equal_angle_choice(s1: float, s2: float) -> tuple[float, float]:
     return (angle, angle)
 
 
-def cor1_bound(state: FanoState, s_a: float, s_b: float) -> BoundReport:
+def cor1_bound(state: FanoState, s_a, s_b) -> BoundReport:
     """Tight bound for equal strengths per side: 2 s_a s_b sqrt(s1^2 + s2^2).
 
     The reported angles are the equal-angle member of the optimal family
     sin(theta) sin(phi) = 2 s1 s2 / (s1^2 + s2^2), taken in [0, pi/2].
+    Strength arrays give arrays ``value`` and ``violated``, as in ``s0_bound``.
     """
     s1, s2, _ = correlation_singular_values(state)
-    value = 2.0 * float(s_a) * float(s_b) * math.hypot(s1, s2)
+    value = 2.0 * s_a * s_b * math.hypot(s1, s2)
     return BoundReport(value=value, criterion_id="cor1", optimal_angles=_equal_angle_choice(s1, s2))
 
 
@@ -282,11 +283,11 @@ def cor2_sufficient(state: FanoState, q: StrengthQuad) -> BoundReport:
     )
 
 
-def cor4_bound(state: FanoState, s_a: float, s_b: float) -> BoundReport:
-    """T-state analogue of the equal-strengths bound, with the bias term added."""
+def cor4_bound(state: FanoState, s_a, s_b) -> BoundReport:
+    """T-state analogue of the equal-strengths bound, with the bias term added (arrays as in cor1)."""
     _require_tstate(state, "cor4")
     base = cor1_bound(state, s_a, s_b)
-    value = base.value + 2.0 * (1.0 - float(s_a)) * (1.0 - float(s_b))
+    value = base.value + 2.0 * (1.0 - s_a) * (1.0 - s_b)
     return BoundReport(value=value, criterion_id="cor4", optimal_angles=base.optimal_angles)
 
 

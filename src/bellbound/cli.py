@@ -3,9 +3,9 @@
 Exit codes: 0 success, 2 parse/input error, 3 unphysical state,
 4 construction failure, 5 audit failure. All numeric JSON output is
 rounded to 12 significant digits; CSV cells use the shortest
-round-trip representation. Angles are radians in [0, pi] and strengths
-lie in [0, 1]: a value at most 1e-12 outside its interval is clamped
-into it, and one further out exits 2.
+round-trip representation. Angles are radians in [0, pi], strengths
+lie in [0, 1] and a Werner weight in [-1/3, 1]: a value at most 1e-12
+outside its interval is clamped into it, and one further out exits 2.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from . import bounds as B
 from .chsh import chsh, chsh_matrix_form
-from .construct import ACHIEVABLE, achieve, reference_frames, scenario_from_directions
+from .construct import ACHIEVABLE, achieve, reference_frames
 from .errors import (
     BellboundError,
     ConstructionError,
@@ -39,10 +39,12 @@ from .model import (
     bell_diagonal,
     check_angle,
     check_strength,
+    check_werner_weight,
     number_from_json,
     numbers_from_json,
     observable_from_dict,
     scenario_from_dict,
+    scenario_from_directions,
     singlet,
     state_from_fano,
     werner,
@@ -396,21 +398,19 @@ def _grid(start: float, stop: float, steps: int) -> list[float]:
 
 
 def strength_sweep(state: FanoState, start: float, stop: float, steps: int):
-    """Common-strength sweep rows plus bisected violation crossings."""
+    """Common-strength sweep rows of cor1 and cor4, one call each, and where each crosses 2 (bisected)."""
     s1, s2, _ = correlation_singular_values(state)
     radius = math.hypot(s1, s2)
-    rows = []
-    for given in _grid(start, stop, steps):
-        s = check_strength(given, "strength")
-        unbiased = 2.0 * s * s * radius
-        biased = unbiased + 2.0 * (1.0 - s) * (1.0 - s)
-        rows.append((given, unbiased, biased, unbiased > 2.0, biased > 2.0))
+    grid = _grid(start, stop, steps)
+    strengths = check_strength(np.array(grid), "strength")
+    unbiased = B.cor1_bound(state, strengths, strengths)
+    biased = B.cor4_bound(state, strengths, strengths)
+    columns = (unbiased.value, biased.value, unbiased.violated, biased.violated)
+    rows = list(zip(grid, *(column.tolist() for column in columns)))
     summary = {"radius": radius}
     if radius > 1.0:
-        unbiased_cross = bisect_root(lambda s: 2.0 * s * s * radius - 2.0, 0.0, 1.0)
-        biased_cross = bisect_root(
-            lambda s: 2.0 * s * s * radius + 2.0 * (1.0 - s) ** 2 - 2.0, 0.01, 1.0
-        )
+        unbiased_cross = bisect_root(lambda s: B.cor1_bound(state, s, s).value - 2.0, 0.0, 1.0)
+        biased_cross = bisect_root(lambda s: B.cor4_bound(state, s, s).value - 2.0, 0.01, 1.0)
         thresholds = B.strength_thresholds(radius)
         summary.update(
             {
@@ -424,10 +424,9 @@ def strength_sweep(state: FanoState, start: float, stop: float, steps: int):
 
 
 def werner_sweep(start: float, stop: float, steps: int):
-    rows = []
-    for w in _grid(start, stop, steps):
-        value = 2.0 * math.sqrt(2.0) * abs(w)
-        rows.append((w, value, value > 2.0))
+    grid = _grid(start, stop, steps)
+    values = 2.0 * math.sqrt(2.0) * np.abs(check_werner_weight(np.array(grid), "w"))
+    rows = list(zip(grid, values.tolist(), (values > 2.0).tolist()))
     onset = bisect_root(lambda w: 2.0 * math.sqrt(2.0) * w - 2.0, 0.0, 1.0)
     return rows, {"violation_onset": onset}
 
@@ -453,8 +452,6 @@ def cmd_scan(args) -> int:
         rows, summary = strength_sweep(state, args.start, args.stop, args.steps)
         header = ["strength", "unbiased_bound", "biased_bound", "unbiased_violated", "biased_violated"]
     elif args.family == "werner-sweep":
-        if not (-1.0 / 3.0 - 1e-12 <= args.start and args.stop <= 1.0):
-            raise InvalidInputError("werner sweep range must lie in [-1/3, 1]")
         rows, summary = werner_sweep(args.start, args.stop, args.steps)
         header = ["w", "horodecki", "violated"]
     elif args.family == "angle-sweep":

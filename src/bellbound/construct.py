@@ -18,8 +18,8 @@ import numpy as np
 
 from .chsh import bias_combination, chsh, chsh_signed
 from .errors import ConstructionError, DomainError, InvalidInputError
-from .linalg import Frame3, complete_frame, svd
-from .model import FanoState, Scenario, StrengthQuad, check_angle, make_observable
+from .linalg import complete_frame, svd
+from .model import FanoState, Scenario, StrengthQuad, check_angle, scenario_from_directions
 from .bounds import EQUAL_STRENGTH_TOL, cor1_bound, cor4_bound, s0_bound, st_bound, thm3_bound, thm4_bound, w_bundle
 
 _ATTAIN_TOL = 1e-6
@@ -52,36 +52,6 @@ def reference_frames(theta: float, phi: float) -> tuple[np.ndarray, np.ndarray, 
     return x, xp, y, yp
 
 
-def frame_from_pair(u, v) -> Frame3:
-    """Right-handed frame (sum, difference, cross) of a unit-vector pair.
-
-    For parallel or antipodal pairs the undefined axis is completed
-    deterministically; the completion leaves every angle-dependent bound
-    unchanged.
-    """
-    vu = np.asarray(u, dtype=float)
-    vv = np.asarray(v, dtype=float)
-    total = vu + vv
-    diff = vu - vv
-    norm_sum = float(np.sqrt(total @ total))
-    norm_diff = float(np.sqrt(diff @ diff))
-    if norm_sum > 1e-8 and norm_diff > 1e-8:
-        e1 = total / norm_sum
-        ortho = diff - (diff @ e1) * e1
-        e2 = ortho / float(np.sqrt(ortho @ ortho))
-        e3 = np.cross(e1, e2)
-        return Frame3(e1=e1, e2=e2, e3=e3 / float(np.sqrt(e3 @ e3)))
-    if norm_diff <= 1e-8:
-        # Parallel pair: sum axis is the common direction.
-        return complete_frame(vu / float(np.sqrt(vu @ vu)))
-    # Antipodal pair: difference axis is defined, sum axis is free.
-    e2 = diff / norm_diff
-    helper = complete_frame(e2)
-    e1 = helper.e2
-    e3 = np.cross(e1, e2)
-    return Frame3(e1=e1, e2=e2, e3=e3 / float(np.sqrt(e3 @ e3)))
-
-
 def _embed_w(w: np.ndarray) -> np.ndarray:
     out = np.zeros((3, 3))
     out[:2, :2] = w
@@ -101,17 +71,6 @@ def optimal_transforms(state: FanoState, q: StrengthQuad, theta: float, phi: flo
     o1 = fac_t.u @ fac_w.u.T
     o2 = fac_t.v @ fac_w.v.T
     return o1, o2
-
-
-def scenario_from_directions(q: StrengthQuad, dirs, biases=(0.0, 0.0, 0.0, 0.0)) -> Scenario:
-    """Scenario with strengths ``q``, directions (x, x', y, y') and ``biases``."""
-    x, xp, y, yp = dirs
-    return Scenario(
-        x=make_observable(biases[0], q.sx, x),
-        xp=make_observable(biases[1], q.sxp, xp),
-        y=make_observable(biases[2], q.sy, y),
-        yp=make_observable(biases[3], q.syp, yp),
-    )
 
 
 def _check_attainment(config: AchievingConfig, theta: float, phi: float) -> AchievingConfig:

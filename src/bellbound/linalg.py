@@ -113,6 +113,36 @@ def complete_frame(e1) -> Frame3:
     return Frame3(e1=v1, e2=v2, e3=v3)
 
 
+def frame_from_pair(u, v) -> Frame3:
+    """Right-handed frame (sum, difference, cross) of a unit-vector pair.
+
+    For parallel or antipodal pairs the undefined axis is completed
+    deterministically; the completion leaves every angle-dependent bound
+    unchanged.
+    """
+    vu = np.asarray(u, dtype=float)
+    vv = np.asarray(v, dtype=float)
+    total = vu + vv
+    diff = vu - vv
+    norm_sum = float(np.sqrt(total @ total))
+    norm_diff = float(np.sqrt(diff @ diff))
+    if norm_sum > 1e-8 and norm_diff > 1e-8:
+        e1 = total / norm_sum
+        ortho = diff - (diff @ e1) * e1
+        e2 = ortho / float(np.sqrt(ortho @ ortho))
+        e3 = np.cross(e1, e2)
+        return Frame3(e1=e1, e2=e2, e3=e3 / float(np.sqrt(e3 @ e3)))
+    if norm_diff <= 1e-8:
+        # Parallel pair: sum axis is the common direction.
+        return complete_frame(vu / float(np.sqrt(vu @ vu)))
+    # Antipodal pair: difference axis is defined, sum axis is free.
+    e2 = diff / norm_diff
+    helper = complete_frame(e2)
+    e1 = helper.e2
+    e3 = np.cross(e1, e2)
+    return Frame3(e1=e1, e2=e2, e3=e3 / float(np.sqrt(e3 @ e3)))
+
+
 def matrix_to_axis_angle(rot) -> np.ndarray:
     """Axis-angle 3-vector (angle = |w|, in [0, pi]) of a proper rotation matrix."""
     r = np.asarray(rot, dtype=float)

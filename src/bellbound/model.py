@@ -75,6 +75,11 @@ def check_strength(strength, name: str):
     return _clamped(strength, name, 0.0, 1.0, "[0, 1]")
 
 
+def check_werner_weight(w, name: str):
+    """The Werner weight checked and clamped to [-1/3, 1] by the rule of ``check_angle``."""
+    return _clamped(w, name, -1.0 / 3.0, 1.0, "[-1/3, 1]")
+
+
 @dataclass(frozen=True, eq=False)
 class Observable:
     """Two-valued qubit observable: bias, strength in [0, 1], unit direction."""
@@ -183,7 +188,8 @@ class FanoState:
 
     def is_tstate(self) -> bool:
         """Whether the marginals are maximally mixed, a = b = 0 within ``TSTATE_TOL``."""
-        return float(np.max(np.abs(self.a))) < TSTATE_TOL and float(np.max(np.abs(self.b))) < TSTATE_TOL
+        # On Python floats: ``cor4_bound`` checks this at each step of a strength-sweep bisection.
+        return max(map(abs, self.a.tolist())) < TSTATE_TOL and max(map(abs, self.b.tolist())) < TSTATE_TOL
 
     def to_dict(self) -> dict:
         return {
@@ -269,6 +275,17 @@ class Scenario:
 
     def to_dict(self) -> dict:
         return {k: o.to_dict() for k, o in zip(("x", "xp", "y", "yp"), self.observables())}
+
+
+def scenario_from_directions(q: StrengthQuad, dirs, biases=(0.0, 0.0, 0.0, 0.0)) -> Scenario:
+    """Scenario with strengths ``q``, directions (x, x', y, y') and ``biases``."""
+    x, xp, y, yp = dirs
+    return Scenario(
+        x=make_observable(biases[0], q.sx, x),
+        xp=make_observable(biases[1], q.sxp, xp),
+        y=make_observable(biases[2], q.sy, y),
+        yp=make_observable(biases[3], q.syp, yp),
+    )
 
 
 def scenario_from_dict(data: dict) -> Scenario:

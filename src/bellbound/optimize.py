@@ -42,9 +42,9 @@ from .bounds import (
     thm4_bound,
 )
 from .chsh import bias_combination, chsh, chsh_signed
-from .construct import achieve, frame_from_pair, scenario_from_directions
+from .construct import ACHIEVABLE, achieve
 from .errors import InternalConsistencyError, InvalidInputError
-from .linalg import matrix_to_axis_angle
+from .linalg import frame_from_pair, matrix_to_axis_angle
 from .model import (
     FanoState,
     Scenario,
@@ -55,6 +55,7 @@ from .model import (
     random_observable,
     random_rotation,
     random_state,
+    scenario_from_directions,
     state_from_fano,
 )
 
@@ -613,24 +614,8 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng((int(seed), int(trial), 0xB311))
 
 
-def _search(state, q, angles, biases, restarts, seed, warm=None) -> OptimizeResult:
-    """The oracle run of one audit trial, warm-started from ``warm`` when given."""
-    spec = OptimizeSpec(
-        state=state,
-        strengths=q,
-        fixed_angles=angles,
-        biases=biases,
-        restarts=restarts,
-        seed=seed,
-        warm_starts=() if warm is None else (warm,),
-    )
-    return maximize_chsh(spec)
-
-
-# State kinds the soundness audits cycle through, and the oracle's bias
-# mode per tight criterion: zero unbiased, extremal for the T-state forms.
+# State kinds the soundness audits cycle through.
 _KINDS = ("tstate", "general", "pure")
-_ORACLE_BIASES = {"thm1": "fixed-zero", "cor1": "fixed-zero", "thm2": "free-extremal", "cor4": "free-extremal"}
 
 
 def sample_thm1_trial(seed: int, trial: int, kind: str | None = None):
@@ -642,12 +627,10 @@ def sample_thm1_trial(seed: int, trial: int, kind: str | None = None):
     return state, q, theta, phi
 
 
-def _trial_fixed_angles(criterion: str, seed: int, trial: int, restarts: int):
+def _trial_fixed_angles(criterion: str, seed: int, trial: int):
     state, q, theta, phi = sample_thm1_trial(seed, trial, "tstate" if criterion == "thm2" else None)
     bound = (s0_bound if criterion == "thm1" else st_bound)(state, q, theta, phi).value
-    warm = achieve(criterion, state, q, (theta, phi)).scenario
-    result = _search(state, q, (theta, phi), _ORACLE_BIASES[criterion], restarts, _opt_seed(seed, trial), warm)
-    return bound, result
+    return bound, (state, q, (theta, phi))
 
 
 def sample_thm3_trial(seed: int, trial: int):
@@ -672,13 +655,9 @@ def sample_thm3_trial(seed: int, trial: int):
     return state, s_a, sy, syp
 
 
-def _trial_thm3(seed: int, trial: int, restarts: int):
+def _trial_thm3(seed: int, trial: int):
     state, s_a, sy, syp = sample_thm3_trial(seed, trial)
-    bound = thm3_bound(state, s_a, sy, syp).value
-    q = StrengthQuad(s_a, s_a, sy, syp)
-    warm = achieve("thm3", state, q).scenario
-    result = _search(state, q, None, "fixed-zero", restarts, _opt_seed(seed, trial), warm)
-    return bound, result
+    return thm3_bound(state, s_a, sy, syp).value, (state, StrengthQuad(s_a, s_a, sy, syp), None)
 
 
 def sample_thm4_trial(seed: int, trial: int):
@@ -713,28 +692,22 @@ def sample_thm4_trial(seed: int, trial: int):
     )
 
 
-def _trial_thm4(seed: int, trial: int, restarts: int):
+def _trial_thm4(seed: int, trial: int):
     state, q = sample_thm4_trial(seed, trial)
-    bound = thm4_bound(state, q).value
-    warm = achieve("thm4", state, q).scenario
-    result = _search(state, q, None, "fixed-zero", restarts, _opt_seed(seed, trial), warm)
-    return bound, result
+    return thm4_bound(state, q).value, (state, q, None)
 
 
-def _trial_equal_strengths(criterion: str, seed: int, trial: int, restarts: int):
+def _trial_equal_strengths(criterion: str, seed: int, trial: int):
     # The bound is the corollary's closed form; the construction's target (thm1
     # or thm2 at the optimal angles) equals it only up to rounding.
     rng = _trial_rng(seed, trial)
     state = random_state(rng, "tstate" if criterion == "cor4" or trial % 2 == 0 else "general")
     s_a, s_b = (float(v) for v in rng.uniform(0.0, 1.0, 2))
     bound = (cor1_bound if criterion == "cor1" else cor4_bound)(state, s_a, s_b).value
-    q = StrengthQuad(s_a, s_a, s_b, s_b)
-    warm = achieve(criterion, state, q).scenario
-    result = _search(state, q, None, _ORACLE_BIASES[criterion], restarts, _opt_seed(seed, trial), warm)
-    return bound, result
+    return bound, (state, StrengthQuad(s_a, s_a, s_b, s_b), None)
 
 
-def _trial_sgen(seed: int, trial: int, restarts: int):
+def _trial_sgen(seed: int, trial: int):
     rng = _trial_rng(seed, trial)
     state = random_state(rng, _KINDS[trial % 3])
     scenario = Scenario(*(random_observable(rng) for _ in range(4)))
@@ -744,50 +717,58 @@ def _trial_sgen(seed: int, trial: int, restarts: int):
     return bound, chsh(scenario, state).canonical
 
 
-def _trial_horodecki_upper(seed: int, trial: int, restarts: int):
+def _trial_horodecki_upper(seed: int, trial: int):
     rng = _trial_rng(seed, trial)
     state = random_state(rng, _KINDS[trial % 3])
     q = StrengthQuad(*rng.uniform(0.0, 1.0, 4))
-    bound = max(2.0, horodecki(state))
-    result = _search(state, q, None, "free-continuous", restarts, _opt_seed(seed, trial))
-    return bound, result
+    return max(2.0, horodecki(state)), (state, q, None)
 
 
-def _trial_jmax(seed: int, trial: int, restarts: int):
+def _trial_jmax(seed: int, trial: int):
     rng = _trial_rng(seed, trial)
     q = StrengthQuad(*rng.uniform(0.0, 1.0, 4))
     return j_max(q), exhaustive_bias_max(q)
 
 
-def _trial_zero_strength(seed: int, trial: int, restarts: int):
+def _trial_zero_strength(seed: int, trial: int):
     rng = _trial_rng(seed, trial)
     state = random_state(rng, _KINDS[trial % 3])
     sx, sxp, sy = (float(v) for v in rng.uniform(0.0, 1.0, 3))
-    q = StrengthQuad(sx, sxp, sy, 0.0)
-    result = _search(state, q, None, "free-continuous", restarts, _opt_seed(seed, trial))
-    return 2.0, result
+    return 2.0, (state, StrengthQuad(sx, sxp, sy, 0.0), None)
 
 
 @dataclass(frozen=True)
 class _AuditCriterion:
+    """One audit: its trial, the oracle's bias mode, its claim and tolerances.
+
+    ``trial_fn(seed, trial)`` returns ``(bound, oracle)``: the exact oracle
+    value where ``oracle_biases`` is None (sgen, jmax), otherwise the case
+    that ``_audit_one`` searches, ``(state, strengths, fixed angles or None)``.
+    """
+
     trial_fn: object
+    oracle_biases: str | None
     tightness_claimed: bool
     overshoot_tol: float = 1e-9
     undershoot_tol: float = 1e-3
     restarts: int = 6
 
 
+# The oracle searches with zero biases for the unbiased bounds, extremal
+# ones for the biased T-state forms and continuous ones for soundness.
 _AUDIT_REGISTRY: dict[str, _AuditCriterion] = {
-    "thm1": _AuditCriterion(partial(_trial_fixed_angles, "thm1"), tightness_claimed=True),
-    "thm2": _AuditCriterion(partial(_trial_fixed_angles, "thm2"), tightness_claimed=True),
-    "thm3": _AuditCriterion(_trial_thm3, tightness_claimed=True, restarts=8),
-    "thm4": _AuditCriterion(_trial_thm4, tightness_claimed=True, restarts=8),
-    "cor1": _AuditCriterion(partial(_trial_equal_strengths, "cor1"), tightness_claimed=True),
-    "cor4": _AuditCriterion(partial(_trial_equal_strengths, "cor4"), tightness_claimed=True),
-    "sgen": _AuditCriterion(_trial_sgen, tightness_claimed=False),
-    "horodecki-upper": _AuditCriterion(_trial_horodecki_upper, tightness_claimed=False),
-    "jmax": _AuditCriterion(_trial_jmax, tightness_claimed=True, overshoot_tol=1e-12, undershoot_tol=1e-12),
-    "zero-strength": _AuditCriterion(_trial_zero_strength, tightness_claimed=False, overshoot_tol=1e-6),
+    "thm1": _AuditCriterion(partial(_trial_fixed_angles, "thm1"), "fixed-zero", tightness_claimed=True),
+    "thm2": _AuditCriterion(partial(_trial_fixed_angles, "thm2"), "free-extremal", tightness_claimed=True),
+    "thm3": _AuditCriterion(_trial_thm3, "fixed-zero", tightness_claimed=True, restarts=8),
+    "thm4": _AuditCriterion(_trial_thm4, "fixed-zero", tightness_claimed=True, restarts=8),
+    "cor1": _AuditCriterion(partial(_trial_equal_strengths, "cor1"), "fixed-zero", tightness_claimed=True),
+    "cor4": _AuditCriterion(partial(_trial_equal_strengths, "cor4"), "free-extremal", tightness_claimed=True),
+    "sgen": _AuditCriterion(_trial_sgen, None, tightness_claimed=False),
+    "horodecki-upper": _AuditCriterion(_trial_horodecki_upper, "free-continuous", tightness_claimed=False),
+    "jmax": _AuditCriterion(_trial_jmax, None, tightness_claimed=True, overshoot_tol=1e-12, undershoot_tol=1e-12),
+    "zero-strength": _AuditCriterion(
+        _trial_zero_strength, "free-continuous", tightness_claimed=False, overshoot_tol=1e-6
+    ),
 }
 
 AUDIT_CRITERIA = tuple(_AUDIT_REGISTRY)
@@ -796,11 +777,17 @@ AUDIT_CRITERIA = tuple(_AUDIT_REGISTRY)
 def _audit_one(args) -> AuditRow:
     criterion_id, seed, trial, restarts = args
     cfg = _AUDIT_REGISTRY[criterion_id]
-    bound, oracle = cfg.trial_fn(seed, trial, restarts)
-    if isinstance(oracle, OptimizeResult):
-        oracle, evals, converged = oracle.best_value, oracle.evaluations, oracle.converged
-    else:
-        evals, converged = 0, True
+    bound, oracle = cfg.trial_fn(seed, trial)
+    evals, converged = 0, True
+    if cfg.oracle_biases is not None:
+        state, q, angles = oracle
+        # A tight criterion's construction is the search's warm start.
+        warm = (achieve(criterion_id, state, q, angles).scenario,) if criterion_id in ACHIEVABLE else ()
+        spec = OptimizeSpec(
+            state, q, angles, cfg.oracle_biases, restarts=restarts, seed=_opt_seed(seed, trial), warm_starts=warm
+        )
+        result = maximize_chsh(spec)
+        oracle, evals, converged = result.best_value, result.evaluations, result.converged
     return AuditRow(
         trial=trial,
         bound=float(bound),
@@ -840,6 +827,8 @@ def audit_bound(
         raise InvalidInputError("trials must be >= 1")
     if seed < 0:
         raise InvalidInputError(f"seed must be >= 0, got {seed}")
+    if restarts is not None and restarts < 1:
+        raise InvalidInputError("restarts must be >= 1")
     if tolerance is not None and not (math.isfinite(tolerance) and tolerance >= 0.0):
         raise InvalidInputError(f"tolerance must be finite and >= 0, got {tolerance}")
     cfg = _AUDIT_REGISTRY[criterion_id]

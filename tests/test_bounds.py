@@ -271,6 +271,21 @@ def test_array_angles_match_float_calls(bound):
         assert abs(grid[7, 4] - bound(state, q, float(theta[7]), float(phi[4])).value) <= 1e-15
 
 
+@pytest.mark.parametrize("bound", [cor1_bound, cor4_bound], ids=["cor1_bound", "cor4_bound"])
+def test_array_strengths_match_float_calls(bound):
+    # A strength grid in one call gives each point's float-call report exactly.
+    rng = np.random.default_rng(62)
+    for state in (singlet(), random_state(rng, "tstate")):
+        s_a = np.concatenate([[0.0, 1.0, 0.835], rng.uniform(0, 1, 40)])
+        s_b = np.concatenate([[1.0, 0.0, 0.835], rng.uniform(0, 1, 40)])
+        report = bound(state, s_a, s_b)
+        assert report.value.shape == report.violated.shape == s_a.shape
+        for k in range(s_a.size):
+            single = bound(state, float(s_a[k]), float(s_b[k]))
+            assert report.value[k] == single.value and bool(report.violated[k]) == single.violated
+            assert type(single.value) is float
+
+
 def test_s0_examples():
     q1 = StrengthQuad(1, 1, 1, 1)
     assert abs(s0_bound(singlet(), q1, PI2, PI2).value - 2 * SQ2) < 1e-12

@@ -1,10 +1,13 @@
+import concurrent.futures
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from bellbound import (
+    AUDIT_CRITERIA,
     InternalConsistencyError,
     InvalidInputError,
     OptimizeSpec,
@@ -189,6 +192,16 @@ def test_audit_unknown_criterion():
         audit_bound("thm9", trials=5)
 
 
+@pytest.mark.parametrize("restarts", [0, -1])
+@pytest.mark.parametrize("criterion", AUDIT_CRITERIA)
+def test_audit_rejects_restarts_below_one(criterion, restarts, monkeypatch):
+    # Also where the oracle value is exact and no search would read it, and
+    # before any worker process starts.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)
+    with pytest.raises(InvalidInputError, match="restarts must be >= 1"):
+        audit_bound(criterion, trials=2, restarts=restarts, threads=2)
+
+
 @pytest.mark.parametrize(
     "criterion", ["thm2", "thm3", "thm4", "cor1", "cor4", "horodecki-upper", "zero-strength"]
 )
@@ -201,7 +214,17 @@ def test_audit_registry_small_runs(criterion):
 def test_audit_threads_deterministic():
     seq = audit_bound("jmax", trials=40, seed=9, threads=1)
     par = audit_bound("jmax", trials=40, seed=9, threads=2)
-    assert [r.gap for r in seq.rows] == [r.gap for r in par.rows]
+    assert seq.rows == par.rows
+
+
+@pytest.mark.parametrize("criterion", ["thm1", "horodecki-upper"])
+def test_searched_audit_rows_independent_of_worker_count(criterion, monkeypatch):
+    # Whole rows (bound, oracle, gap, evaluations, converged), with two
+    # worker processes even on a one-CPU machine.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    seq = audit_bound(criterion, trials=3, seed=9, threads=1)
+    par = audit_bound(criterion, trials=3, seed=9, threads=2)
+    assert seq.rows == par.rows
 
 
 def test_worker_count_is_capped_without_starting_processes():

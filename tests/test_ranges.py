@@ -1,11 +1,13 @@
-"""One range rule for angles and one for strengths, at every entry point.
+"""One range rule for angles, strengths and Werner weights, at every entry point.
 
-An angle must lie in [0, pi], a strength in [0, 1] and a bias in [-1, 1].
-A finite value at most ``model.RANGE_SLACK`` (1e-12) outside its interval
-is clamped into it and gives the result at that end; anything else is an
-input error (``InvalidInputError``, exit code 2 at the CLI). The rule
-lives in ``model.check_angle`` and ``model.check_strength``; the last test
-fails if a copy of the angle slack appears in another module.
+An angle must lie in [0, pi], a strength in [0, 1], a bias in [-1, 1] and
+the Werner weight of ``scan werner-sweep`` in [-1/3, 1]. A finite value at
+most ``model.RANGE_SLACK`` (1e-12) outside its interval is clamped into it
+and gives the result at that end; anything else is an input error
+(``InvalidInputError``, exit code 2 at the CLI). The rule lives in
+``model.check_angle``, ``model.check_strength`` and
+``model.check_werner_weight``; the last test fails if a copy of the angle
+slack appears in another module.
 """
 
 import ast
@@ -159,6 +161,27 @@ def test_strength_past_band_is_rejected(tmp_path, capsys, value):
     for span in ((value, 0.5), (0.5, value)):
         code, _, err = _scan(tmp_path, capsys, "strength-sweep", *span)
         assert code == 2 and err.startswith("error: "), span
+
+
+WERNER_CLAMPED = [(-1 / 3 - 5e-13, -1 / 3), (1 + 5e-13, 1.0)]
+WERNER_REJECTED = [-0.34, -1 / 3 - 2e-12, 1 + 2e-12]
+
+
+@pytest.mark.parametrize("value, end", WERNER_CLAMPED)
+def test_werner_sweep_end_in_band_acts_as_its_end(tmp_path, capsys, value, end):
+    span = (value, 0.5) if end < 0.0 else (0.5, value)
+    at_end = (end, 0.5) if end < 0.0 else (0.5, end)
+    code, out, _ = _scan(tmp_path, capsys, "werner-sweep", *span)
+    assert code == 0
+    assert out.splitlines()[1 if end < 0.0 else 2].split(",")[0] == repr(value)
+    assert _bound_columns(out) == _bound_columns(_scan(tmp_path, capsys, "werner-sweep", *at_end)[1])
+
+
+@pytest.mark.parametrize("value", WERNER_REJECTED)
+def test_werner_weight_past_band_is_rejected(tmp_path, capsys, value):
+    span = (value, 0.5) if value < 0.0 else (0.5, value)
+    code, _, err = _scan(tmp_path, capsys, "werner-sweep", *span)
+    assert code == 2 and err == f"error: w must lie in [-1/3, 1], got {value!r}\n"
 
 
 # ---------------------------------------------------------------------------

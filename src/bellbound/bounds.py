@@ -19,7 +19,7 @@ import numpy as np
 from .chsh import n_matrix
 from .errors import DomainError, InternalConsistencyError, InvalidInputError
 from .linalg import singular_values
-from .model import TSTATE_TOL, FanoState, Observable, Scenario, StrengthQuad, check_angle, correlation_singular_values
+from .model import TSTATE_TOL, FanoState, Observable, Scenario, StrengthQuad, check_angle, correlation_singular_values, sig12
 
 # Slack used when classifying boundary cases of the compatibility
 # conditions, so that exactly-saturating pairs count as compatible.
@@ -347,7 +347,7 @@ def thm4_bound(state: FanoState, q: StrengthQuad) -> BoundReport:
     s1, s2, _ = correlation_singular_values(state)
     if abs(s1 - s2) > EQUAL_SINGULAR_VALUE_TOL:
         tol = np.format_float_scientific(EQUAL_SINGULAR_VALUE_TOL, trim="-", exp_digits=1)
-        raise DomainError(f"requires s1(T) = s2(T) within {tol}, got s1 = {s1:.12g}, s2 = {s2:.12g}")
+        raise DomainError(f"requires s1(T) = s2(T) within {tol}, got s1 = {sig12(s1)}, s2 = {sig12(s2)}")
     sx, sxp, sy, syp = q.as_tuple()
     first, _, _, _ = thm4_branch(q)
     if first:

@@ -11,13 +11,12 @@ outside its interval is clamped into it, and one further out exits 2.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import math
 import sys
 from dataclasses import replace
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -45,6 +44,7 @@ from .model import (
     observable_from_dict,
     scenario_from_dict,
     scenario_from_directions,
+    sig12,
     singlet,
     state_from_fano,
     werner,
@@ -63,7 +63,7 @@ def _fmt12(value):
     if isinstance(value, bool) or value is None:
         return value
     if isinstance(value, (float, np.floating)):
-        return float(f"{float(value):.12g}")
+        return float(sig12(value))
     if isinstance(value, (int, np.integer)):
         return int(value)
     if isinstance(value, dict):
@@ -75,6 +75,69 @@ def _fmt12(value):
     return value
 
 
+_JSON_SPECIAL = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(value) -> str:
+    """The JSON token of ``value`` rounded by ``sig12``, as ``json.dumps`` writes it."""
+    text = sig12(value)
+    if "." in text and "e" not in text:
+        # A fixed-point decimal of at most 12 digits is already the
+        # shortest repr of the float it names.
+        return text
+    return _JSON_SPECIAL.get(text) or repr(float(text))
+
+
+def _json_parts(value, out: list, newline: str) -> None:
+    """Append the text of ``value`` to ``out``; containers open on ``newline``."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None:
+        out.append("null")
+    elif isinstance(value, bool):
+        out.append("true" if value else "false")
+    elif isinstance(value, (float, np.floating)):
+        out.append(_float_text(value))
+    elif isinstance(value, (int, np.integer)):
+        out.append(repr(int(value)))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        out.append("{")
+        for k, key in enumerate(sorted(value)):
+            if not isinstance(key, str):
+                raise TypeError(f"JSON keys must be str, not {type(key).__name__}")
+            out.append(("," if k else "") + inner + encode_basestring_ascii(key) + ": ")
+            _json_parts(value[key], out, inner)
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        out.append("[")
+        for k, item in enumerate(value):
+            out.append(("," if k else "") + inner)
+            _json_parts(item, out, inner)
+        out.append(newline + "]")
+    elif isinstance(value, np.ndarray):
+        _json_parts(list(value.tolist()), out, newline)
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _json_text(payload) -> str:
+    """``json.dumps(_fmt12(payload), indent=2, sort_keys=True)``, written in one pass.
+
+    Keys must be strings, which every payload's keys are.
+    """
+    out: list[str] = []
+    _json_parts(payload, out, "\n")
+    return "".join(out)
+
+
 def _write(text: str, output: str | None) -> None:
     if output:
         with open(output, "w") as fh:
@@ -84,15 +147,12 @@ def _write(text: str, output: str | None) -> None:
 
 
 def _emit_json(payload: dict, output: str | None) -> None:
-    _write(json.dumps(_fmt12(payload), indent=2, sort_keys=True) + "\n", output)
+    _write(_json_text(payload) + "\n", output)
 
 
 def _emit_csv(header: list[str], rows: list[tuple], output: str | None) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    _write(buf.getvalue(), output)
+    """Comma-joined ``str`` cells: the bytes ``csv.writer`` writes for cells that need no quoting."""
+    _write("".join(",".join(map(str, row)) + "\n" for row in [header, *rows]), output)
 
 
 # ---------------------------------------------------------------------------
@@ -444,6 +504,8 @@ def cmd_scan(args) -> int:
         raise InvalidInputError("steps must be >= 2")
     if not (math.isfinite(args.start) and math.isfinite(args.stop) and args.start < args.stop):
         raise InvalidInputError("need start < stop")
+    if args.family == "werner-sweep" and args.input:
+        raise InvalidInputError("scan --family werner-sweep reads no state or strengths; drop --input")
     doc = _load_input(args.input) if args.input else None
     if args.family == "strength-sweep":
         state = doc.state if doc else singlet()

@@ -19,7 +19,7 @@ import numpy as np
 from .chsh import bias_combination, chsh, chsh_signed
 from .errors import ConstructionError, DomainError, InvalidInputError
 from .linalg import complete_frame, svd
-from .model import FanoState, Scenario, StrengthQuad, check_angle, scenario_from_directions
+from .model import FanoState, Scenario, StrengthQuad, check_angle, scenario_from_directions, sig12
 from .bounds import EQUAL_STRENGTH_TOL, cor1_bound, cor4_bound, s0_bound, st_bound, thm3_bound, thm4_bound, w_bundle
 
 _ATTAIN_TOL = 1e-6
@@ -76,9 +76,9 @@ def optimal_transforms(state: FanoState, q: StrengthQuad, theta: float, phi: flo
 def _check_attainment(config: AchievingConfig, theta: float, phi: float) -> AchievingConfig:
     if config.attained_chsh < config.target_bound - _ATTAIN_TOL:
         raise ConstructionError(
-            f"{config.recipe_id} construction attained {config.attained_chsh:.12g} "
-            f"against target {config.target_bound:.12g} "
-            f"(theta = {theta:.12g}, phi = {phi:.12g}); this indicates a "
+            f"{config.recipe_id} construction attained {sig12(config.attained_chsh)} "
+            f"against target {sig12(config.target_bound)} "
+            f"(theta = {sig12(theta)}, phi = {sig12(phi)}); this indicates a "
             "factor-sign handling bug in the frame alignment"
         )
     return config

@@ -132,6 +132,15 @@ def number_from_json(value, name: str) -> float:
         raise InvalidInputError(f"{name} is too large for a float") from exc
 
 
+def sig12(value) -> str:
+    """``value`` at 12 significant digits in ``%g`` form.
+
+    The one 12-digit rounding rule: the CLI's JSON documents and summaries
+    round every float through it, and error messages print numbers with it.
+    """
+    return f"{float(value):.12g}"
+
+
 def numbers_from_json(value, name: str, count: int) -> list[float]:
     """A JSON array of exactly ``count`` numbers as floats."""
     if not isinstance(value, list) or len(value) != count:

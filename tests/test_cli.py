@@ -318,6 +318,20 @@ def test_scan_werner_sweep(capsys):
     assert abs(summary["violation_onset"] - 1 / SQ2) < 1e-6
 
 
+@pytest.mark.parametrize("text", [json.dumps(_singlet_doc()), "{not json"], ids=["valid", "malformed"])
+def test_scan_werner_sweep_rejects_input(tmp_path, capsys, text):
+    # werner-sweep reads no state, so a file given to it is an error
+    # whatever it holds, and is not opened.
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    code, out, err = _run(
+        capsys,
+        ["scan", "--family", "werner-sweep", "--start", "0", "--stop", "1", "--steps", "3", "--input", str(path)],
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: scan --family werner-sweep reads no state or strengths; drop --input\n"
+
+
 def test_scan_angle_sweep(tmp_path, capsys):
     doc = {"state": {"kind": "bell_diagonal", "t": [0.9, -0.3, 0.3]}, "strengths": [1, 1, 1, 1]}
     path = _write(tmp_path, "in.json", doc)

@@ -1,0 +1,116 @@
+"""Relabelling symmetries of ``bellbound bound``, as a regression guard.
+
+Three defects once broke a relabelling symmetry of the report: the sign
+of the compatibility bias product, thm3's default angles, and thm3's
+y/y' order. Here every bound value (within 1e-10) and every entry's
+``applicable`` flag and ``reason`` (exactly) must stay the same when a
+document is
+
+* rotated locally: (a, b, T) -> (R_A a, R_B b, R_A T R_B^T);
+* exchanged between the sides: a <-> b, T -> T^T, (sx, sxp) <-> (sy, syp)
+  and theta <-> phi;
+* relabelled within one side, x <-> x' or y <-> y', when it gives no
+  angles.
+
+The documents are seeded: general, T-state, pure and rotated Werner
+states, with equal strengths on both sides, on one side or on neither,
+with and without angles.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from bellbound.cli import main
+from bellbound.model import random_rotation, random_state
+
+N_DOCS = 40
+VALUE_TOL = 1e-10
+KINDS = ("general", "tstate", "pure", "werner")
+PATTERNS = ("equal", "equal-a", "equal-b", "unequal")
+
+
+def _state(rng, kind):
+    if kind == "werner":
+        t = -rng.uniform(-1.0 / 3.0, 1.0) * random_rotation(rng) @ random_rotation(rng).T
+        return np.zeros(3), np.zeros(3), t
+    state = random_state(rng, kind)
+    return state.a, state.b, state.t
+
+
+def _strengths(rng, pattern):
+    sx, sxp, sy, syp = rng.uniform(0.3, 1.0, 4).tolist()
+    if pattern in ("equal", "equal-a"):
+        sxp = sx
+    if pattern in ("equal", "equal-b"):
+        syp = sy
+    return (sx, sxp, sy, syp)
+
+
+def _cases():
+    """``N_DOCS`` seeded (a, b, t, strengths, angles or None) cases, cycling kind, angles and pattern."""
+    rng = np.random.default_rng(20_211_019)
+    cases = []
+    for k in range(N_DOCS):
+        a, b, t = _state(rng, KINDS[k % 4])
+        q = _strengths(rng, PATTERNS[(k // 8) % 4])
+        angles = tuple(rng.uniform(0.1, np.pi - 0.1, 2).tolist()) if (k // 4) % 2 else None
+        cases.append((a, b, t, q, angles))
+    return cases
+
+
+def _rotate(case, rng):
+    a, b, t, q, angles = case
+    r_a, r_b = random_rotation(rng), random_rotation(rng)
+    return r_a @ a, r_b @ b, r_a @ t @ r_b.T, q, angles
+
+
+def _exchange_sides(case, rng):
+    a, b, t, (sx, sxp, sy, syp), angles = case
+    return b, a, t.T, (sy, syp, sx, sxp), angles and angles[::-1]
+
+
+def _swap_x(case, rng):
+    a, b, t, (sx, sxp, sy, syp), _ = case
+    return a, b, t, (sxp, sx, sy, syp), None
+
+
+def _swap_y(case, rng):
+    a, b, t, (sx, sxp, sy, syp), _ = case
+    return a, b, t, (sx, sxp, syp, sy), None
+
+
+def _report(tmp_path, capsys, case):
+    a, b, t, q, angles = case
+    doc = {
+        "state": {"kind": "fano", "a": np.asarray(a).tolist(), "b": np.asarray(b).tolist(), "t": np.asarray(t).tolist()},
+        "strengths": list(q),
+    }
+    if angles is not None:
+        doc["angles"] = {"theta": angles[0], "phi": angles[1]}
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc))
+    assert main(["bound", "--input", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    return report["correlation_singular_values"], {
+        (entry["criterion_id"], entry.get("criterion_variant")): entry for entry in report["criteria"]
+    }
+
+
+@pytest.mark.parametrize("transform", [_rotate, _exchange_sides, _swap_x, _swap_y], ids=lambda f: f.__name__[1:])
+def test_bound_report_is_invariant(transform, tmp_path, capsys):
+    rng = np.random.default_rng(20_211_020)
+    for k, case in enumerate(_cases()):
+        if transform in (_swap_x, _swap_y):
+            case = (*case[:4], None)
+        svals, entries = _report(tmp_path, capsys, case)
+        svals_moved, moved = _report(tmp_path, capsys, transform(case, rng))
+        where = f"document {k}"
+        assert np.allclose(svals_moved, svals, rtol=0.0, atol=VALUE_TOL), where
+        assert moved.keys() == entries.keys(), where
+        for key, entry in entries.items():
+            got = moved[key]
+            assert (got["applicable"], got.get("reason")) == (entry["applicable"], entry.get("reason")), (where, key)
+            if entry["applicable"]:
+                assert abs(got["value"] - entry["value"]) <= VALUE_TOL, (where, key, got["value"], entry["value"])

@@ -19,7 +19,7 @@ import numpy as np
 from .chsh import n_matrix
 from .errors import DomainError, InternalConsistencyError, InvalidInputError
 from .linalg import singular_values
-from .model import TSTATE_TOL, FanoState, Observable, Scenario, StrengthQuad, check_angle, correlation_singular_values, sig12
+from .model import TSTATE_TOL, FanoState, Observable, Scenario, StrengthQuad, check_angle, check_strength, correlation_singular_values, sig12
 
 # Slack used when classifying boundary cases of the compatibility
 # conditions, so that exactly-saturating pairs count as compatible.
@@ -264,6 +264,7 @@ def cor1_bound(state: FanoState, s_a, s_b) -> BoundReport:
     sin(theta) sin(phi) = 2 s1 s2 / (s1^2 + s2^2), taken in [0, pi/2].
     Strength arrays give arrays ``value`` and ``violated``, as in ``s0_bound``.
     """
+    s_a, s_b = check_strength(s_a, "strength s_a"), check_strength(s_b, "strength s_b")
     s1, s2, _ = correlation_singular_values(state)
     value = 2.0 * s_a * s_b * math.hypot(s1, s2)
     return BoundReport(value=value, criterion_id="cor1", optimal_angles=_equal_angle_choice(s1, s2))
@@ -286,6 +287,7 @@ def cor2_sufficient(state: FanoState, q: StrengthQuad) -> BoundReport:
 def cor4_bound(state: FanoState, s_a, s_b) -> BoundReport:
     """T-state analogue of the equal-strengths bound, with the bias term added (arrays as in cor1)."""
     _require_tstate(state, "cor4")
+    s_a, s_b = check_strength(s_a, "strength s_a"), check_strength(s_b, "strength s_b")
     base = cor1_bound(state, s_a, s_b)
     value = base.value + 2.0 * (1.0 - s_a) * (1.0 - s_b)
     return BoundReport(value=value, criterion_id="cor4", optimal_angles=base.optimal_angles)
@@ -304,21 +306,33 @@ def strength_thresholds(radius_r: float) -> tuple[float, float]:
     return (1.0 / math.sqrt(radius_r), 2.0 / (1.0 + radius_r))
 
 
-def thm3_bound(state: FanoState, s_a: float, sy: float, syp: float) -> BoundReport:
-    """Tight bound for equal strengths s_a on side A and sy >= syp on side B.
+def thm3_bound(state: FanoState, q: StrengthQuad) -> BoundReport:
+    """Tight bound for equal strengths s_a on one side, angles in the input's labels.
 
-    Unbiased: 2 s_a sqrt(s1^2 sy^2 + s2^2 syp^2). On a T-state the biased
-    form adds ``j_max`` of the strengths, 2 (1 - s_a)(1 - syp). The optimal
-    angles are unique for sy != syp: tan(theta/2) = syp s2 / (sy s1) and
-    phi = pi/2.
+    Uses side A if sx = sxp, else side B if sy = syp (sides exchanged,
+    angles swapped along, and noted), else raises ``DomainError``. With
+    hi >= lo the other side's strengths, in either order: unbiased,
+    2 s_a sqrt(s1^2 hi^2 + s2^2 lo^2); on a T-state the biased form adds
+    ``j_max(q)``. The optimal angles are unique for hi != lo:
+    tan(theta/2) = lo s2 / (hi s1) and phi = pi/2. For sy < syp,
+    exchanging y and y' is the same as negating x', so theta -> pi - theta.
     """
-    s_a, sy, syp = float(s_a), float(sy), float(syp)
-    if sy < syp:
-        raise InvalidInputError("requires sy >= syp; swap the B-side observables")
+    sx, sxp, sy, syp = (float(s) for s in q.as_tuple())
+    if abs(sx - sxp) <= EQUAL_STRENGTH_TOL:
+        exchanged, s_a, first, second = False, sx, sy, syp
+    elif abs(sy - syp) <= EQUAL_STRENGTH_TOL:
+        exchanged, s_a, first, second = True, sy, sx, sxp
+    else:
+        raise DomainError("no side has equal strengths")
+    hi, lo = max(first, second), min(first, second)
     s1, s2, _ = correlation_singular_values(state)
-    value = 2.0 * s_a * math.hypot(s1 * sy, s2 * syp)
-    theta = 2.0 * math.atan2(syp * s2, sy * s1)
-    return BoundReport(value=value, criterion_id="thm3", optimal_angles=(theta, 0.5 * math.pi))
+    value = 2.0 * s_a * math.hypot(s1 * hi, s2 * lo)
+    own = 2.0 * math.atan2(lo * s2, hi * s1)
+    if first < second:
+        own = math.pi - own
+    angles = (0.5 * math.pi, own) if exchanged else (own, 0.5 * math.pi)
+    notes = "sides exchanged (equal strengths on side B)" if exchanged else ""
+    return BoundReport(value=value, criterion_id="thm3", optimal_angles=angles, notes=notes)
 
 
 def thm4_branch(q: StrengthQuad) -> tuple[bool, float, float, float]:

@@ -28,9 +28,6 @@ class ChshVariants:
     swap_y: float
     swap_both: float
 
-    def max(self) -> float:
-        return max(self.canonical, self.swap_x, self.swap_y, self.swap_both)
-
 
 def expectation(obs_a: Observable, obs_b: Observable, state: FanoState) -> float:
     """Expectation of the outcome product for obs_a on A and obs_b on B."""

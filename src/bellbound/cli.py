@@ -286,33 +286,16 @@ def cmd_bound(args) -> int:
     equal_a = abs(q.sx - q.sxp) <= B.EQUAL_STRENGTH_TOL
     equal_b = abs(q.sy - q.syp) <= B.EQUAL_STRENGTH_TOL
     thm4 = B.thm4_bound(state, q) if abs(s1 - s2) <= B.EQUAL_SINGULAR_VALUE_TOL else None
-    thm3 = None
-    thm3_extra = {}
-    # thm3 takes the unequal side's stronger observable first. Exchanging
-    # that side's two observables is the same as negating the equal side's
-    # second one, so in the input's labels the equal side's angle becomes
-    # pi minus itself.
-    if equal_a:
-        thm3 = B.thm3_bound(state, q.sx, max(q.sy, q.syp), min(q.sy, q.syp))
-        thm3_extra = {"b_side_swapped": q.sy < q.syp}
-        if q.sy < q.syp:
-            theta, phi = thm3.optimal_angles
-            thm3 = replace(thm3, optimal_angles=(math.pi - theta, phi))
-    elif equal_b:
-        # Exchange the sides: the bound is symmetric under it, with the
-        # relative angles swapped along.
-        thm3 = B.thm3_bound(state, q.sy, max(q.sx, q.sxp), min(q.sx, q.sxp))
-        phi, theta = thm3.optimal_angles
-        if q.sx < q.sxp:
-            phi = math.pi - phi
-        thm3 = replace(thm3, optimal_angles=(theta, phi), notes="sides exchanged (equal strengths on side B)")
+    thm3 = B.thm3_bound(state, q) if equal_a or equal_b else None
+    # thm3's only note is that it exchanged the sides.
+    thm3_extra = {} if thm3 is None or thm3.notes else {"b_side_swapped": q.sy < q.syp}
     # Without input angles, the most specific family that fixes optimal
     # ones supplies them.
     angles, angle_source = doc.angles, "input"
     if angles is None and thm4 is not None:
         angles, angle_source = thm4.optimal_angles, "thm4"
     elif angles is None and thm3 is not None:
-        angles, angle_source = thm3.optimal_angles, "thm3" if equal_a else "thm3-sides-exchanged"
+        angles, angle_source = thm3.optimal_angles, "thm3-sides-exchanged" if thm3.notes else "thm3"
     no_angles = "no angles given and no strength/state pattern fixes optimal ones" if angles is None else None
     at_angles = {} if angles is None else {
         "angles_used": {"theta": angles[0], "phi": angles[1]},

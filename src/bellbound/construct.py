@@ -12,7 +12,7 @@ patterns that attain the bias-only maximum are chosen by a sign recipe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -141,15 +141,19 @@ def achieving_scenario_tstate(state: FanoState, q: StrengthQuad, theta: float, p
     return _check_attainment(config, theta, phi)
 
 
-def thm3_achieving(state: FanoState, s_a: float, sy: float, syp: float) -> AchievingConfig:
-    """Scenario attaining the equal-A-side-strengths bound.
+def thm3_achieving(state: FanoState, q: StrengthQuad) -> AchievingConfig:
+    """Scenario attaining the equal-A-side-strengths bound, in the input's labels.
 
-    The B directions follow the images of the top correlation eigenvectors
-    under T^T; the A pair straddles those eigenvectors at the half-angle
-    fixed by tan(theta/2) = syp s2 / (sy s1). phi comes out orthogonal.
+    With hi >= lo the B strengths, the stronger B observable follows the
+    image of the top correlation eigenvector under T^T and the weaker one
+    that of the second; the A pair straddles those eigenvectors at the
+    half-angle fixed by tan(theta/2) = lo s2 / (hi s1). phi comes out
+    orthogonal. For sy < syp, exchanging y and y' is the same as negating
+    x', so theta -> pi - theta and the CHSH value is unchanged.
     """
-    s_a, sy, syp = float(s_a), float(sy), float(syp)
-    report = thm3_bound(state, s_a, sy, syp)  # rejects sy < syp
+    if abs(q.sx - q.sxp) > EQUAL_STRENGTH_TOL:
+        raise DomainError("criterion thm3 requires equal strengths on side A (sx = sxp)")
+    report = thm3_bound(state, q)
     fac = state.t_svd
     s1, s2 = float(fac.s[0]), float(fac.s[1])
     if s1 <= 1e-12:
@@ -164,12 +168,14 @@ def thm3_achieving(state: FanoState, s_a: float, sy: float, syp: float) -> Achie
         yp = ty2 / norm2
     else:
         # Rank-one correlations leave y' free; any unit vector orthogonal
-        # to y attains the (syp-independent) bound.
+        # to y attains the (lo-independent) bound.
         yp = complete_frame(y).e2
-    half = math.atan2(syp * s2, sy * s1)
+    half = math.atan2(min(q.sy, q.syp) * s2, max(q.sy, q.syp) * s1)
     x = math.cos(half) * x1 + math.sin(half) * x2
     xp = math.cos(half) * x1 - math.sin(half) * x2
-    scenario = scenario_from_directions(StrengthQuad(s_a, s_a, sy, syp), (x, xp, y, yp))
+    if q.sy < q.syp:
+        xp, y, yp = -xp, yp, y
+    scenario = scenario_from_directions(q, (x, xp, y, yp))
     attained = chsh(scenario, state).canonical
     config = AchievingConfig(
         scenario=scenario,
@@ -177,7 +183,7 @@ def thm3_achieving(state: FanoState, s_a: float, sy: float, syp: float) -> Achie
         attained_chsh=attained,
         recipe_id="thm3",
     )
-    return _check_attainment(config, 2.0 * half, 0.5 * math.pi)
+    return _check_attainment(config, *report.optimal_angles)
 
 
 ACHIEVABLE = ("thm1", "thm2", "cor1", "cor4", "thm3", "thm4")
@@ -193,18 +199,7 @@ def achieve(criterion: str, state: FanoState, q: StrengthQuad, angles=None) -> A
             raise DomainError(f"criterion {criterion} requires equal strengths on each side")
         angles = (cor1_bound if criterion == "cor1" else cor4_bound)(state, q.sx, q.sy).optimal_angles
     elif criterion == "thm3":
-        if abs(q.sx - q.sxp) > EQUAL_STRENGTH_TOL:
-            raise DomainError("criterion thm3 requires equal strengths on side A (sx = sxp)")
-        config = thm3_achieving(state, q.sx, max(q.sy, q.syp), min(q.sy, q.syp))
-        if q.sy >= q.syp:
-            return config
-        # Back to the input's labels: exchanging y and y' is the same as
-        # negating x', so theta -> pi - theta and the CHSH value is unchanged.
-        built = config.scenario
-        dirs = (built.x.direction, -built.xp.direction, built.yp.direction, built.y.direction)
-        scenario = scenario_from_directions(q, dirs)
-        config = replace(config, scenario=scenario, attained_chsh=chsh(scenario, state).canonical)
-        return _check_attainment(config, scenario.theta, scenario.phi)
+        return thm3_achieving(state, q)
     elif criterion == "thm4":
         angles = thm4_bound(state, q).optimal_angles
     else:

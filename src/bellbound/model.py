@@ -336,8 +336,8 @@ def singlet() -> FanoState:
 
 
 def werner(w: float) -> FanoState:
-    """Werner state, a singlet mixed with white noise: t = -w * identity."""
-    return state_from_fano(np.zeros(3), np.zeros(3), -float(w) * np.eye(3))
+    """Werner state, a singlet mixed with white noise: t = -w * identity, w as ``check_werner_weight`` takes it."""
+    return state_from_fano(np.zeros(3), np.zeros(3), -check_werner_weight(w, "w") * np.eye(3))
 
 
 def bell_diagonal(t1: float, t2: float, t3: float) -> FanoState:

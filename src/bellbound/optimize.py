@@ -89,6 +89,8 @@ class OptimizeSpec:
             if self.bias_values is None or len(self.bias_values) != 4:
                 raise InvalidInputError("fixed-values mode needs four bias values")
             for b, s in zip(self.bias_values, self.strengths.as_tuple()):
+                if not math.isfinite(b):
+                    raise InvalidInputError(f"bias values must be finite, got {b}")
                 if abs(b) > 1.0 - s + 1e-12:
                     raise InvalidInputError("bias values violate strength + |bias| <= 1")
         if self.restarts < 1:
@@ -657,7 +659,8 @@ def sample_thm3_trial(seed: int, trial: int):
 
 def _trial_thm3(seed: int, trial: int):
     state, s_a, sy, syp = sample_thm3_trial(seed, trial)
-    return thm3_bound(state, s_a, sy, syp).value, (state, StrengthQuad(s_a, s_a, sy, syp), None)
+    q = StrengthQuad(s_a, s_a, sy, syp)
+    return thm3_bound(state, q).value, (state, q, None)
 
 
 def sample_thm4_trial(seed: int, trial: int):

@@ -133,8 +133,8 @@ def test_criterion_5_thm3_audit():
         worst_under = worst_over = worst_phi = 0.0
         for trial in range(100):
             state, s_a, sy, syp = sample_thm3_trial(505, trial)
-            bound = thm3_bound(state, s_a, sy, syp).value
             q = StrengthQuad(s_a, s_a, sy, syp)
+            bound = thm3_bound(state, q).value
             warm = achieve("thm3", state, q).scenario
             result = maximize_chsh(
                 OptimizeSpec(state=state, strengths=q, restarts=8, seed=trial, warm_starts=(warm,))

@@ -479,7 +479,7 @@ def test_strength_thresholds():
 
 
 def test_thm3_examples():
-    report = thm3_bound(singlet(), 1.0, 1.0, 0.5)
+    report = thm3_bound(singlet(), StrengthQuad(1.0, 1.0, 1.0, 0.5))
     assert abs(report.value - 2 * math.sqrt(1.25)) < 1e-12
     assert abs(report.optimal_angles[0] - 2 * math.atan(0.5)) < 1e-12
     assert abs(report.optimal_angles[1] - PI2) < 1e-15
@@ -497,24 +497,24 @@ def test_thm3_reduces_to_cor1():
     for _ in range(100):
         state = random_state(rng, "general")
         sa, sb = rng.uniform(0, 1, 2)
-        assert abs(thm3_bound(state, sa, sb, sb).value - cor1_bound(state, sa, sb).value) < 1e-12
+        assert abs(thm3_bound(state, StrengthQuad(sa, sa, sb, sb)).value - cor1_bound(state, sa, sb).value) < 1e-12
 
 
 def test_thm3_weak_arm_limit():
     state = bell_diagonal(0.95, -0.2, 0.2)
-    report = thm3_bound(state, 1.0, 1.0, 0.0)
+    report = thm3_bound(state, StrengthQuad(1.0, 1.0, 1.0, 0.0))
     assert abs(report.value - 2 * 0.95) < 1e-12
     # Rank-one correlations with a vanishing arm never violate.
     from bellbound import product_state
 
     prod = product_state([0, 0, 1.0], [1.0, 0, 0])
-    assert thm3_bound(prod, 1.0, 1.0, 0.0).value <= 2.0 + 1e-12
+    assert thm3_bound(prod, StrengthQuad(1.0, 1.0, 1.0, 0.0)).value <= 2.0 + 1e-12
 
 
 def test_thm3_biased_tstate_variant():
     # The paper's biased T-state form, 2 s_a sqrt(s1^2 sy^2 + s2^2 syp^2)
     # + 2 (1 - s_a)(1 - syp), is thm3_bound plus the bias term j_max.
-    report = thm3_bound(singlet(), 0.9, 0.8, 0.5)
+    report = thm3_bound(singlet(), StrengthQuad(0.9, 0.9, 0.8, 0.5))
     base = 2 * 0.9 * math.hypot(0.8, 0.5)
     assert abs(report.value + j_max(StrengthQuad(0.9, 0.9, 0.8, 0.5)) - (base + 2 * 0.1 * 0.5)) < 1e-12
     rng = np.random.default_rng(27)
@@ -524,13 +524,33 @@ def test_thm3_biased_tstate_variant():
         sy, syp = sorted(rng.uniform(0, 1, 2), reverse=True)
         s1, s2, _ = correlation_singular_values(state)
         paper = 2 * s_a * math.hypot(s1 * sy, s2 * syp) + 2 * (1 - s_a) * (1 - syp)
-        value = thm3_bound(state, s_a, sy, syp).value + j_max(StrengthQuad(s_a, s_a, sy, syp))
+        q = StrengthQuad(s_a, s_a, sy, syp)
+        value = thm3_bound(state, q).value + j_max(q)
         assert abs(value - paper) < 1e-14
 
 
-def test_thm3_requires_ordered_strengths():
-    with pytest.raises(InvalidInputError):
-        thm3_bound(singlet(), 1.0, 0.4, 0.6)
+def test_thm3_takes_either_order_and_either_side():
+    # Exchanging y and y' (or x and x') is the same as negating the equal
+    # side's second observable: same value, that side's angle -> pi - angle.
+    rng = np.random.default_rng(29)
+    for _ in range(200):
+        state = random_state(rng, "general")
+        s_a, s_hi, s_lo = float(rng.uniform(0, 1)), *sorted(rng.uniform(0, 1, 2).tolist(), reverse=True)
+        ordered = thm3_bound(state, StrengthQuad(s_a, s_a, s_hi, s_lo))
+        reversed_b = thm3_bound(state, StrengthQuad(s_a, s_a, s_lo, s_hi))
+        assert reversed_b.value == ordered.value and not ordered.notes and not reversed_b.notes
+        theta, phi = ordered.optimal_angles
+        assert reversed_b.optimal_angles == (math.pi - theta, phi)
+        # Equal strengths on side B only: the sides are exchanged, angles swapped along.
+        for q, angles in ((StrengthQuad(s_hi, s_lo, s_a, s_a), (phi, theta)), (StrengthQuad(s_lo, s_hi, s_a, s_a), (phi, math.pi - theta))):
+            exchanged = thm3_bound(state, q)
+            assert exchanged.value == ordered.value and exchanged.optimal_angles == angles
+            assert exchanged.notes == "sides exchanged (equal strengths on side B)"
+    # Equal within EQUAL_STRENGTH_TOL counts as equal; further apart on both sides does not.
+    assert thm3_bound(singlet(), StrengthQuad(0.5, 0.5 + 5e-13, 0.9, 0.4)).notes == ""
+    for q in (StrengthQuad(0.5, 0.6, 0.9, 0.4), StrengthQuad(0.5, 0.5 + 2e-12, 0.9, 0.9 - 2e-12)):
+        with pytest.raises(DomainError, match="no side has equal strengths"):
+            thm3_bound(singlet(), q)
 
 
 def test_thm4_interior_example():

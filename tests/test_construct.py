@@ -132,11 +132,11 @@ def test_achieving_scenario_tstate_random_audit():
 
 
 def test_thm3_achieving_examples():
-    config = thm3_achieving(singlet(), 1.0, 1.0, 0.5)
+    config = thm3_achieving(singlet(), StrengthQuad(1.0, 1.0, 1.0, 0.5))
     assert abs(config.attained_chsh - 2 * math.sqrt(1.25)) < 1e-12
     assert abs(config.scenario.phi - PI2) < 1e-10
     # Equal B strengths: lands in the equal-angle optimal family.
-    config = thm3_achieving(singlet(), 1.0, 0.8, 0.8)
+    config = thm3_achieving(singlet(), StrengthQuad(1.0, 1.0, 0.8, 0.8))
     assert abs(config.attained_chsh - cor1_bound(singlet(), 1.0, 0.8).value) < 1e-12
     assert abs(config.scenario.theta - PI2) < 1e-10
 
@@ -148,19 +148,20 @@ def test_thm3_achieving_random_audit():
         if correlation_singular_values(state)[0] < 1e-6:
             continue
         s_a, sy, syp = rng.uniform(0, 1, 3)
-        sy, syp = max(sy, syp), min(sy, syp)
-        config = thm3_achieving(state, s_a, sy, syp)
+        q = StrengthQuad(s_a, s_a, sy, syp)
+        config = thm3_achieving(state, q)
         assert abs(config.attained_chsh - config.target_bound) < 1e-9
-        assert abs(config.target_bound - thm3_bound(state, s_a, sy, syp).value) < 1e-12
+        assert abs(config.target_bound - thm3_bound(state, q).value) < 1e-12
+        assert config.scenario.strengths == q
 
 
 def test_thm3_achieving_rank_one_state():
     prod = product_state([0, 0, 1.0], [1.0, 0, 0])
-    config = thm3_achieving(prod, 1.0, 1.0, 0.0)
+    config = thm3_achieving(prod, StrengthQuad(1.0, 1.0, 1.0, 0.0))
     assert abs(config.attained_chsh - 2.0) < 1e-9
     assert config.attained_chsh <= 2.0 + 1e-9
     # Degenerate y' direction with a live syp arm still attains the bound.
-    config = thm3_achieving(prod, 1.0, 1.0, 0.7)
+    config = thm3_achieving(prod, StrengthQuad(1.0, 1.0, 1.0, 0.7))
     assert abs(config.attained_chsh - config.target_bound) < 1e-9
 
 

@@ -205,5 +205,5 @@ def test_correlation_singular_values_match_numpy_before_and_after_bounds():
         want = np.linalg.svd(state.t, compute_uv=False)
         assert np.max(np.abs(np.array(correlation_singular_values(state)) - want)) < 1e-14
         s0_bound(state, StrengthQuad(0.9, 0.8, 0.7, 0.6), 1.0, 2.0)
-        thm3_bound(state, 0.9, 0.8, 0.5)
+        thm3_bound(state, StrengthQuad(0.9, 0.9, 0.8, 0.5))
         assert np.max(np.abs(np.array(correlation_singular_values(state)) - want)) < 1e-14

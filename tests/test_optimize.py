@@ -148,6 +148,16 @@ def test_fixed_bias_values_respected():
         OptimizeSpec(state=state, strengths=q, biases="fixed-values", bias_values=(0.9, 0, 0, 0))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_fixed_bias_values_must_be_finite(bad):
+    # NaN passes every |bias| <= 1 - strength comparison, so it is tested for first.
+    for k in range(4):
+        values = [0.0, 0.0, 0.0, 0.0]
+        values[k] = bad
+        with pytest.raises(InvalidInputError, match="bias values must be finite"):
+            OptimizeSpec(state=singlet(), strengths=StrengthQuad(0.5, 0.5, 0.5, 0.5), biases="fixed-values", bias_values=tuple(values))
+
+
 def test_spec_validation():
     state = singlet()
     q = StrengthQuad(1, 1, 1, 1)

@@ -1,7 +1,8 @@
 """One range rule for angles, strengths and Werner weights, at every entry point.
 
 An angle must lie in [0, pi], a strength in [0, 1], a bias in [-1, 1] and
-the Werner weight of ``scan werner-sweep`` in [-1/3, 1]. A finite value at
+a Werner weight (of a ``werner`` state or of ``scan werner-sweep``) in
+[-1/3, 1]. A finite value at
 most ``model.RANGE_SLACK`` (1e-12) outside its interval is clamped into it
 and gives the result at that end; anything else is an input error
 (``InvalidInputError``, exit code 2 at the CLI). The rule lives in
@@ -18,9 +19,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bellbound import InvalidInputError, OptimizeSpec, StrengthQuad, maximize_chsh, reference_frames, s0_bound
+from bellbound import (
+    InvalidInputError,
+    OptimizeSpec,
+    StrengthQuad,
+    cor1_bound,
+    cor4_bound,
+    maximize_chsh,
+    reference_frames,
+    s0_bound,
+    singlet,
+)
 from bellbound.cli import main
-from bellbound.model import bell_diagonal, make_observable
+from bellbound.model import bell_diagonal, make_observable, werner
 
 # (value in the clamped band, the end it is clamped to)
 ANGLES_CLAMPED = [(-1e-13, 0.0), (math.pi + 5e-13, math.pi)]
@@ -163,8 +174,55 @@ def test_strength_past_band_is_rejected(tmp_path, capsys, value):
         assert code == 2 and err.startswith("error: "), span
 
 
-WERNER_CLAMPED = [(-1 / 3 - 5e-13, -1 / 3), (1 + 5e-13, 1.0)]
+@pytest.mark.parametrize("value, end", STRENGTHS_CLAMPED + [(1 + 1e-13, 1.0)])
+@pytest.mark.parametrize("bound", [cor1_bound, cor4_bound], ids=lambda f: f.__name__)
+def test_equal_strength_bounds_clamp_in_band(bound, value, end):
+    state = singlet()
+    for args, at_end in (((value, 0.5), (end, 0.5)), ((0.5, value), (0.5, end))):
+        assert bound(state, *args).value == bound(state, *at_end).value
+        array_args = [np.array([v, 0.25]) for v in args]
+        array_end = [np.array([v, 0.25]) for v in at_end]
+        assert np.array_equal(bound(state, *array_args).value, bound(state, *array_end).value)
+
+
+@pytest.mark.parametrize("value", STRENGTHS_REJECTED + [1.5])
+@pytest.mark.parametrize("bound", [cor1_bound, cor4_bound], ids=lambda f: f.__name__)
+def test_equal_strength_bounds_reject_past_band(bound, value):
+    state = singlet()
+    for args in ((value, 1.0), (1.0, value), (np.array([0.5, value]), 1.0)):
+        with pytest.raises(InvalidInputError, match=r"must lie in \[0, 1\]"):
+            bound(state, *args)
+
+
+WERNER_CLAMPED = [(-1 / 3 - 5e-13, -1 / 3), (1 + 5e-13, 1.0), (1 + 1e-13, 1.0)]
 WERNER_REJECTED = [-0.34, -1 / 3 - 2e-12, 1 + 2e-12]
+
+
+def _werner_doc(w_text):
+    return '{"state": {"kind": "werner", "w": %s}, "strengths": [0.9, 0.9, 0.8, 0.8]}' % w_text
+
+
+@pytest.mark.parametrize("value, end", WERNER_CLAMPED)
+def test_werner_state_weight_in_band_acts_as_its_end(tmp_path, capsys, value, end):
+    assert np.array_equal(werner(value).t, werner(end).t)
+    path = tmp_path / "in.json"
+    outputs = []
+    for w in (value, end):
+        path.write_text(_werner_doc(repr(w)))
+        outputs.append((main(["bound", "--input", str(path)]), *capsys.readouterr()))
+    assert outputs[0][0] == 0 and outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("text", ["1.5", "-0.34", "1.000000000002", "1e400", "NaN"])
+def test_werner_state_weight_past_band_is_rejected(tmp_path, capsys, text):
+    with pytest.raises(InvalidInputError):
+        werner(float(text))
+    path = tmp_path / "in.json"
+    path.write_text(_werner_doc(text))
+    code = main(["bound", "--input", str(path)])
+    out, err = capsys.readouterr()
+    # One line on stderr: no numpy warning before the error.
+    assert (code, out) == (2, "") and err == f"error: w must lie in [-1/3, 1], got {float(text)!r}\n"
 
 
 @pytest.mark.parametrize("value, end", WERNER_CLAMPED)

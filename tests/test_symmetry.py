@@ -1,4 +1,4 @@
-"""Relabelling symmetries of ``bellbound bound``, as a regression guard.
+"""Relabelling symmetries of ``bellbound bound`` and ``achieve``, as a regression guard.
 
 Three defects once broke a relabelling symmetry of the report: the sign
 of the compatibility bias product, thm3's default angles, and thm3's
@@ -15,6 +15,11 @@ document is
 The documents are seeded: general, T-state, pure and rotated Werner
 states, with equal strengths on both sides, on one side or on neither,
 with and without angles.
+
+``achieve`` gets seeded documents inside each criterion's domain. Its
+``target_bound`` and ``attained_chsh`` must stay the same (within 1e-10)
+under local rotations, and for thm3 also when y and y' are exchanged,
+with the emitted observables in the input's strength order.
 """
 
 import json
@@ -23,6 +28,7 @@ import numpy as np
 import pytest
 
 from bellbound.cli import main
+from bellbound.construct import ACHIEVABLE
 from bellbound.model import random_rotation, random_state
 
 N_DOCS = 40
@@ -81,7 +87,8 @@ def _swap_y(case, rng):
     return a, b, t, (sx, sxp, syp, sy), None
 
 
-def _report(tmp_path, capsys, case):
+def _run(tmp_path, capsys, case, *command):
+    """The parsed JSON output of ``command`` on the case's document; the command must succeed."""
     a, b, t, q, angles = case
     doc = {
         "state": {"kind": "fano", "a": np.asarray(a).tolist(), "b": np.asarray(b).tolist(), "t": np.asarray(t).tolist()},
@@ -91,8 +98,12 @@ def _report(tmp_path, capsys, case):
         doc["angles"] = {"theta": angles[0], "phi": angles[1]}
     path = tmp_path / "in.json"
     path.write_text(json.dumps(doc))
-    assert main(["bound", "--input", str(path)]) == 0
-    report = json.loads(capsys.readouterr().out)
+    assert main([command[0], "--input", str(path), *command[1:]]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def _report(tmp_path, capsys, case):
+    report = _run(tmp_path, capsys, case, "bound")
     return report["correlation_singular_values"], {
         (entry["criterion_id"], entry.get("criterion_variant")): entry for entry in report["criteria"]
     }
@@ -114,3 +125,59 @@ def test_bound_report_is_invariant(transform, tmp_path, capsys):
             assert (got["applicable"], got.get("reason")) == (entry["applicable"], entry.get("reason")), (where, key)
             if entry["applicable"]:
                 assert abs(got["value"] - entry["value"]) <= VALUE_TOL, (where, key, got["value"], entry["value"])
+
+
+# ---------------------------------------------------------------------------
+# achieve
+
+N_ACHIEVE_DOCS = 12
+# Each criterion's domain: (state kinds, strength pattern, angles given).
+ACHIEVE_DOMAINS = {
+    "thm1": (KINDS, "unequal", True),
+    "thm2": (("tstate", "werner"), "unequal", True),
+    "cor1": (KINDS, "equal", False),
+    "cor4": (("tstate", "werner"), "equal", False),
+    "thm3": (KINDS, "equal-a", False),
+    "thm4": (("werner",), "unequal", False),
+}
+
+
+def _achieve_cases(criterion):
+    """``N_ACHIEVE_DOCS`` seeded cases inside the criterion's domain."""
+    kinds, pattern, with_angles = ACHIEVE_DOMAINS[criterion]
+    rng = np.random.default_rng([20_211_021, ACHIEVABLE.index(criterion)])
+    cases = []
+    for k in range(N_ACHIEVE_DOCS):
+        a, b, t = _state(rng, kinds[k % len(kinds)])
+        q = _strengths(rng, pattern)
+        angles = tuple(rng.uniform(0.1, np.pi - 0.1, 2).tolist()) if with_angles else None
+        cases.append((a, b, t, q, angles))
+    return cases
+
+
+def _achieved(tmp_path, capsys, case, criterion):
+    out = _run(tmp_path, capsys, case, "achieve", "--criterion", criterion)
+    return out["target_bound"], out["attained_chsh"], out["scenario"]
+
+
+@pytest.mark.parametrize("criterion", ACHIEVABLE)
+def test_achieve_is_invariant_under_local_rotations(criterion, tmp_path, capsys):
+    rng = np.random.default_rng(20_211_022)
+    for k, case in enumerate(_achieve_cases(criterion)):
+        values = _achieved(tmp_path, capsys, case, criterion)[:2]
+        moved = _achieved(tmp_path, capsys, _rotate(case, rng), criterion)[:2]
+        assert np.allclose(moved, values, rtol=0.0, atol=VALUE_TOL), (f"document {k}", moved, values)
+
+
+def test_achieve_thm3_is_invariant_under_exchanging_y_and_yp(tmp_path, capsys):
+    orders = set()
+    for k, case in enumerate(_achieve_cases("thm3")):
+        swapped = _swap_y(case, None)
+        got = _achieved(tmp_path, capsys, case, "thm3")
+        moved = _achieved(tmp_path, capsys, swapped, "thm3")
+        assert np.allclose(moved[:2], got[:2], rtol=0.0, atol=VALUE_TOL), (f"document {k}", moved[:2], got[:2])
+        for (_, _, _, q, _), (_, _, scenario) in ((case, got), (swapped, moved)):
+            strengths = [scenario[name]["strength"] for name in ("x", "xp", "y", "yp")]
+            assert np.allclose(strengths, q, rtol=0.0, atol=1e-12), (f"document {k}", strengths, q)
+        orders.add(case[3][2] < case[3][3])
+    assert orders == {False, True}

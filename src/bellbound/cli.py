@@ -393,7 +393,10 @@ def cmd_verify(args) -> int:
         "passed": report.passed,
         "evaluations": sum(r.evaluations for r in report.rows),
         "not_converged": [r.trial for r in report.rows if not r.converged],
+        "worst_overshoot_trial": report.worst_overshoot_trial,
     }
+    if report.tightness_claimed:
+        summary["worst_undershoot_trial"] = report.worst_undershoot_trial
     print(json.dumps(_fmt12(summary), sort_keys=True), file=sys.stderr)
     if not report.passed:
         print(

@@ -149,7 +149,9 @@ def thm3_achieving(state: FanoState, q: StrengthQuad) -> AchievingConfig:
     that of the second; the A pair straddles those eigenvectors at the
     half-angle fixed by tan(theta/2) = lo s2 / (hi s1). phi comes out
     orthogonal. For sy < syp, exchanging y and y' is the same as negating
-    x', so theta -> pi - theta and the CHSH value is unchanged.
+    x', so theta -> pi - theta and the CHSH value is unchanged. With zero
+    correlations the bound is 0, which every unbiased scenario attains: the
+    reference frames at the report's angles.
     """
     if abs(q.sx - q.sxp) > EQUAL_STRENGTH_TOL:
         raise DomainError("criterion thm3 requires equal strengths on side A (sx = sxp)")
@@ -157,25 +159,25 @@ def thm3_achieving(state: FanoState, q: StrengthQuad) -> AchievingConfig:
     fac = state.t_svd
     s1, s2 = float(fac.s[0]), float(fac.s[1])
     if s1 <= 1e-12:
-        raise InvalidInputError("correlation matrix is zero; nothing to attain")
-    x1 = fac.u[:, 0]
-    x2 = fac.u[:, 1]
-    ty1 = state.t.T @ x1
-    y = ty1 / float(np.sqrt(ty1 @ ty1))
-    ty2 = state.t.T @ x2
-    norm2 = float(np.sqrt(ty2 @ ty2))
-    if norm2 > 1e-12:
-        yp = ty2 / norm2
+        dirs = reference_frames(*report.optimal_angles)
     else:
-        # Rank-one correlations leave y' free; any unit vector orthogonal
-        # to y attains the (lo-independent) bound.
-        yp = complete_frame(y).e2
-    half = math.atan2(min(q.sy, q.syp) * s2, max(q.sy, q.syp) * s1)
-    x = math.cos(half) * x1 + math.sin(half) * x2
-    xp = math.cos(half) * x1 - math.sin(half) * x2
-    if q.sy < q.syp:
-        xp, y, yp = -xp, yp, y
-    scenario = scenario_from_directions(q, (x, xp, y, yp))
+        x1 = fac.u[:, 0]
+        x2 = fac.u[:, 1]
+        ty1 = state.t.T @ x1
+        y = ty1 / float(np.sqrt(ty1 @ ty1))
+        ty2 = state.t.T @ x2
+        norm2 = float(np.sqrt(ty2 @ ty2))
+        if norm2 > 1e-12:
+            yp = ty2 / norm2
+        else:
+            # Rank-one correlations leave y' free; any unit vector orthogonal
+            # to y attains the (lo-independent) bound.
+            yp = complete_frame(y).e2
+        half = math.atan2(min(q.sy, q.syp) * s2, max(q.sy, q.syp) * s1)
+        x = math.cos(half) * x1 + math.sin(half) * x2
+        xp = math.cos(half) * x1 - math.sin(half) * x2
+        dirs = (x, -xp, yp, y) if q.sy < q.syp else (x, xp, y, yp)
+    scenario = scenario_from_directions(q, dirs)
     attained = chsh(scenario, state).canonical
     config = AchievingConfig(
         scenario=scenario,

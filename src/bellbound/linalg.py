@@ -65,7 +65,9 @@ def svd(m) -> SvdFactors:
     u, s, vt = np.linalg.svd(a)
     # A unit column's largest-magnitude entry is never 0, so no sign is 0.
     signs = np.sign(u[np.abs(u).argmax(axis=0), np.arange(a.shape[0])])
-    return SvdFactors(u=u * signs, s=s, v=vt.T * signs)
+    # LAPACK returns -0.0 for the zero singular values of a matrix of -0.0
+    # entries (Werner w = 0); adding 0.0 makes them +0.0.
+    return SvdFactors(u=u * signs, s=s + 0.0, v=vt.T * signs)
 
 
 def singular_values(m) -> np.ndarray:

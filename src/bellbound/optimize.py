@@ -12,11 +12,13 @@ with the requested opening angle, so constraint violations cannot leak
 into the search.
 
 The search moves one parameter at a time, so the objective is cached per
-parameter block (A's rotation, B's rotation, theta, phi, each bias): a
-move recomputes only its block and what depends on it, through the same
-code and the same final expression as a full evaluation, so both give
-the same value bit for bit. No decomposition of T or other closed-form
-shortcut enters the objective.
+parameter block (A's rotation, B's rotation, theta, phi, the biases), and
+each block has one flat closure: a move is one Python call that computes
+the block's rotation columns or half-angle, its side's vectors and the
+final CHSH combination inline, in the order of operations of a full
+evaluation, so both give the same value bit for bit. Unbiased problems
+skip the bias terms. No decomposition of T or other closed-form shortcut
+enters the objective.
 """
 
 from __future__ import annotations
@@ -175,87 +177,251 @@ class _Problem:
         ``moves[i](p)`` is the value when ``p`` differs from the cached point
         in coordinate ``i`` only: it recomputes that coordinate's block and
         what depends on it. ``commit()`` makes the last move's point the
-        cached one. Both routes feed the same intermediates through the same
-        expression, so a moved value equals a fresh ``value(p)`` bit for bit.
+        cached one. Every route ends in the same expression on the same
+        intermediates, so a moved value equals a fresh ``value(p)`` bit for
+        bit.
         """
-        # Cached per side: A's rotation columns, (cos, sin) of theta/2, and
-        # from both x, x' and a.x, a.x'; B's rotation columns, (cos, sin) of
-        # phi/2, and from both T y, T y', b.y, b.y'. The final combination
-        # takes the four direction dot products in a fixed order, so values
-        # do not depend on which blocks were cached. Biases are read from p.
-        # This runs millions of times per audit, so constants live in
-        # closure cells.
+        # One closure per block (A's rotation, B's rotation, theta, phi, the
+        # biases) computes its block, its side's vectors and the final
+        # combination inline: one Python call per evaluation, millions of
+        # times per audit. The cached point lives in closure cells named per
+        # side: A's rotation columns ar*, (cos, sin) of theta/2, x, x' and
+        # a.x, a.x'; B's columns br*, (cos, sin) of phi/2, T y, T y' and b.y,
+        # b.y'; and g_dir, the direction part of the combination, which a
+        # bias move reuses. A closure holds the names it recomputes in
+        # locals, so every closure writes each expression alike, with the
+        # operation order of _rot_cols01 and chsh. A side's move leaves that
+        # side's new values in ``new`` for commit. Biases are read from p.
         state = self.spec.state
         (t00, t01, t02), (t10, t11, t12), (t20, t21, t22) = np.asarray(state.t, dtype=float).tolist()
         a0, a1, a2 = (float(c) for c in state.a)
         b0, b1, b2 = (float(c) for c in state.b)
-        local_terms = any(c != 0.0 for c in (a0, a1, a2, b0, b1, b2))
         sx, sxp, sy, syp = self.sx, self.sxp, self.sy, self.syp
         sx_sy, sx_syp, sxp_sy, sxp_syp = sx * sy, sx * syp, sxp * sy, sxp * syp
-        free_angles = self.free_angles
         free_bias = self.free_bias
         fixed_bias = self.fixed_bias
+        # Every Bloch-vector term carries a bias factor, so the local terms
+        # matter only in biased problems.
+        biased = free_bias or any(b != 0.0 for b in fixed_bias)
+        local_terms = biased and any(c != 0.0 for c in (a0, a1, a2, b0, b1, b2))
+        free_angles = self.free_angles
         nb = self.dim - 4
         cos = math.cos
         sin = math.sin
-        rot = _rot_cols01
+        sqrt = math.sqrt
+        side_a, side_b = 1, 2
 
-        def half(angle):
-            return cos(0.5 * angle), sin(0.5 * angle)
+        cth, sth = cos(0.5 * self.theta0), sin(0.5 * self.theta0)
+        cph, sph = cos(0.5 * self.phi0), sin(0.5 * self.phi0)
+        ar00 = ar10 = ar20 = ar01 = ar11 = ar21 = 0.0
+        br00 = br10 = br20 = br01 = br11 = br21 = 0.0
+        x0 = x1 = x2 = xp0 = xp1 = xp2 = a_x = a_xp = 0.0
+        ty0 = ty1 = ty2 = tp0 = tp1 = tp2 = b_y = b_yp = 0.0
+        g_dir = 0.0
+        new = ()
+        moved = 0
 
-        def side_a(r, th):
-            r00, r10, r20, r01, r11, r21 = r
-            cth, sth = th
-            x0 = r00 * cth + r01 * sth
-            x1 = r10 * cth + r11 * sth
-            x2 = r20 * cth + r21 * sth
-            xp0 = r00 * cth - r01 * sth
-            xp1 = r10 * cth - r11 * sth
-            xp2 = r20 * cth - r21 * sth
-            if local_terms:
-                return x0, x1, x2, xp0, xp1, xp2, a0 * x0 + a1 * x1 + a2 * x2, a0 * xp0 + a1 * xp1 + a2 * xp2
-            return x0, x1, x2, xp0, xp1, xp2, 0.0, 0.0
-
-        def side_b(r, ph):
-            r00, r10, r20, r01, r11, r21 = r
-            cph, sph = ph
-            y0 = r00 * cph + r01 * sph
-            y1 = r10 * cph + r11 * sph
-            y2 = r20 * cph + r21 * sph
-            yp0 = r00 * cph - r01 * sph
-            yp1 = r10 * cph - r11 * sph
-            yp2 = r20 * cph - r21 * sph
-            ty = (
-                t00 * y0 + t01 * y1 + t02 * y2,
-                t10 * y0 + t11 * y1 + t12 * y2,
-                t20 * y0 + t21 * y1 + t22 * y2,
-                t00 * yp0 + t01 * yp1 + t02 * yp2,
-                t10 * yp0 + t11 * yp1 + t12 * yp2,
-                t20 * yp0 + t21 * yp1 + t22 * yp2,
-            )
-            if local_terms:
-                return ty + (b0 * y0 + b1 * y1 + b2 * y2, b0 * yp0 + b1 * yp1 + b2 * yp2)
-            return ty + (0.0, 0.0)
-
-        def combine(xs, ys, p):
-            x0, x1, x2, xp0, xp1, xp2, a_x, a_xp = xs
-            ty0, ty1, ty2, tp0, tp1, tp2, b_y, b_yp = ys
+        def move_a(p):
+            nonlocal new, moved
+            w0 = p[0]
+            w1 = p[1]
+            w2 = p[2]
+            ang = sqrt(w0 * w0 + w1 * w1 + w2 * w2)
+            if ang < 1e-300:
+                ar00, ar10, ar20, ar01, ar11, ar21 = 1.0, 0.0, 0.0, 0.0, 1.0, 0.0
+            else:
+                kx = w0 / ang
+                ky = w1 / ang
+                kz = w2 / ang
+                ca = cos(ang)
+                sa = sin(ang)
+                v = 1.0 - ca
+                vx = v * kx
+                vy = v * ky
+                vxy = vx * ky
+                sz = sa * kz
+                ar00 = ca + vx * kx
+                ar10 = vxy + sz
+                ar20 = vx * kz - sa * ky
+                ar01 = vxy - sz
+                ar11 = ca + vy * ky
+                ar21 = vy * kz + sa * kx
+            x0 = ar00 * cth + ar01 * sth
+            x1 = ar10 * cth + ar11 * sth
+            x2 = ar20 * cth + ar21 * sth
+            xp0 = ar00 * cth - ar01 * sth
+            xp1 = ar10 * cth - ar11 * sth
+            xp2 = ar20 * cth - ar21 * sth
             g = (
                 sx_sy * (x0 * ty0 + x1 * ty1 + x2 * ty2)
                 + sx_syp * (x0 * tp0 + x1 * tp1 + x2 * tp2)
                 + sxp_sy * (xp0 * ty0 + xp1 * ty1 + xp2 * ty2)
                 - sxp_syp * (xp0 * tp0 + xp1 * tp1 + xp2 * tp2)
             )
-            if free_bias:
-                bx = p[nb]
-                bxp = p[nb + 1]
-                by = p[nb + 2]
-                byp = p[nb + 3]
+            if local_terms:
+                a_x = a0 * x0 + a1 * x1 + a2 * x2
+                a_xp = a0 * xp0 + a1 * xp1 + a2 * xp2
             else:
-                bx, bxp, by, byp = fixed_bias
-            # Unbiased points skip this block: every Bloch-vector term
-            # carries a bias factor. chsh.bias_combination is written out
-            # because a call would cost a sizeable share of a bias move.
+                a_x = a_xp = 0.0
+            new = (ar00, ar10, ar20, ar01, ar11, ar21, cth, sth, x0, x1, x2, xp0, xp1, xp2, a_x, a_xp, g)
+            moved = side_a
+            if biased:
+                bx, bxp, by, byp = (p[nb], p[nb + 1], p[nb + 2], p[nb + 3]) if free_bias else fixed_bias
+                if bx != 0.0 or bxp != 0.0 or by != 0.0 or byp != 0.0:
+                    g += bx * by + bx * byp + bxp * by - bxp * byp
+                    if local_terms:
+                        g += b_y * sy * (bx + bxp)
+                        g += b_yp * syp * (bx - bxp)
+                        g += a_x * sx * (by + byp)
+                        g += a_xp * sxp * (by - byp)
+            return abs(g)
+
+        def move_theta(p):
+            nonlocal new, moved
+            cth = cos(0.5 * p[6])
+            sth = sin(0.5 * p[6])
+            x0 = ar00 * cth + ar01 * sth
+            x1 = ar10 * cth + ar11 * sth
+            x2 = ar20 * cth + ar21 * sth
+            xp0 = ar00 * cth - ar01 * sth
+            xp1 = ar10 * cth - ar11 * sth
+            xp2 = ar20 * cth - ar21 * sth
+            g = (
+                sx_sy * (x0 * ty0 + x1 * ty1 + x2 * ty2)
+                + sx_syp * (x0 * tp0 + x1 * tp1 + x2 * tp2)
+                + sxp_sy * (xp0 * ty0 + xp1 * ty1 + xp2 * ty2)
+                - sxp_syp * (xp0 * tp0 + xp1 * tp1 + xp2 * tp2)
+            )
+            if local_terms:
+                a_x = a0 * x0 + a1 * x1 + a2 * x2
+                a_xp = a0 * xp0 + a1 * xp1 + a2 * xp2
+            else:
+                a_x = a_xp = 0.0
+            new = (ar00, ar10, ar20, ar01, ar11, ar21, cth, sth, x0, x1, x2, xp0, xp1, xp2, a_x, a_xp, g)
+            moved = side_a
+            if biased:
+                bx, bxp, by, byp = (p[nb], p[nb + 1], p[nb + 2], p[nb + 3]) if free_bias else fixed_bias
+                if bx != 0.0 or bxp != 0.0 or by != 0.0 or byp != 0.0:
+                    g += bx * by + bx * byp + bxp * by - bxp * byp
+                    if local_terms:
+                        g += b_y * sy * (bx + bxp)
+                        g += b_yp * syp * (bx - bxp)
+                        g += a_x * sx * (by + byp)
+                        g += a_xp * sxp * (by - byp)
+            return abs(g)
+
+        def move_b(p):
+            nonlocal new, moved
+            w0 = p[3]
+            w1 = p[4]
+            w2 = p[5]
+            ang = sqrt(w0 * w0 + w1 * w1 + w2 * w2)
+            if ang < 1e-300:
+                br00, br10, br20, br01, br11, br21 = 1.0, 0.0, 0.0, 0.0, 1.0, 0.0
+            else:
+                kx = w0 / ang
+                ky = w1 / ang
+                kz = w2 / ang
+                ca = cos(ang)
+                sa = sin(ang)
+                v = 1.0 - ca
+                vx = v * kx
+                vy = v * ky
+                vxy = vx * ky
+                sz = sa * kz
+                br00 = ca + vx * kx
+                br10 = vxy + sz
+                br20 = vx * kz - sa * ky
+                br01 = vxy - sz
+                br11 = ca + vy * ky
+                br21 = vy * kz + sa * kx
+            y0 = br00 * cph + br01 * sph
+            y1 = br10 * cph + br11 * sph
+            y2 = br20 * cph + br21 * sph
+            yp0 = br00 * cph - br01 * sph
+            yp1 = br10 * cph - br11 * sph
+            yp2 = br20 * cph - br21 * sph
+            ty0 = t00 * y0 + t01 * y1 + t02 * y2
+            ty1 = t10 * y0 + t11 * y1 + t12 * y2
+            ty2 = t20 * y0 + t21 * y1 + t22 * y2
+            tp0 = t00 * yp0 + t01 * yp1 + t02 * yp2
+            tp1 = t10 * yp0 + t11 * yp1 + t12 * yp2
+            tp2 = t20 * yp0 + t21 * yp1 + t22 * yp2
+            g = (
+                sx_sy * (x0 * ty0 + x1 * ty1 + x2 * ty2)
+                + sx_syp * (x0 * tp0 + x1 * tp1 + x2 * tp2)
+                + sxp_sy * (xp0 * ty0 + xp1 * ty1 + xp2 * ty2)
+                - sxp_syp * (xp0 * tp0 + xp1 * tp1 + xp2 * tp2)
+            )
+            if local_terms:
+                b_y = b0 * y0 + b1 * y1 + b2 * y2
+                b_yp = b0 * yp0 + b1 * yp1 + b2 * yp2
+            else:
+                b_y = b_yp = 0.0
+            new = (br00, br10, br20, br01, br11, br21, cph, sph, ty0, ty1, ty2, tp0, tp1, tp2, b_y, b_yp, g)
+            moved = side_b
+            if biased:
+                bx, bxp, by, byp = (p[nb], p[nb + 1], p[nb + 2], p[nb + 3]) if free_bias else fixed_bias
+                if bx != 0.0 or bxp != 0.0 or by != 0.0 or byp != 0.0:
+                    g += bx * by + bx * byp + bxp * by - bxp * byp
+                    if local_terms:
+                        g += b_y * sy * (bx + bxp)
+                        g += b_yp * syp * (bx - bxp)
+                        g += a_x * sx * (by + byp)
+                        g += a_xp * sxp * (by - byp)
+            return abs(g)
+
+        def move_phi(p):
+            nonlocal new, moved
+            cph = cos(0.5 * p[7])
+            sph = sin(0.5 * p[7])
+            y0 = br00 * cph + br01 * sph
+            y1 = br10 * cph + br11 * sph
+            y2 = br20 * cph + br21 * sph
+            yp0 = br00 * cph - br01 * sph
+            yp1 = br10 * cph - br11 * sph
+            yp2 = br20 * cph - br21 * sph
+            ty0 = t00 * y0 + t01 * y1 + t02 * y2
+            ty1 = t10 * y0 + t11 * y1 + t12 * y2
+            ty2 = t20 * y0 + t21 * y1 + t22 * y2
+            tp0 = t00 * yp0 + t01 * yp1 + t02 * yp2
+            tp1 = t10 * yp0 + t11 * yp1 + t12 * yp2
+            tp2 = t20 * yp0 + t21 * yp1 + t22 * yp2
+            g = (
+                sx_sy * (x0 * ty0 + x1 * ty1 + x2 * ty2)
+                + sx_syp * (x0 * tp0 + x1 * tp1 + x2 * tp2)
+                + sxp_sy * (xp0 * ty0 + xp1 * ty1 + xp2 * ty2)
+                - sxp_syp * (xp0 * tp0 + xp1 * tp1 + xp2 * tp2)
+            )
+            if local_terms:
+                b_y = b0 * y0 + b1 * y1 + b2 * y2
+                b_yp = b0 * yp0 + b1 * yp1 + b2 * yp2
+            else:
+                b_y = b_yp = 0.0
+            new = (br00, br10, br20, br01, br11, br21, cph, sph, ty0, ty1, ty2, tp0, tp1, tp2, b_y, b_yp, g)
+            moved = side_b
+            if biased:
+                bx, bxp, by, byp = (p[nb], p[nb + 1], p[nb + 2], p[nb + 3]) if free_bias else fixed_bias
+                if bx != 0.0 or bxp != 0.0 or by != 0.0 or byp != 0.0:
+                    g += bx * by + bx * byp + bxp * by - bxp * byp
+                    if local_terms:
+                        g += b_y * sy * (bx + bxp)
+                        g += b_yp * syp * (bx - bxp)
+                        g += a_x * sx * (by + byp)
+                        g += a_xp * sxp * (by - byp)
+            return abs(g)
+
+        def move_bias(p):
+            # The bias terms (chsh.bias_combination and the local terms) are
+            # written out in every closure: a call would cost a sizeable
+            # share of a move.
+            nonlocal moved
+            moved = 0
+            g = g_dir
+            bx = p[nb]
+            bxp = p[nb + 1]
+            by = p[nb + 2]
+            byp = p[nb + 3]
             if bx != 0.0 or bxp != 0.0 or by != 0.0 or byp != 0.0:
                 g += bx * by + bx * byp + bxp * by - bxp * byp
                 if local_terms:
@@ -265,62 +431,27 @@ class _Problem:
                     g += a_xp * sxp * (by - byp)
             return abs(g)
 
-        th_fixed = half(self.theta0)
-        ph_fixed = half(self.phi0)
-        # The cached point and the last move's point, each the tuple
-        # (A's columns, theta, A's side, B's columns, phi, B's side).
-        cur = new = None
+        def commit():
+            nonlocal ar00, ar10, ar20, ar01, ar11, ar21, cth, sth, x0, x1, x2, xp0, xp1, xp2, a_x, a_xp
+            nonlocal br00, br10, br20, br01, br11, br21, cph, sph, ty0, ty1, ty2, tp0, tp1, tp2, b_y, b_yp
+            nonlocal g_dir
+            if moved == side_a:
+                ar00, ar10, ar20, ar01, ar11, ar21, cth, sth, x0, x1, x2, xp0, xp1, xp2, a_x, a_xp, g_dir = new
+            elif moved == side_b:
+                br00, br10, br20, br01, br11, br21, cph, sph, ty0, ty1, ty2, tp0, tp1, tp2, b_y, b_yp, g_dir = new
 
         def value(p):
-            nonlocal cur
-            ra = rot(p[0], p[1], p[2])
-            rb = rot(p[3], p[4], p[5])
-            th, ph = (half(p[6]), half(p[7])) if free_angles else (th_fixed, ph_fixed)
-            xs = side_a(ra, th)
-            ys = side_b(rb, ph)
-            cur = (ra, th, xs, rb, ph, ys)
-            return combine(xs, ys, p)
-
-        def move_a(p):
-            nonlocal new
-            _, th, _, rb, ph, ys = cur
-            ra = rot(p[0], p[1], p[2])
-            xs = side_a(ra, th)
-            new = (ra, th, xs, rb, ph, ys)
-            return combine(xs, ys, p)
-
-        def move_b(p):
-            nonlocal new
-            ra, th, xs, _, ph, _ = cur
-            rb = rot(p[3], p[4], p[5])
-            ys = side_b(rb, ph)
-            new = (ra, th, xs, rb, ph, ys)
-            return combine(xs, ys, p)
-
-        def move_theta(p):
-            nonlocal new
-            ra, _, _, rb, ph, ys = cur
-            th = half(p[6])
-            xs = side_a(ra, th)
-            new = (ra, th, xs, rb, ph, ys)
-            return combine(xs, ys, p)
-
-        def move_phi(p):
-            nonlocal new
-            ra, th, xs, rb, _, _ = cur
-            ph = half(p[7])
-            ys = side_b(rb, ph)
-            new = (ra, th, xs, rb, ph, ys)
-            return combine(xs, ys, p)
-
-        def move_bias(p):
-            nonlocal new
-            new = cur
-            return combine(cur[2], cur[5], p)
-
-        def commit():
-            nonlocal cur
-            cur = new
+            nonlocal cth, sth, cph, sph
+            if free_angles:
+                cth = cos(0.5 * p[6])
+                sth = sin(0.5 * p[6])
+                cph = cos(0.5 * p[7])
+                sph = sin(0.5 * p[7])
+            move_b(p)
+            commit()
+            g = move_a(p)
+            commit()
+            return g
 
         moves = [move_a] * 3 + [move_b] * 3
         if free_angles:
@@ -387,23 +518,26 @@ def _coordinate_refine(objective, lo, hi, p: list[float], tol: float, step0: flo
     an accepted move is committed to the objective's cache.
     """
     value, moves, commit = objective
+    budget = _EVAL_BUDGET
     best = value(p)
     evals = 1
     step = step0
     n = len(p)
     sweeps_at_level = 0
-    while step > tol and evals < _EVAL_BUDGET:
+    while step > tol and evals < budget:
         gain = 0.0
         sweeps_at_level += 1
         for i in range(n):
             move = moves[i]
+            lo_i = lo[i]
+            hi_i = hi[i]
             base = p[i]
             for delta in (step, -step):
                 cand = base + delta
-                if cand > hi[i]:
-                    cand = hi[i]
-                elif cand < lo[i]:
-                    cand = lo[i]
+                if cand > hi_i:
+                    cand = hi_i
+                elif cand < lo_i:
+                    cand = lo_i
                 if cand == base:
                     continue
                 p[i] = cand
@@ -414,13 +548,13 @@ def _coordinate_refine(objective, lo, hi, p: list[float], tol: float, step0: flo
                     gain += val - best
                     best = val
                     stride = delta
-                    while evals < _EVAL_BUDGET:
+                    while evals < budget:
                         stride *= 2.0
                         nxt = p[i] + stride
-                        if nxt > hi[i]:
-                            nxt = hi[i]
-                        elif nxt < lo[i]:
-                            nxt = lo[i]
+                        if nxt > hi_i:
+                            nxt = hi_i
+                        elif nxt < lo_i:
+                            nxt = lo_i
                         if nxt == p[i]:
                             break
                         prev = p[i]
@@ -590,12 +724,19 @@ class AuditReport:
     rows: tuple[AuditRow, ...]
     max_overshoot: float = field(init=False)
     max_undershoot: float = field(init=False)
+    worst_overshoot_trial: int | None = field(init=False)
+    worst_undershoot_trial: int | None = field(init=False)
     failed_trials: tuple[int, ...] = field(init=False)
     passed: bool = field(init=False)
 
     def __post_init__(self):
-        overshoot = max((r.oracle - r.bound for r in self.rows), default=0.0)
-        undershoot = max((r.gap for r in self.rows), default=0.0)
+        # The first trial with the largest oracle - bound, and with the largest gap.
+        worst_over = max(self.rows, key=lambda r: r.oracle - r.bound, default=None)
+        worst_under = max(self.rows, key=lambda r: r.gap, default=None)
+        overshoot = 0.0 if worst_over is None else worst_over.oracle - worst_over.bound
+        undershoot = 0.0 if worst_under is None else worst_under.gap
+        object.__setattr__(self, "worst_overshoot_trial", None if worst_over is None else worst_over.trial)
+        object.__setattr__(self, "worst_undershoot_trial", None if worst_under is None else worst_under.trial)
         failed = tuple(
             r.trial
             for r in self.rows
@@ -806,6 +947,13 @@ def worker_count(requested: int, trials: int, cpus: int | None) -> int:
     return max(1, min(int(requested), int(trials), cpus or 1))
 
 
+def _usable_cpus() -> int | None:
+    """CPUs this process may run on: its affinity set where the platform has one, else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count()
+
+
 def audit_bound(
     criterion_id: str,
     trials: int,
@@ -818,9 +966,9 @@ def audit_bound(
 
     Per-trial seeds derive from (seed, trial index), so results do not
     depend on the execution order or the number of worker processes.
-    ``threads`` asks for worker processes; at most ``os.cpu_count()`` and
-    at most one per trial are started. ``tolerance`` overrides the
-    undershoot tolerance for tightness-claimed criteria.
+    ``threads`` asks for worker processes; at most one per CPU the process
+    may run on and at most one per trial are started. ``tolerance``
+    overrides the undershoot tolerance for tightness-claimed criteria.
     """
     if criterion_id not in _AUDIT_REGISTRY:
         raise InvalidInputError(
@@ -838,7 +986,7 @@ def audit_bound(
     undershoot_tol = cfg.undershoot_tol if tolerance is None else float(tolerance)
     n_restarts = cfg.restarts if restarts is None else int(restarts)
     jobs = [(criterion_id, int(seed), trial, n_restarts) for trial in range(trials)]
-    workers = worker_count(threads, trials, os.cpu_count())
+    workers = worker_count(threads, trials, _usable_cpus())
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 

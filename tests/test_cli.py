@@ -177,6 +177,37 @@ def test_achieve_thm3(tmp_path, capsys):
     assert abs(achieved["angles"]["phi"] - PI2) < 1e-9
 
 
+@pytest.mark.parametrize(
+    "state",
+    [
+        {"kind": "werner", "w": 0},
+        {"kind": "bell_diagonal", "t": [0, 0, 0]},
+        # Local Bloch vectors but no correlations.
+        {"kind": "fano", "a": [0.3, 0, 0], "b": [0, 0.4, 0.2], "t": [[0, 0, 0], [0, 0, 0], [0, 0, 0]]},
+    ],
+)
+@pytest.mark.parametrize("strengths", [[0.5, 0.5, 0.9, 0.4], [0.5, 0.5, 0.4, 0.9], [1, 1, 0, 0]])
+def test_bound_and_achieve_thm3_agree_on_zero_correlations(tmp_path, capsys, state, strengths):
+    # The bound is 0, and every unbiased scenario attains it.
+    path = _write(tmp_path, "in.json", {"state": state, "strengths": strengths})
+    code, out, _ = _run(capsys, ["bound", "--input", path])
+    assert code == 0
+    thm3 = _criterion(json.loads(out), "thm3")
+    assert thm3["applicable"] and thm3["value"] == 0.0
+    angles = thm3["optimal_angles"]
+    # 12-digit output rounds pi up.
+    assert all(0.0 <= angles[k] <= 3.14159265359 for k in ("theta", "phi"))
+    code, out, _ = _run(capsys, ["achieve", "--input", path, "--criterion", "thm3"])
+    assert code == 0
+    achieved = json.loads(out)
+    assert achieved["target_bound"] == thm3["value"]
+    assert abs(achieved["attained_chsh"]) < 1e-12
+    assert achieved["angles"] == angles
+    observables = [achieved["scenario"][k] for k in ("x", "xp", "y", "yp")]
+    assert [o["strength"] for o in observables] == [float(s) for s in strengths]
+    assert all(o["bias"] == 0.0 for o in observables)
+
+
 def _state_doc(rng, kind):
     if kind == "werner":
         return {"kind": "werner", "w": float(rng.uniform(0.2, 1.0))}
@@ -258,6 +289,20 @@ def test_verify_passes_and_is_reproducible(tmp_path, capsys):
     assert len(rows) == 51
     summary = json.loads(err1.splitlines()[-1])
     assert summary["passed"] is True
+
+
+@pytest.mark.parametrize("criterion", ["thm1", "sgen", "horodecki-upper", "jmax"])
+def test_verify_summary_names_worst_trials(capsys, criterion):
+    code, out, err = _run(capsys, ["verify", "--criterion", criterion, "--trials", "6", "--seed", "3", "--restarts", "2"])
+    assert code == 0
+    rows = [(int(t), float(b), float(o), float(g)) for t, b, o, g in list(csv.reader(io.StringIO(out)))[1:]]
+    summary = json.loads(err.splitlines()[-1])
+    # The first trial with the largest oracle - bound, and with the largest gap.
+    assert summary["worst_overshoot_trial"] == max(rows, key=lambda r: r[2] - r[1])[0]
+    if summary["tightness_claimed"]:
+        assert summary["worst_undershoot_trial"] == max(rows, key=lambda r: r[3])[0]
+    else:
+        assert "worst_undershoot_trial" not in summary
 
 
 def test_verify_thm1_small(tmp_path, capsys):

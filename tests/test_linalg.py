@@ -64,6 +64,13 @@ def test_svd_zero_matrix():
     _check_factors(np.zeros((3, 3)), fac)
 
 
+def test_svd_zero_singular_values_are_positive_zeros():
+    # Werner w = 0 has t = -0.0 * identity; a -0.0 singular value would turn
+    # atan2-based angles (thm3's) into -pi.
+    fac = svd(-0.0 * np.eye(3))
+    assert not np.any(np.signbit(fac.s))
+
+
 def test_svd_rotation_invariance():
     rng = np.random.default_rng(7)
     flip = np.diag([1.0, 1.0, -1.0])

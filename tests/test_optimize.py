@@ -107,6 +107,61 @@ def test_free_extremal_general_states_pinned():
         assert result.converged
 
 
+def _pinned_specs():
+    # Every bias mode, free and fixed angles, T-states and general states.
+    rng = np.random.default_rng(4049)
+
+    def quad(*fixed):
+        return StrengthQuad(*(fixed or rng.uniform(0.1, 0.95, 4)))
+
+    specs = [OptimizeSpec(random_state(rng, "tstate"), quad(), restarts=3, seed=1)]
+    # Fixed angles, warm-started from the construction as the thm1 audit does.
+    state, q = random_state(rng, "general"), quad()
+    angles = tuple(float(v) for v in rng.uniform(0.0, math.pi, 2))
+    warm = (achieving_directions(state, q, *angles).scenario,)
+    specs.append(OptimizeSpec(state, q, angles, restarts=2, seed=2, warm_starts=warm))
+    specs += [
+        OptimizeSpec(random_state(rng, "general"), quad(0.9, 0.6, 0.8, 0.5), None, "fixed-values",
+                     (0.05, -0.3, 0.1, 0.2), restarts=2, seed=3),
+        # All four fixed values zero: an unbiased problem.
+        OptimizeSpec(random_state(rng, "tstate"), quad(), (1.1, 2.3), "fixed-values",
+                     (0.0, 0.0, 0.0, 0.0), restarts=2, seed=4),
+        OptimizeSpec(random_state(rng, "pure"), quad(0.7, 0.5, 0.6, 0.9), (0.4, 2.9), "fixed-values",
+                     (0.0, 0.25, -0.2, 0.0), restarts=2, seed=5),
+        # Strength 1 leaves x no bias room; strength 0 leaves y' the most.
+        OptimizeSpec(random_state(rng, "pure"), quad(1.0, 0.4, 0.7, 0.3), biases="free-continuous",
+                     restarts=2, seed=6),
+        OptimizeSpec(random_state(rng, "general"), quad(0.8, 0.3, 0.6, 0.0), (2.0, 0.7), "free-continuous",
+                     restarts=2, seed=7),
+        # A general state runs sixteen fixed-values problems, a T-state one unbiased one.
+        OptimizeSpec(random_state(rng, "general"), quad(), biases="free-extremal", restarts=1, seed=8),
+        OptimizeSpec(random_state(rng, "tstate"), quad(), (1.3, 1.9), "free-extremal", restarts=2, seed=9),
+    ]
+    return specs
+
+
+def test_oracle_outputs_pinned():
+    # Values (as float.hex), evaluation counts and convergence flags, bit
+    # for bit, recorded with Python 3.11 and numpy 2.4 on x86-64. A change
+    # to the objective's arithmetic or the search's step order moves them.
+    expected = [
+        ("0x1.5d544518358aep+0", 16476, True),
+        ("0x1.612240acb9f6cp-2", 3295, True),
+        ("0x1.2867881d1689cp+0", 2120, True),
+        ("0x1.6dd282755ab56p-6", 1662, True),
+        ("0x1.5e5b75007d4efp-1", 1058, True),
+        ("0x1.fb91fc7d7a753p+0", 8556, True),
+        ("0x1.c67e1738aed96p+0", 1100, True),
+        ("0x1.7253a6b9acceap+0", 50412, True),
+        ("0x1.29e09437c0143p-1", 1187, True),
+    ]
+    got = []
+    for spec in _pinned_specs():
+        result = maximize_chsh(spec)
+        got.append((result.best_value.hex(), result.evaluations, result.converged))
+    assert got == expected
+
+
 def test_monotone_in_restarts():
     state = random_state(12, "tstate")
     q = StrengthQuad(0.9, 0.8, 0.7, 0.6)
@@ -232,6 +287,7 @@ def test_searched_audit_rows_independent_of_worker_count(criterion, monkeypatch)
     # Whole rows (bound, oracle, gap, evaluations, converged), with two
     # worker processes even on a one-CPU machine.
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     seq = audit_bound(criterion, trials=3, seed=9, threads=1)
     par = audit_bound(criterion, trials=3, seed=9, threads=2)
     assert seq.rows == par.rows
@@ -244,6 +300,25 @@ def test_worker_count_is_capped_without_starting_processes():
     assert worker_count(0, 10, 8) == 1
     assert worker_count(-5, 10, 8) == 1
     assert worker_count(16, 10, None) == 1
+
+
+def test_workers_capped_by_usable_cpus(monkeypatch):
+    # One CPU in the affinity set of a 64-CPU machine: threads=8 builds no pool.
+    def no_pool(*args, **kwargs):
+        pytest.fail("audit_bound started a process pool on one usable CPU")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    assert optimize._usable_cpus() == 1
+    report = audit_bound("jmax", trials=8, seed=4, threads=8)
+    assert report.passed and len(report.rows) == 8
+
+
+def test_usable_cpus_without_affinity(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 6)
+    assert optimize._usable_cpus() == 6
 
 
 def test_thm3_sampler_draws_pass_its_filter():

@@ -73,12 +73,14 @@ def bias_combination(bx: float, bxp: float, by: float, byp: float) -> float:
 
 
 def n_matrix(scenario: Scenario) -> np.ndarray:
-    """4x4 observable matrix of the trace form of the CHSH parameter."""
-    ux = scenario.x.u4()
-    uxp = scenario.xp.u4()
-    uy = scenario.y.u4()
-    uyp = scenario.yp.u4()
-    return np.outer(ux, uy) + np.outer(ux, uyp) + np.outer(uxp, uy) - np.outer(uxp, uyp)
+    """4x4 observable matrix of the trace form of the CHSH parameter.
+
+    Entry (i, j) is ux_i uy_j + ux_i uy'_j + ux'_i uy_j - ux'_i uy'_j for
+    the u4 vectors, on Python floats in the order of the outer-product sum
+    outer(ux, uy) + outer(ux, uy') + outer(ux', uy) - outer(ux', uy').
+    """
+    ux, uxp, uy, uyp = (o.u4().tolist() for o in scenario.observables())
+    return np.array([[a * c + a * d + b * c - b * d for c, d in zip(uy, uyp)] for a, b in zip(ux, uxp)])
 
 
 def chsh_matrix_form(scenario: Scenario, state: FanoState) -> float:

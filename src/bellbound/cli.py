@@ -88,19 +88,39 @@ def _float_text(value) -> str:
     return _JSON_SPECIAL.get(text) or repr(float(text))
 
 
+# The exact types of nearly every payload value, dispatched on without isinstance.
+_JSON_EXACT = frozenset((float, str, dict, list, tuple, type(None), bool, int))
+
+
+def _json_kind(value) -> type:
+    """The exact type ``_json_parts`` writes ``value`` as: for numpy scalars and arrays, and subclasses."""
+    if isinstance(value, str):
+        return str
+    if isinstance(value, bool):
+        return bool
+    if isinstance(value, (float, np.floating)):
+        return float
+    if isinstance(value, (int, np.integer)):
+        return int
+    if isinstance(value, dict):
+        return dict
+    if isinstance(value, (list, tuple)):
+        return list
+    if isinstance(value, np.ndarray):
+        return np.ndarray
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _json_parts(value, out: list, newline: str) -> None:
     """Append the text of ``value`` to ``out``; containers open on ``newline``."""
-    if isinstance(value, str):
-        out.append(encode_basestring_ascii(value))
-    elif value is None:
-        out.append("null")
-    elif isinstance(value, bool):
-        out.append("true" if value else "false")
-    elif isinstance(value, (float, np.floating)):
+    kind = type(value)
+    if kind not in _JSON_EXACT:
+        kind = _json_kind(value)
+    if kind is float:
         out.append(_float_text(value))
-    elif isinstance(value, (int, np.integer)):
-        out.append(repr(int(value)))
-    elif isinstance(value, dict):
+    elif kind is str:
+        out.append(encode_basestring_ascii(value))
+    elif kind is dict:
         if not value:
             out.append("{}")
             return
@@ -112,7 +132,7 @@ def _json_parts(value, out: list, newline: str) -> None:
             out.append(("," if k else "") + inner + encode_basestring_ascii(key) + ": ")
             _json_parts(value[key], out, inner)
         out.append(newline + "}")
-    elif isinstance(value, (list, tuple)):
+    elif kind is list or kind is tuple:
         if not value:
             out.append("[]")
             return
@@ -122,10 +142,14 @@ def _json_parts(value, out: list, newline: str) -> None:
             out.append(("," if k else "") + inner)
             _json_parts(item, out, inner)
         out.append(newline + "]")
-    elif isinstance(value, np.ndarray):
-        _json_parts(list(value.tolist()), out, newline)
+    elif value is None:
+        out.append("null")
+    elif kind is bool:
+        out.append("true" if value else "false")
+    elif kind is int:
+        out.append(repr(int(value)))
     else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        _json_parts(list(value.tolist()), out, newline)
 
 
 def _json_text(payload) -> str:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chsh import bias_combination, chsh, chsh_signed
+from .chsh import bias_combination, chsh_signed
 from .errors import ConstructionError, DomainError, InvalidInputError
 from .linalg import complete_frame, svd
 from .model import FanoState, Scenario, StrengthQuad, check_angle, scenario_from_directions, sig12
@@ -93,7 +93,7 @@ def achieving_directions(state: FanoState, q: StrengthQuad, theta: float, phi: f
     o1, o2 = optimal_transforms(state, q, theta, phi)
     dirs = (o1 @ refs[0], o1 @ refs[1], o2 @ refs[2], o2 @ refs[3])
     scenario = scenario_from_directions(q, dirs)
-    attained = chsh(scenario, state).canonical
+    attained = abs(chsh_signed(scenario, state))
     config = AchievingConfig(
         scenario=scenario, target_bound=target, attained_chsh=attained, recipe_id="appendixA"
     )
@@ -134,51 +134,67 @@ def achieving_scenario_tstate(state: FanoState, q: StrengthQuad, theta: float, p
     if bias_combination(*biases) < 0.0:
         biases = tuple(-b for b in biases)
     scenario = scenario_from_directions(q, tuple(dirs), biases)
-    attained = chsh(scenario, state).canonical
+    attained = abs(chsh_signed(scenario, state))
     config = AchievingConfig(
         scenario=scenario, target_bound=target, attained_chsh=attained, recipe_id="appendixA"
     )
     return _check_attainment(config, theta, phi)
 
 
-def thm3_achieving(state: FanoState, q: StrengthQuad) -> AchievingConfig:
-    """Scenario attaining the equal-A-side-strengths bound, in the input's labels.
+def _thm3_directions(t: np.ndarray, left: np.ndarray, s1: float, s2: float, first: float, second: float):
+    """Directions (x, x', y, y') attaining thm3 with equal strengths on the side of t's rows.
 
-    With hi >= lo the B strengths, the stronger B observable follows the
+    ``left`` holds t's left singular vectors as columns, s1 >= s2 are its
+    top singular values and (first, second) the other side's strengths.
+    """
+    x1 = left[:, 0]
+    x2 = left[:, 1]
+    ty1 = t.T @ x1
+    y = ty1 / float(np.sqrt(ty1 @ ty1))
+    ty2 = t.T @ x2
+    norm2 = float(np.sqrt(ty2 @ ty2))
+    if norm2 > 1e-12:
+        yp = ty2 / norm2
+    else:
+        # Rank-one correlations leave y' free; any unit vector orthogonal
+        # to y attains the (lo-independent) bound.
+        yp = complete_frame(y).e2
+    half = math.atan2(min(first, second) * s2, max(first, second) * s1)
+    x = math.cos(half) * x1 + math.sin(half) * x2
+    xp = math.cos(half) * x1 - math.sin(half) * x2
+    return (x, -xp, yp, y) if first < second else (x, xp, y, yp)
+
+
+def thm3_achieving(state: FanoState, q: StrengthQuad) -> AchievingConfig:
+    """Scenario attaining the equal-strengths-on-one-side bound, in the input's labels.
+
+    Side A if sx = sxp, else side B, as ``thm3_bound`` picks it. On side A,
+    with hi >= lo the B strengths, the stronger B observable follows the
     image of the top correlation eigenvector under T^T and the weaker one
     that of the second; the A pair straddles those eigenvectors at the
     half-angle fixed by tan(theta/2) = lo s2 / (hi s1). phi comes out
     orthogonal. For sy < syp, exchanging y and y' is the same as negating
-    x', so theta -> pi - theta and the CHSH value is unchanged. With zero
-    correlations the bound is 0, which every unbiased scenario attains: the
-    reference frames at the report's angles.
+    x', so theta -> pi - theta and the CHSH value is unchanged. On side B
+    the parties are exchanged (a <-> b, T -> T^T, strengths (sy, syp, sx,
+    sxp)), the side-A directions are built and the observables exchanged
+    back. With zero correlations the bound is 0, which every unbiased
+    scenario attains: the reference frames at the report's angles.
     """
-    if abs(q.sx - q.sxp) > EQUAL_STRENGTH_TOL:
-        raise DomainError("criterion thm3 requires equal strengths on side A (sx = sxp)")
+    if abs(q.sx - q.sxp) > EQUAL_STRENGTH_TOL and abs(q.sy - q.syp) > EQUAL_STRENGTH_TOL:
+        raise DomainError("criterion thm3 requires equal strengths on one side (sx = sxp or sy = syp)")
     report = thm3_bound(state, q)
     fac = state.t_svd
     s1, s2 = float(fac.s[0]), float(fac.s[1])
     if s1 <= 1e-12:
         dirs = reference_frames(*report.optimal_angles)
+    elif abs(q.sx - q.sxp) <= EQUAL_STRENGTH_TOL:
+        dirs = _thm3_directions(state.t, fac.u, s1, s2, q.sy, q.syp)
     else:
-        x1 = fac.u[:, 0]
-        x2 = fac.u[:, 1]
-        ty1 = state.t.T @ x1
-        y = ty1 / float(np.sqrt(ty1 @ ty1))
-        ty2 = state.t.T @ x2
-        norm2 = float(np.sqrt(ty2 @ ty2))
-        if norm2 > 1e-12:
-            yp = ty2 / norm2
-        else:
-            # Rank-one correlations leave y' free; any unit vector orthogonal
-            # to y attains the (lo-independent) bound.
-            yp = complete_frame(y).e2
-        half = math.atan2(min(q.sy, q.syp) * s2, max(q.sy, q.syp) * s1)
-        x = math.cos(half) * x1 + math.sin(half) * x2
-        xp = math.cos(half) * x1 - math.sin(half) * x2
-        dirs = (x, -xp, yp, y) if q.sy < q.syp else (x, xp, y, yp)
+        # T^T's left singular vectors are T's right ones.
+        y, yp, x, xp = _thm3_directions(state.t.T, fac.v, s1, s2, q.sx, q.sxp)
+        dirs = (x, xp, y, yp)
     scenario = scenario_from_directions(q, dirs)
-    attained = chsh(scenario, state).canonical
+    attained = abs(chsh_signed(scenario, state))
     config = AchievingConfig(
         scenario=scenario,
         target_bound=report.value,

@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConstraintError, InvalidInputError, UnphysicalStateError
-from .linalg import SvdFactors, hermitian_eigenvalues_4, svd
+from .linalg import SvdFactors, svd
 
 # Minimum admissible eigenvalue of a reconstructed density matrix. Absorbs
 # kernel roundoff without admitting meaningfully unphysical states.
@@ -32,6 +32,13 @@ _ID2 = np.eye(2, dtype=complex)
 _SIGMA4 = (_ID2,) + _PAULI
 # All sixteen sigma_mu (x) sigma_nu products, flattened for a single tensordot.
 _KRON16 = np.stack([np.kron(_SIGMA4[mu], _SIGMA4[nu]) for mu in range(4) for nu in range(4)])
+# The same products as the rows of one matrix, so rho is one vector-matrix product.
+_KRON16_ROWS = _KRON16.reshape(16, 16)
+
+
+def _density(theta_flat: np.ndarray) -> np.ndarray:
+    """The 4x4 density operator of the row-major flattened Fano block matrix [[1, b^T], [a, t]]."""
+    return 0.25 * (theta_flat @ _KRON16_ROWS).reshape(4, 4)
 
 
 _UNIT_TOL = 1e-6
@@ -192,8 +199,7 @@ class FanoState:
 
     def density_matrix(self) -> np.ndarray:
         """Reconstructed 4x4 density operator in the Pauli product basis."""
-        theta = self.theta_matrix()
-        return 0.25 * np.tensordot(theta.ravel(), _KRON16, axes=1)
+        return _density(self.theta_matrix().ravel())
 
     def is_tstate(self) -> bool:
         """Whether the marginals are maximally mixed, a = b = 0 within ``TSTATE_TOL``."""
@@ -211,28 +217,32 @@ class FanoState:
 def state_from_fano(a, b, t) -> FanoState:
     """Validated Fano state; raises UnphysicalStateError on a bad spectrum.
 
-    The state holds read-only copies of a, b and t.
+    The state holds read-only copies of a, b and t. The 15 numbers are
+    checked once as Python floats; the density matrix is built once and
+    its least eigenvalue taken with one ``eigvalsh`` call.
     """
     va = np.array(a, dtype=float)
     vb = np.array(b, dtype=float)
     mt = np.array(t, dtype=float)
     if va.shape != (3,) or vb.shape != (3,) or mt.shape != (3, 3):
         raise InvalidInputError("expected 3-vectors a, b and a 3x3 matrix t")
-    if not (np.all(np.isfinite(va)) and np.all(np.isfinite(vb)) and np.all(np.isfinite(mt))):
+    a0, a1, a2 = va.tolist()
+    b0, b1, b2 = vb.tolist()
+    t0, t1, t2 = mt.tolist()
+    t_vals = t0 + t1 + t2
+    if not all(map(math.isfinite, [a0, a1, a2, b0, b1, b2, *t_vals])):
         raise InvalidInputError("state components must be finite")
-    if float(va @ va) > 1.0 + 1e-10 or float(vb @ vb) > 1.0 + 1e-10:
+    if a0 * a0 + a1 * a1 + a2 * a2 > 1.0 + 1e-10 or b0 * b0 + b1 * b1 + b2 * b2 > 1.0 + 1e-10:
         raise UnphysicalStateError("Bloch vector longer than 1")
-    if float(np.max(np.abs(mt))) > 1.0 + 1e-12:
+    if max(map(abs, t_vals)) > 1.0 + 1e-12:
         raise UnphysicalStateError("correlation matrix entry outside [-1, 1]")
+    # eigvalsh reads one triangle; the construction is Hermitian already.
+    least = float(np.linalg.eigvalsh(_density(np.array([1.0, b0, b1, b2, a0, *t0, a1, *t1, a2, *t2])))[0])
+    if least < PHYSICALITY_EIG_FLOOR:
+        raise UnphysicalStateError(f"reconstructed density matrix has eigenvalue {least:.3e}")
     for arr in (va, vb, mt):
         arr.setflags(write=False)
-    state = FanoState(a=va, b=vb, t=mt)
-    eig = hermitian_eigenvalues_4(state.density_matrix())
-    if eig[-1] < PHYSICALITY_EIG_FLOOR:
-        raise UnphysicalStateError(
-            f"reconstructed density matrix has eigenvalue {eig[-1]:.3e}"
-        )
-    return state
+    return FanoState(a=va, b=vb, t=mt)
 
 
 def state_from_density(rho) -> FanoState:

@@ -43,7 +43,7 @@ from .bounds import (
     thm4_branch,
     thm4_bound,
 )
-from .chsh import bias_combination, chsh, chsh_signed
+from .chsh import bias_combination, chsh_signed
 from .construct import ACHIEVABLE, achieve
 from .errors import InternalConsistencyError, InvalidInputError
 from .linalg import frame_from_pair, matrix_to_axis_angle
@@ -633,7 +633,7 @@ def maximize_chsh(spec: OptimizeSpec) -> OptimizeResult:
 
 
 def _finalize(spec: OptimizeSpec, scenario: Scenario, evals: int, converged: bool) -> OptimizeResult:
-    value = chsh(scenario, spec.state).canonical
+    value = abs(chsh_signed(scenario, spec.state))
     return OptimizeResult(
         best_value=value, best_scenario=scenario, evaluations=evals, converged=converged
     )
@@ -858,7 +858,7 @@ def _trial_sgen(seed: int, trial: int):
     bound = sgen_bound(scenario, state).value
     # The bound is scenario-specific, so the matching "oracle" is the
     # exact CHSH value of that very scenario.
-    return bound, chsh(scenario, state).canonical
+    return bound, abs(chsh_signed(scenario, state))
 
 
 def _trial_horodecki_upper(seed: int, trial: int):

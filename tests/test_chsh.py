@@ -11,6 +11,7 @@ from bellbound import (
     expectation,
     horodecki,
     make_observable,
+    n_matrix,
     random_observable,
     random_rotation,
     random_state,
@@ -78,7 +79,14 @@ def test_chsh_trivial_coins():
     assert abs(chsh(_coin_scenario(1.0), zero_t).canonical - 2.0) < 1e-15
 
 
+def _outer_product_sum(scenario):
+    ux, uxp, uy, uyp = (o.u4() for o in scenario.observables())
+    return np.outer(ux, uy) + np.outer(ux, uyp) + np.outer(uxp, uy) - np.outer(uxp, uyp)
+
+
 def test_chsh_matrix_form_agrees():
+    # Also bit for bit, biased and unbiased: the canonical value is
+    # |chsh_signed|, and n_matrix is the numpy outer-product sum.
     rng = np.random.default_rng(33)
     kinds = ("tstate", "general", "pure")
     worst = 0.0
@@ -88,6 +96,10 @@ def test_chsh_matrix_form_agrees():
         worst = max(
             worst, abs(chsh(scenario, state).canonical - chsh_matrix_form(scenario, state))
         )
+        unbiased = Scenario(*(make_observable(0.0, o.strength, o.direction) for o in scenario.observables()))
+        for case in (scenario, unbiased):
+            assert abs(chsh_signed(case, state)) == chsh(case, state).canonical
+            assert n_matrix(case).tobytes() == _outer_product_sum(case).tobytes()
     assert worst < 1e-12
 
 

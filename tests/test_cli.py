@@ -149,8 +149,8 @@ _LOCAL_A = {"kind": "fano", "a": [0, 0, 0.3], "b": [0, 0, 0], "t": [[0, 0, 0], [
         ("cor4", _singlet_doc(strengths=[1, 1, 1, 0.9]), "criterion cor4 requires equal strengths on each side"),
         (
             "thm3",
-            _singlet_doc(strengths=[1, 0.9, 1, 1]),
-            "criterion thm3 requires equal strengths on side A (sx = sxp)",
+            _singlet_doc(strengths=[1, 0.9, 1, 0.8]),
+            "criterion thm3 requires equal strengths on one side (sx = sxp or sy = syp)",
         ),
         (
             "cor4",
@@ -175,6 +175,20 @@ def test_achieve_thm3(tmp_path, capsys):
     achieved = json.loads(out)
     assert abs(achieved["attained_chsh"] - 2 * math.sqrt(1.25)) < 1e-9
     assert abs(achieved["angles"]["phi"] - PI2) < 1e-9
+
+
+def test_achieve_thm3_on_equal_b_side_attains_bound_thm3(tmp_path, capsys):
+    path = _write(tmp_path, "in.json", {"state": {"kind": "werner", "w": 0.8}, "strengths": [0.9, 0.5, 0.7, 0.7]})
+    code, out, _ = _run(capsys, ["achieve", "--input", path, "--criterion", "thm3"])
+    assert code == 0
+    achieved = json.loads(out)
+    code, out, _ = _run(capsys, ["bound", "--input", path])
+    assert code == 0
+    thm3 = _criterion(json.loads(out), "thm3")
+    assert thm3["notes"] == "sides exchanged (equal strengths on side B)"
+    assert achieved["target_bound"] == achieved["attained_chsh"] == thm3["value"] == 1.15311057579
+    assert achieved["angles"] == thm3["optimal_angles"]
+    assert [achieved["scenario"][k]["strength"] for k in ("x", "xp", "y", "yp")] == [0.9, 0.5, 0.7, 0.7]
 
 
 @pytest.mark.parametrize(

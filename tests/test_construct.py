@@ -23,6 +23,7 @@ from bellbound import (
     thm3_bound,
     w_bundle,
 )
+from bellbound.construct import _ATTAIN_TOL
 
 PI2 = math.pi / 2
 SQ2 = math.sqrt(2.0)
@@ -153,6 +154,22 @@ def test_thm3_achieving_random_audit():
         assert abs(config.attained_chsh - config.target_bound) < 1e-9
         assert abs(config.target_bound - thm3_bound(state, q).value) < 1e-12
         assert config.scenario.strengths == q
+
+
+def test_thm3_achieving_side_b_attains_thm3_bound():
+    rng = np.random.default_rng(70)
+    kinds = ("tstate", "pure", "general")
+    for trial in range(300):
+        state = random_state(rng, kinds[trial % 3])
+        sx, sxp, s_b = rng.uniform(0, 1, 3)
+        q = StrengthQuad(sx, sxp, s_b, s_b)
+        report = thm3_bound(state, q)
+        assert report.notes == "sides exchanged (equal strengths on side B)"
+        config = thm3_achieving(state, q)
+        assert config.target_bound == report.value
+        assert abs(config.attained_chsh - report.value) <= _ATTAIN_TOL
+        assert config.scenario.strengths == q
+        assert np.allclose((config.scenario.theta, config.scenario.phi), report.optimal_angles, rtol=0.0, atol=1e-9)
 
 
 def test_thm3_achieving_rank_one_state():

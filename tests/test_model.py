@@ -207,3 +207,111 @@ def test_correlation_singular_values_match_numpy_before_and_after_bounds():
         s0_bound(state, StrengthQuad(0.9, 0.8, 0.7, 0.6), 1.0, 2.0)
         thm3_bound(state, StrengthQuad(0.9, 0.9, 0.8, 0.5))
         assert np.max(np.abs(np.array(correlation_singular_values(state)) - want)) < 1e-14
+
+
+# ---------------------------------------------------------------------------
+# state_from_fano against an independent validator
+
+_SIGMA4 = np.array(
+    [
+        [[1.0, 0.0], [0.0, 1.0]],
+        [[0.0, 1.0], [1.0, 0.0]],
+        [[0.0, -1.0j], [1.0j, 0.0]],
+        [[1.0, 0.0], [0.0, -1.0]],
+    ]
+)
+
+
+def _reference_verdict(a, b, t):
+    """(error class, message) of a state that the reference rejects, else None.
+
+    The same range checks and tolerances as ``state_from_fano``, then rho
+    from the Pauli einsum, ``numpy.linalg.eigvalsh`` and the floor -1e-10.
+    """
+    va, vb, mt = (np.array(v, dtype=float) for v in (a, b, t))
+    if va.shape != (3,) or vb.shape != (3,) or mt.shape != (3, 3):
+        return InvalidInputError, "expected 3-vectors a, b and a 3x3 matrix t"
+    if not (np.isfinite(va).all() and np.isfinite(vb).all() and np.isfinite(mt).all()):
+        return InvalidInputError, "state components must be finite"
+    if va @ va > 1.0 + 1e-10 or vb @ vb > 1.0 + 1e-10:
+        return UnphysicalStateError, "Bloch vector longer than 1"
+    if np.abs(mt).max() > 1.0 + 1e-12:
+        return UnphysicalStateError, "correlation matrix entry outside [-1, 1]"
+    theta = np.block([[np.ones((1, 1)), vb[None, :]], [va[:, None], mt]])
+    rho = 0.25 * np.einsum("mn,mij,nkl->ikjl", theta, _SIGMA4, _SIGMA4).reshape(4, 4)
+    least = np.linalg.eigvalsh(rho)[0]
+    if least < -1e-10:
+        return UnphysicalStateError, f"reconstructed density matrix has eigenvalue {least:.3e}"
+    return None
+
+
+def _verdict(a, b, t):
+    try:
+        state_from_fano(a, b, t)
+    except (InvalidInputError, UnphysicalStateError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _validator_cases():
+    """Seeded and boundary (label, a, b, t) cases."""
+    rng = np.random.default_rng(20_261_020)
+    cases = []
+    for kind in ("tstate", "general", "pure"):
+        for _ in range(40):
+            state = random_state(rng, kind)
+            cases.append((kind, state.a, state.b, state.t))
+            # Scaled about the maximally mixed state: the zero eigenvalues of
+            # a pure state move by about -delta / 4, across the floor.
+            scale = 1.0 + rng.uniform(-2e-9, 2e-9)
+            cases.append((f"{kind}-scaled", scale * state.a, scale * state.b, scale * state.t))
+    for _ in range(120):
+        cases.append(("uniform", rng.uniform(-0.6, 0.6, 3), rng.uniform(-0.6, 0.6, 3), rng.uniform(-0.5, 0.5, (3, 3))))
+    for w in (-1.0 / 3.0, 1.0):
+        cases.append(("werner-end", np.zeros(3), np.zeros(3), -w * np.eye(3)))
+    for _ in range(10):
+        a, b = random_direction(rng), random_direction(rng)
+        cases.append(("product-unit", a, b, np.outer(a, b)))
+        cases.append(("product-unit-a", a, 0.5 * b, np.outer(a, 0.5 * b)))
+        cases.append(("bloch-over", (1.0 + 1e-9) * a, b, np.outer(a, b)))
+        cases.append(("bloch-over", a, (1.0 + 1e-9) * b, np.outer(a, b)))
+    # Bell-diagonal points 1e-9 inside and outside each face of the
+    # tetrahedron; the face opposite vertex v has centroid -v/3 and outward
+    # normal -v/sqrt(3).
+    for vertex in ((-1.0, -1.0, -1.0), (-1.0, 1.0, 1.0), (1.0, -1.0, 1.0), (1.0, 1.0, -1.0)):
+        v = np.array(vertex)
+        for label, step in (("bell-inside", -1e-9), ("bell-outside", 1e-9)):
+            cases.append((label, np.zeros(3), np.zeros(3), np.diag(-v / 3.0 - step * v / math.sqrt(3.0))))
+    just_over = -np.eye(3)
+    just_over[1, 1] = -(1.0 + 1e-11)
+    cases.append(("entry-over-1", np.zeros(3), np.zeros(3), just_over))
+    for where in ("a", "b", "t"):
+        for bad in (math.nan, math.inf, -math.inf):
+            a, b, t = np.zeros(3), np.zeros(3), -0.5 * np.eye(3)
+            {"a": a, "b": b, "t": t[2]}[where][1] = bad
+            cases.append(("not-finite", a, b, t))
+    cases += [
+        ("shape", np.zeros(4), np.zeros(3), np.zeros((3, 3))),
+        ("shape", np.zeros(3), np.zeros(2), np.zeros((3, 3))),
+        ("shape", np.zeros(3), np.zeros(3), np.zeros((3, 2))),
+        ("shape", np.zeros(3), np.zeros(3), np.zeros(9)),
+        ("shape", 0.0, np.zeros(3), np.zeros((3, 3))),
+    ]
+    return cases
+
+
+def test_state_from_fano_accepts_and_rejects_as_reference():
+    verdicts = {}
+    for k, (label, a, b, t) in enumerate(_validator_cases()):
+        want = _reference_verdict(a, b, t)
+        assert _verdict(a, b, t) == want, (k, label, a, b, t)
+        verdicts.setdefault(label, set()).add(None if want is None else want[1].split(" has eigenvalue")[0])
+    for label in ("tstate", "general", "pure", "werner-end", "product-unit", "product-unit-a", "bell-inside"):
+        assert verdicts[label] == {None}, label
+    assert verdicts["bell-outside"] == {"reconstructed density matrix"}
+    assert verdicts["pure-scaled"] == {None, "reconstructed density matrix"}
+    assert verdicts["uniform"] == {None, "reconstructed density matrix"}
+    assert verdicts["bloch-over"] == {"Bloch vector longer than 1"}
+    assert verdicts["entry-over-1"] == {"correlation matrix entry outside [-1, 1]"}
+    assert verdicts["not-finite"] == {"state components must be finite"}
+    assert verdicts["shape"] == {"expected 3-vectors a, b and a 3x3 matrix t"}

@@ -18,8 +18,9 @@ with and without angles.
 
 ``achieve`` gets seeded documents inside each criterion's domain. Its
 ``target_bound`` and ``attained_chsh`` must stay the same (within 1e-10)
-under local rotations, and for thm3 also when y and y' are exchanged,
-with the emitted observables in the input's strength order.
+under local rotations, and for thm3 (equal strengths on side A or on side
+B) also when y and y' are exchanged or the parties are, with the emitted
+observables in the input's strength order.
 """
 
 import json
@@ -131,25 +132,25 @@ def test_bound_report_is_invariant(transform, tmp_path, capsys):
 # achieve
 
 N_ACHIEVE_DOCS = 12
-# Each criterion's domain: (state kinds, strength pattern, angles given).
+# Each criterion's domain: (state kinds, strength patterns, angles given).
 ACHIEVE_DOMAINS = {
-    "thm1": (KINDS, "unequal", True),
-    "thm2": (("tstate", "werner"), "unequal", True),
-    "cor1": (KINDS, "equal", False),
-    "cor4": (("tstate", "werner"), "equal", False),
-    "thm3": (KINDS, "equal-a", False),
-    "thm4": (("werner",), "unequal", False),
+    "thm1": (KINDS, ("unequal",), True),
+    "thm2": (("tstate", "werner"), ("unequal",), True),
+    "cor1": (KINDS, ("equal",), False),
+    "cor4": (("tstate", "werner"), ("equal",), False),
+    "thm3": (KINDS, ("equal-a", "equal-b"), False),
+    "thm4": (("werner",), ("unequal",), False),
 }
 
 
 def _achieve_cases(criterion):
-    """``N_ACHIEVE_DOCS`` seeded cases inside the criterion's domain."""
-    kinds, pattern, with_angles = ACHIEVE_DOMAINS[criterion]
+    """``N_ACHIEVE_DOCS`` seeded cases inside the criterion's domain, every pattern on every kind."""
+    kinds, patterns, with_angles = ACHIEVE_DOMAINS[criterion]
     rng = np.random.default_rng([20_211_021, ACHIEVABLE.index(criterion)])
     cases = []
     for k in range(N_ACHIEVE_DOCS):
         a, b, t = _state(rng, kinds[k % len(kinds)])
-        q = _strengths(rng, pattern)
+        q = _strengths(rng, patterns[k // len(kinds) % len(patterns)])
         angles = tuple(rng.uniform(0.1, np.pi - 0.1, 2).tolist()) if with_angles else None
         cases.append((a, b, t, q, angles))
     return cases
@@ -181,3 +182,17 @@ def test_achieve_thm3_is_invariant_under_exchanging_y_and_yp(tmp_path, capsys):
             assert np.allclose(strengths, q, rtol=0.0, atol=1e-12), (f"document {k}", strengths, q)
         orders.add(case[3][2] < case[3][3])
     assert orders == {False, True}
+
+
+def test_achieve_thm3_is_invariant_under_exchanging_parties(tmp_path, capsys):
+    sides = set()
+    for k, case in enumerate(_achieve_cases("thm3")):
+        exchanged = _exchange_sides(case, None)
+        got = _achieved(tmp_path, capsys, case, "thm3")
+        moved = _achieved(tmp_path, capsys, exchanged, "thm3")
+        assert np.allclose(moved[:2], got[:2], rtol=0.0, atol=VALUE_TOL), (f"document {k}", moved[:2], got[:2])
+        for (_, _, _, q, _), (_, _, scenario) in ((case, got), (exchanged, moved)):
+            strengths = [scenario[name]["strength"] for name in ("x", "xp", "y", "yp")]
+            assert np.allclose(strengths, q, rtol=0.0, atol=1e-12), (f"document {k}", strengths, q)
+        sides.add("a" if case[3][0] == case[3][1] else "b")
+    assert sides == {"a", "b"}

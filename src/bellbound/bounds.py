@@ -266,8 +266,22 @@ def cor1_bound(state: FanoState, s_a, s_b) -> BoundReport:
     """
     s_a, s_b = check_strength(s_a, "strength s_a"), check_strength(s_b, "strength s_b")
     s1, s2, _ = correlation_singular_values(state)
-    value = 2.0 * s_a * s_b * math.hypot(s1, s2)
+    value = cor1_value(s_a, s_b, math.hypot(s1, s2))
     return BoundReport(value=value, criterion_id="cor1", optimal_angles=_equal_angle_choice(s1, s2))
+
+
+def cor1_value(s_a, s_b, radius_r):
+    """2 s_a s_b r, the value of ``cor1_bound`` with r = hypot(s1, s2); no range checks.
+
+    The one place this expression is written, so that a strength-sweep
+    bisection on checked strengths finds the roots of ``cor1_bound`` itself.
+    """
+    return 2.0 * s_a * s_b * radius_r
+
+
+def cor4_value(s_a, s_b, radius_r):
+    """``cor1_value`` plus the bias term 2 (1 - s_a)(1 - s_b): the value of ``cor4_bound``."""
+    return cor1_value(s_a, s_b, radius_r) + 2.0 * (1.0 - s_a) * (1.0 - s_b)
 
 
 def cor2_sufficient(state: FanoState, q: StrengthQuad) -> BoundReport:
@@ -288,9 +302,9 @@ def cor4_bound(state: FanoState, s_a, s_b) -> BoundReport:
     """T-state analogue of the equal-strengths bound, with the bias term added (arrays as in cor1)."""
     _require_tstate(state, "cor4")
     s_a, s_b = check_strength(s_a, "strength s_a"), check_strength(s_b, "strength s_b")
-    base = cor1_bound(state, s_a, s_b)
-    value = base.value + 2.0 * (1.0 - s_a) * (1.0 - s_b)
-    return BoundReport(value=value, criterion_id="cor4", optimal_angles=base.optimal_angles)
+    s1, s2, _ = correlation_singular_values(state)
+    value = cor4_value(s_a, s_b, math.hypot(s1, s2))
+    return BoundReport(value=value, criterion_id="cor4", optimal_angles=_equal_angle_choice(s1, s2))
 
 
 def strength_thresholds(radius_r: float) -> tuple[float, float]:

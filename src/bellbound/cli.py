@@ -175,8 +175,12 @@ def _emit_json(payload: dict, output: str | None) -> None:
 
 
 def _emit_csv(header: list[str], rows: list[tuple], output: str | None) -> None:
-    """Comma-joined ``str`` cells: the bytes ``csv.writer`` writes for cells that need no quoting."""
-    _write("".join(",".join(map(str, row)) + "\n" for row in [header, *rows]), output)
+    """Comma-joined ``str`` cells: the bytes ``csv.writer`` writes for cells that need no quoting.
+
+    Every row is a tuple as long as ``header``, formatted by one ``%s`` template.
+    """
+    template = ",".join(["%s"] * len(header)) + "\n"
+    _write(template % tuple(header) + "".join(map(template.__mod__, rows)), output)
 
 
 # ---------------------------------------------------------------------------
@@ -463,12 +467,22 @@ def bisect_root(fun, lo: float, hi: float) -> float:
 
 
 def _grid(start: float, stop: float, steps: int) -> list[float]:
-    """``steps`` evenly spaced points from ``start`` to exactly ``stop``."""
-    return [start + (stop - start) * k / (steps - 1) for k in range(steps - 1)] + [stop]
+    """``steps`` evenly spaced points from ``start`` to exactly ``stop``.
+
+    Point k < steps - 1 is ``start + (stop - start) * k / (steps - 1)``, each
+    operation rounded as on Python floats; an overflowing product is inf.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        points = start + (stop - start) * np.arange(steps - 1) / (steps - 1)
+    return points.tolist() + [stop]
 
 
 def strength_sweep(state: FanoState, start: float, stop: float, steps: int):
-    """Common-strength sweep rows of cor1 and cor4, one call each, and where each crosses 2 (bisected)."""
+    """Common-strength sweep rows of cor1 and cor4, one call each, and where each crosses 2.
+
+    The crossings are bisected on floats through ``cor1_value`` and
+    ``cor4_value``, which give the same values as the two bounds.
+    """
     s1, s2, _ = correlation_singular_values(state)
     radius = math.hypot(s1, s2)
     grid = _grid(start, stop, steps)
@@ -479,8 +493,8 @@ def strength_sweep(state: FanoState, start: float, stop: float, steps: int):
     rows = list(zip(grid, *(column.tolist() for column in columns)))
     summary = {"radius": radius}
     if radius > 1.0:
-        unbiased_cross = bisect_root(lambda s: B.cor1_bound(state, s, s).value - 2.0, 0.0, 1.0)
-        biased_cross = bisect_root(lambda s: B.cor4_bound(state, s, s).value - 2.0, 0.01, 1.0)
+        unbiased_cross = bisect_root(lambda s: B.cor1_value(s, s, radius) - 2.0, 0.0, 1.0)
+        biased_cross = bisect_root(lambda s: B.cor4_value(s, s, radius) - 2.0, 0.01, 1.0)
         thresholds = B.strength_thresholds(radius)
         summary.update(
             {
@@ -514,6 +528,10 @@ def cmd_scan(args) -> int:
         raise InvalidInputError("steps must be >= 2")
     if not (math.isfinite(args.start) and math.isfinite(args.stop) and args.start < args.stop):
         raise InvalidInputError("need start < stop")
+    if not math.isfinite(args.stop - args.start):
+        raise InvalidInputError(
+            f"--start {args.start!r} to --stop {args.stop!r} spans more than the largest float; narrow the range"
+        )
     if args.family == "werner-sweep" and args.input:
         raise InvalidInputError("scan --family werner-sweep reads no state or strengths; drop --input")
     doc = _load_input(args.input) if args.input else None

@@ -203,7 +203,7 @@ class FanoState:
 
     def is_tstate(self) -> bool:
         """Whether the marginals are maximally mixed, a = b = 0 within ``TSTATE_TOL``."""
-        # On Python floats: ``cor4_bound`` checks this at each step of a strength-sweep bisection.
+        # On Python floats: thm2, cor6 and cor4 check this on every call.
         return max(map(abs, self.a.tolist())) < TSTATE_TOL and max(map(abs, self.b.tolist())) < TSTATE_TOL
 
     def to_dict(self) -> dict:

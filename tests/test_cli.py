@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from bellbound import StrengthQuad, bounds, cli, construct
-from bellbound.model import random_rotation, random_state
+from bellbound.model import correlation_singular_values, random_rotation, random_state
 from bellbound.cli import main
 from bellbound.construct import ACHIEVABLE
 
@@ -469,6 +469,58 @@ def test_scan_last_row_is_exactly_stop(start, stop, steps):
     )
     assert code == 0
     assert out.splitlines()[-1].split(",")[0] == repr(float(stop))
+
+
+def _grid_formula(start, stop, steps):
+    # README: row k is start + (stop - start) * k / (steps - 1), the last row exactly stop.
+    return [start + (stop - start) * k / (steps - 1) for k in range(steps - 1)] + [stop]
+
+
+def _grid_cases():
+    rng = np.random.default_rng(2109)
+    # Products that overflow to inf, and a span that is inf (row 0 is nan), without a warning.
+    cases = [(0.0, 1e308, 300), (-1.7e308, 1.7e308, 3)]
+    for steps in (2, 3, 300, 10**4):
+        start = float(rng.uniform(-2.0, 1.0))
+        cases.append((start, start + float(rng.uniform(1e-6, 4.0)), steps))
+        tiny = float(rng.uniform(-5e-300, 5e-300))
+        cases.append((tiny, tiny + float(rng.uniform(1e-301, 1e-299)), steps))
+    return cases
+
+
+@pytest.mark.parametrize("start, stop, steps", _grid_cases())
+def test_grid_is_the_readme_formula_bit_for_bit(start, stop, steps):
+    grid = cli._grid(start, stop, steps)
+    assert all(type(x) is float for x in grid)
+    assert [x.hex() for x in grid] == [x.hex() for x in _grid_formula(start, stop, steps)]
+
+
+def test_strength_sweep_crossings_are_those_of_bisecting_the_bounds():
+    rng = np.random.default_rng(2110)
+    checked = 0
+    while checked < 12:
+        state = random_state(rng, "tstate")
+        s1, s2, _ = correlation_singular_values(state)
+        if math.hypot(s1, s2) <= 1.0:
+            continue
+        _, summary = cli.strength_sweep(state, 0.0, 1.0, 2)
+        unbiased = cli.bisect_root(lambda s: bounds.cor1_bound(state, s, s).value - 2.0, 0.0, 1.0)
+        biased = cli.bisect_root(lambda s: bounds.cor4_bound(state, s, s).value - 2.0, 0.01, 1.0)
+        assert summary["unbiased_crossing"].hex() == unbiased.hex()
+        assert summary["biased_crossing"].hex() == biased.hex()
+        checked += 1
+
+
+@pytest.mark.parametrize("family", ["angle-sweep", "werner-sweep", "strength-sweep"])
+def test_scan_overflowing_span_exits_2_naming_start_and_stop(family):
+    # stop - start is inf, so row 0 would be start + inf * 0 = nan.
+    code, out, err, _ = _call_in_process(
+        ["scan", "--family", family, "--start=-1.7e308", "--stop", "1.7e308", "--steps", "3"]
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: --start -1.7e+308 to --stop 1.7e+308 spans more than the largest float; narrow the range\n"
+    )
 
 
 def test_scan_missing_start_value_still_a_usage_error():

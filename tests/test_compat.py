@@ -98,6 +98,31 @@ def test_full_matches_busch_for_unbiased():
         assert compat_full(x, xp) == compat_busch(x, xp)
 
 
+def test_full_matches_busch_either_side_of_the_boundary():
+    # Unbiased pairs 1e-5 (relative, in angle) inside and outside Busch and
+    # Schmidt's boundary S S' sin(theta) = sqrt((1 - S^2)(1 - S'^2)). A
+    # compat_full whose boundary moved by a relative 1e-3 disagrees here,
+    # where uniformly drawn pairs almost never fall. Strengths above 1/2 and
+    # sines in (0.2, 0.9) keep both sides' margins far above COMPAT_SLACK.
+    rng = np.random.default_rng(48)
+    pairs = 0
+    while pairs < 80:
+        s, sp = rng.uniform(0.5, 1.0, size=2)
+        sine = math.sqrt((1 - s * s) * (1 - sp * sp)) / (s * sp)
+        if not 0.2 < sine < 0.9:
+            continue
+        edge = math.asin(sine)
+        first = random_direction(rng)
+        other = np.cross(first, random_direction(rng))
+        other /= np.linalg.norm(other)
+        x = make_observable(0.0, s, first)
+        for theta, compatible in ((edge * (1 - 1e-5), True), (edge * (1 + 1e-5), False)):
+            xp = make_observable(0.0, sp, math.cos(theta) * first + math.sin(theta) * other)
+            assert compat_busch(x, xp) == compatible, (s, sp, theta)
+            assert compat_full(x, xp) == compatible, (s, sp, theta)
+        pairs += 1
+
+
 def _relabelled(obs):
     # Exchanging the outcomes maps (B, S n) to (-B, -S n).
     return make_observable(-obs.bias, obs.strength, -obs.direction)

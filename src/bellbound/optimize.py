@@ -18,14 +18,18 @@ the block's rotation columns or half-angle, its side's vectors and the
 final CHSH combination inline, in the order of operations of a full
 evaluation, so both give the same value bit for bit. Unbiased problems
 skip the bias terms. No decomposition of T or other closed-form shortcut
-enters the objective.
+enters the objective. The closures are rendered at import from one
+template per expression into ``_OBJECTIVE_SOURCE``, which tracebacks and
+``inspect`` read as the file ``<bellbound.optimize _objective_factory>``.
 """
 
 from __future__ import annotations
 
 import itertools
+import linecache
 import math
 import os
+import textwrap
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -112,24 +116,206 @@ class OptimizeResult:
     converged: bool
 
 
-def _rot_cols01(w0: float, w1: float, w2: float):
-    # First two columns of the rotation for an axis-angle vector; the
-    # third column never multiplies anything (reference dirs have z = 0).
-    ang = math.sqrt(w0 * w0 + w1 * w1 + w2 * w2)
-    if ang < 1e-300:
-        return 1.0, 0.0, 0.0, 0.0, 1.0, 0.0
-    kx, ky, kz = w0 / ang, w1 / ang, w2 / ang
-    ca = math.cos(ang)
-    sa = math.sin(ang)
+# ---------------------------------------------------------------------------
+# The objective's expression templates, inlined into one flat closure per
+# block: a closure is called millions of times per audit. A side's fields:
+# l (a or b), rotation columns r*, the half-angle's cos and sin c and s,
+# the places in p of the rotation (w) and angle, directions d and dp, and
+# v, the vectors that enter the combination (x, x' on A; T y, T y' on B).
+
+# First two columns of the rotation for an axis-angle vector; the third
+# column never multiplies anything (reference dirs have z = 0).
+_ROTATION = """\
+w0 = p[{w[0]}]
+w1 = p[{w[1]}]
+w2 = p[{w[2]}]
+ang = sqrt(w0 * w0 + w1 * w1 + w2 * w2)
+if ang < 1e-300:
+    {r}00, {r}10, {r}20, {r}01, {r}11, {r}21 = 1.0, 0.0, 0.0, 0.0, 1.0, 0.0
+else:
+    kx = w0 / ang
+    ky = w1 / ang
+    kz = w2 / ang
+    ca = cos(ang)
+    sa = sin(ang)
     v = 1.0 - ca
-    return (
-        ca + v * kx * kx,
-        v * kx * ky + sa * kz,
-        v * kx * kz - sa * ky,
-        v * kx * ky - sa * kz,
-        ca + v * ky * ky,
-        v * ky * kz + sa * kx,
+    vx = v * kx
+    vy = v * ky
+    vxy = vx * ky
+    sz = sa * kz
+    {r}00 = ca + vx * kx
+    {r}10 = vxy + sz
+    {r}20 = vx * kz - sa * ky
+    {r}01 = vxy - sz
+    {r}11 = ca + vy * ky
+    {r}21 = vy * kz + sa * kx
+"""
+
+_HALF_ANGLE = """\
+{c} = cos(0.5 * {angle})
+{s} = sin(0.5 * {angle})
+"""
+
+_DIRECTIONS = """\
+{d}0 = {r}00 * {c} + {r}01 * {s}
+{d}1 = {r}10 * {c} + {r}11 * {s}
+{d}2 = {r}20 * {c} + {r}21 * {s}
+{d}p0 = {r}00 * {c} - {r}01 * {s}
+{d}p1 = {r}10 * {c} - {r}11 * {s}
+{d}p2 = {r}20 * {c} - {r}21 * {s}
+"""
+
+_T_Y = """\
+ty0 = t00 * y0 + t01 * y1 + t02 * y2
+ty1 = t10 * y0 + t11 * y1 + t12 * y2
+ty2 = t20 * y0 + t21 * y1 + t22 * y2
+tp0 = t00 * yp0 + t01 * yp1 + t02 * yp2
+tp1 = t10 * yp0 + t11 * yp1 + t12 * yp2
+tp2 = t20 * yp0 + t21 * yp1 + t22 * yp2
+"""
+
+# The bias terms (chsh.bias_combination and the local terms) are rendered
+# into every closure that needs them: a call would cost a sizeable share
+# of a move.
+_BIAS_TERMS = """\
+if bx != 0.0 or bxp != 0.0 or by != 0.0 or byp != 0.0:
+    g += bx * by + bx * byp + bxp * by - bxp * byp
+    if local_terms:
+        g += b_y * sy * (bx + bxp)
+        g += b_yp * syp * (bx - bxp)
+        g += a_x * sx * (by + byp)
+        g += a_xp * sxp * (by - byp)
+"""
+
+# A side's move recomputes its block (rotation or half-angle), its vectors,
+# the combination (in chsh's operation order) and its local terms a.x, a.x'
+# or b.y, b.y', and leaves the side's new values in ``new`` for commit.
+_SIDE_MOVE = """\
+def move_{name}(p):
+    nonlocal new, moved
+{body}\
+    g = (
+        sx_sy * (x0 * ty0 + x1 * ty1 + x2 * ty2)
+        + sx_syp * (x0 * tp0 + x1 * tp1 + x2 * tp2)
+        + sxp_sy * (xp0 * ty0 + xp1 * ty1 + xp2 * ty2)
+        - sxp_syp * (xp0 * tp0 + xp1 * tp1 + xp2 * tp2)
     )
+    if local_terms:
+        {l}_{d} = {l}0 * {d}0 + {l}1 * {d}1 + {l}2 * {d}2
+        {l}_{d}p = {l}0 * {d}p0 + {l}1 * {d}p1 + {l}2 * {d}p2
+    else:
+        {l}_{d} = {l}_{d}p = 0.0
+    new = ({r}00, {r}10, {r}20, {r}01, {r}11, {r}21, {c}, {s}, {v}, {l}_{d}, {l}_{d}p, g)
+    moved = side_{l}
+    if biased:
+        bx, bxp, by, byp = (p[nb], p[nb + 1], p[nb + 2], p[nb + 3]) if free_bias else fixed_bias
+{bias_terms}\
+    return abs(g)
+"""
+
+# The cached point lives in the factory's cells, named per side, and in
+# g_dir, the direction part of the combination, which a bias move reuses.
+# A closure holds the names it recomputes in locals. Biases are read from p.
+_FACTORY = """\
+def _objective_factory(t, bloch, strengths, theta0, phi0, free_angles, free_bias, fixed_bias, biased, local_terms, nb):
+    (t00, t01, t02), (t10, t11, t12), (t20, t21, t22) = t
+    a0, a1, a2, b0, b1, b2 = bloch
+    sx, sxp, sy, syp = strengths
+    sx_sy, sx_syp, sxp_sy, sxp_syp = sx * sy, sx * syp, sxp * sy, sxp * syp
+    side_a, side_b = 1, 2
+{start_angles}\
+    ar00 = ar10 = ar20 = ar01 = ar11 = ar21 = 0.0
+    br00 = br10 = br20 = br01 = br11 = br21 = 0.0
+    x0 = x1 = x2 = xp0 = xp1 = xp2 = a_x = a_xp = 0.0
+    ty0 = ty1 = ty2 = tp0 = tp1 = tp2 = b_y = b_yp = 0.0
+    g_dir = 0.0
+    new = ()
+    moved = 0
+
+{move_a}
+{move_theta}
+{move_b}
+{move_phi}
+    def move_bias(p):
+        nonlocal moved
+        moved = 0
+        g = g_dir
+        bx = p[nb]
+        bxp = p[nb + 1]
+        by = p[nb + 2]
+        byp = p[nb + 3]
+{bias_terms}\
+        return abs(g)
+
+    def commit():
+        nonlocal ar00, ar10, ar20, ar01, ar11, ar21, cth, sth, x0, x1, x2, xp0, xp1, xp2, a_x, a_xp
+        nonlocal br00, br10, br20, br01, br11, br21, cph, sph, ty0, ty1, ty2, tp0, tp1, tp2, b_y, b_yp
+        nonlocal g_dir
+        if moved == side_a:
+            ar00, ar10, ar20, ar01, ar11, ar21, cth, sth, x0, x1, x2, xp0, xp1, xp2, a_x, a_xp, g_dir = new
+        elif moved == side_b:
+            br00, br10, br20, br01, br11, br21, cph, sph, ty0, ty1, ty2, tp0, tp1, tp2, b_y, b_yp, g_dir = new
+
+    def value(p):
+        nonlocal cth, sth, cph, sph
+        if free_angles:
+{free_half_angles}\
+        move_b(p)
+        commit()
+        g = move_a(p)
+        commit()
+        return g
+
+    moves = (move_a,) * 3 + (move_b,) * 3
+    if free_angles:
+        moves += (move_theta, move_phi)
+    if free_bias:
+        moves += (move_bias,) * 4
+    return value, moves, commit
+"""
+
+_SIDE_A = dict(l="a", r="ar", c="cth", s="sth", d="x", w=(0, 1, 2), angle="p[6]", v="x0, x1, x2, xp0, xp1, xp2")
+_SIDE_B = dict(l="b", r="br", c="cph", s="sph", d="y", w=(3, 4, 5), angle="p[7]", v="ty0, ty1, ty2, tp0, tp1, tp2")
+
+
+def _fill(template: str, fields: dict, depth: int, **more) -> str:
+    """``template`` filled in from ``fields`` and ``more``, indented by ``depth`` levels."""
+    return textwrap.indent(template.format_map(dict(fields, **more)), "    " * depth)
+
+
+def _side_move(name: str, side: dict, block: str) -> str:
+    body = _fill(block + _DIRECTIONS + (_T_Y if side is _SIDE_B else ""), side, 1)
+    return _fill(_SIDE_MOVE, side, 1, name=name, body=body, bias_terms=_fill(_BIAS_TERMS, {}, 2))
+
+
+def _render(name: str, source: str):
+    """Compile ``source`` under a pseudo-filename that ``linecache`` serves; return its function ``name``."""
+    filename = f"<bellbound.optimize {name}>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    namespace = {"cos": math.cos, "sin": math.sin, "sqrt": math.sqrt}
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace[name]
+
+
+_OBJECTIVE_SOURCE = _FACTORY.format(
+    start_angles=_fill(_HALF_ANGLE, _SIDE_A, 1, angle="theta0") + _fill(_HALF_ANGLE, _SIDE_B, 1, angle="phi0"),
+    move_a=_side_move("a", _SIDE_A, _ROTATION),
+    move_theta=_side_move("theta", _SIDE_A, _HALF_ANGLE),
+    move_b=_side_move("b", _SIDE_B, _ROTATION),
+    move_phi=_side_move("phi", _SIDE_B, _HALF_ANGLE),
+    bias_terms=_fill(_BIAS_TERMS, {}, 2),
+    free_half_angles=_fill(_HALF_ANGLE, _SIDE_A, 3) + _fill(_HALF_ANGLE, _SIDE_B, 3),
+)
+_objective_factory = _render("_objective_factory", _OBJECTIVE_SOURCE)
+
+# The scenario's directions, from the same templates.
+_DIRECTIONS_SOURCE = (
+    "def _directions(p, theta, phi):\n"
+    + _fill(_HALF_ANGLE + _ROTATION + _DIRECTIONS, _SIDE_A, 1, angle="theta")
+    + _fill(_HALF_ANGLE + _ROTATION + _DIRECTIONS, _SIDE_B, 1, angle="phi")
+    + "    return (x0, x1, x2), (xp0, xp1, xp2), (y0, y1, y2), (yp0, yp1, yp2)\n"
+)
+_directions = _render("_directions", _DIRECTIONS_SOURCE)
 
 
 class _Problem:
@@ -145,7 +331,7 @@ class _Problem:
         self.spec = spec
         # Python floats throughout: arithmetic on numpy scalars (as the audit
         # samplers draw them) costs several times more in the hot loop.
-        self.sx, self.sxp, self.sy, self.syp = (float(v) for v in spec.strengths.as_tuple())
+        self.strengths = tuple(float(v) for v in spec.strengths.as_tuple())
         self.free_angles = spec.fixed_angles is None
         if spec.fixed_angles is not None:
             self.theta0, self.phi0 = float(spec.fixed_angles[0]), float(spec.fixed_angles[1])
@@ -163,7 +349,7 @@ class _Problem:
             lo += [0.0, 0.0]
             hi += [math.pi, math.pi]
         if self.free_bias:
-            for s in (self.sx, self.sxp, self.sy, self.syp):
+            for s in self.strengths:
                 room = max(0.0, 1.0 - s)
                 lo.append(-room)
                 hi.append(room)
@@ -181,284 +367,16 @@ class _Problem:
         intermediates, so a moved value equals a fresh ``value(p)`` bit for
         bit.
         """
-        # One closure per block (A's rotation, B's rotation, theta, phi, the
-        # biases) computes its block, its side's vectors and the final
-        # combination inline: one Python call per evaluation, millions of
-        # times per audit. The cached point lives in closure cells named per
-        # side: A's rotation columns ar*, (cos, sin) of theta/2, x, x' and
-        # a.x, a.x'; B's columns br*, (cos, sin) of phi/2, T y, T y' and b.y,
-        # b.y'; and g_dir, the direction part of the combination, which a
-        # bias move reuses. A closure holds the names it recomputes in
-        # locals, so every closure writes each expression alike, with the
-        # operation order of _rot_cols01 and chsh. A side's move leaves that
-        # side's new values in ``new`` for commit. Biases are read from p.
         state = self.spec.state
-        (t00, t01, t02), (t10, t11, t12), (t20, t21, t22) = np.asarray(state.t, dtype=float).tolist()
-        a0, a1, a2 = (float(c) for c in state.a)
-        b0, b1, b2 = (float(c) for c in state.b)
-        sx, sxp, sy, syp = self.sx, self.sxp, self.sy, self.syp
-        sx_sy, sx_syp, sxp_sy, sxp_syp = sx * sy, sx * syp, sxp * sy, sxp * syp
-        free_bias = self.free_bias
-        fixed_bias = self.fixed_bias
+        bloch = [float(c) for c in (*state.a, *state.b)]
         # Every Bloch-vector term carries a bias factor, so the local terms
         # matter only in biased problems.
-        biased = free_bias or any(b != 0.0 for b in fixed_bias)
-        local_terms = biased and any(c != 0.0 for c in (a0, a1, a2, b0, b1, b2))
-        free_angles = self.free_angles
-        nb = self.dim - 4
-        cos = math.cos
-        sin = math.sin
-        sqrt = math.sqrt
-        side_a, side_b = 1, 2
-
-        cth, sth = cos(0.5 * self.theta0), sin(0.5 * self.theta0)
-        cph, sph = cos(0.5 * self.phi0), sin(0.5 * self.phi0)
-        ar00 = ar10 = ar20 = ar01 = ar11 = ar21 = 0.0
-        br00 = br10 = br20 = br01 = br11 = br21 = 0.0
-        x0 = x1 = x2 = xp0 = xp1 = xp2 = a_x = a_xp = 0.0
-        ty0 = ty1 = ty2 = tp0 = tp1 = tp2 = b_y = b_yp = 0.0
-        g_dir = 0.0
-        new = ()
-        moved = 0
-
-        def move_a(p):
-            nonlocal new, moved
-            w0 = p[0]
-            w1 = p[1]
-            w2 = p[2]
-            ang = sqrt(w0 * w0 + w1 * w1 + w2 * w2)
-            if ang < 1e-300:
-                ar00, ar10, ar20, ar01, ar11, ar21 = 1.0, 0.0, 0.0, 0.0, 1.0, 0.0
-            else:
-                kx = w0 / ang
-                ky = w1 / ang
-                kz = w2 / ang
-                ca = cos(ang)
-                sa = sin(ang)
-                v = 1.0 - ca
-                vx = v * kx
-                vy = v * ky
-                vxy = vx * ky
-                sz = sa * kz
-                ar00 = ca + vx * kx
-                ar10 = vxy + sz
-                ar20 = vx * kz - sa * ky
-                ar01 = vxy - sz
-                ar11 = ca + vy * ky
-                ar21 = vy * kz + sa * kx
-            x0 = ar00 * cth + ar01 * sth
-            x1 = ar10 * cth + ar11 * sth
-            x2 = ar20 * cth + ar21 * sth
-            xp0 = ar00 * cth - ar01 * sth
-            xp1 = ar10 * cth - ar11 * sth
-            xp2 = ar20 * cth - ar21 * sth
-            g = (
-                sx_sy * (x0 * ty0 + x1 * ty1 + x2 * ty2)
-                + sx_syp * (x0 * tp0 + x1 * tp1 + x2 * tp2)
-                + sxp_sy * (xp0 * ty0 + xp1 * ty1 + xp2 * ty2)
-                - sxp_syp * (xp0 * tp0 + xp1 * tp1 + xp2 * tp2)
-            )
-            if local_terms:
-                a_x = a0 * x0 + a1 * x1 + a2 * x2
-                a_xp = a0 * xp0 + a1 * xp1 + a2 * xp2
-            else:
-                a_x = a_xp = 0.0
-            new = (ar00, ar10, ar20, ar01, ar11, ar21, cth, sth, x0, x1, x2, xp0, xp1, xp2, a_x, a_xp, g)
-            moved = side_a
-            if biased:
-                bx, bxp, by, byp = (p[nb], p[nb + 1], p[nb + 2], p[nb + 3]) if free_bias else fixed_bias
-                if bx != 0.0 or bxp != 0.0 or by != 0.0 or byp != 0.0:
-                    g += bx * by + bx * byp + bxp * by - bxp * byp
-                    if local_terms:
-                        g += b_y * sy * (bx + bxp)
-                        g += b_yp * syp * (bx - bxp)
-                        g += a_x * sx * (by + byp)
-                        g += a_xp * sxp * (by - byp)
-            return abs(g)
-
-        def move_theta(p):
-            nonlocal new, moved
-            cth = cos(0.5 * p[6])
-            sth = sin(0.5 * p[6])
-            x0 = ar00 * cth + ar01 * sth
-            x1 = ar10 * cth + ar11 * sth
-            x2 = ar20 * cth + ar21 * sth
-            xp0 = ar00 * cth - ar01 * sth
-            xp1 = ar10 * cth - ar11 * sth
-            xp2 = ar20 * cth - ar21 * sth
-            g = (
-                sx_sy * (x0 * ty0 + x1 * ty1 + x2 * ty2)
-                + sx_syp * (x0 * tp0 + x1 * tp1 + x2 * tp2)
-                + sxp_sy * (xp0 * ty0 + xp1 * ty1 + xp2 * ty2)
-                - sxp_syp * (xp0 * tp0 + xp1 * tp1 + xp2 * tp2)
-            )
-            if local_terms:
-                a_x = a0 * x0 + a1 * x1 + a2 * x2
-                a_xp = a0 * xp0 + a1 * xp1 + a2 * xp2
-            else:
-                a_x = a_xp = 0.0
-            new = (ar00, ar10, ar20, ar01, ar11, ar21, cth, sth, x0, x1, x2, xp0, xp1, xp2, a_x, a_xp, g)
-            moved = side_a
-            if biased:
-                bx, bxp, by, byp = (p[nb], p[nb + 1], p[nb + 2], p[nb + 3]) if free_bias else fixed_bias
-                if bx != 0.0 or bxp != 0.0 or by != 0.0 or byp != 0.0:
-                    g += bx * by + bx * byp + bxp * by - bxp * byp
-                    if local_terms:
-                        g += b_y * sy * (bx + bxp)
-                        g += b_yp * syp * (bx - bxp)
-                        g += a_x * sx * (by + byp)
-                        g += a_xp * sxp * (by - byp)
-            return abs(g)
-
-        def move_b(p):
-            nonlocal new, moved
-            w0 = p[3]
-            w1 = p[4]
-            w2 = p[5]
-            ang = sqrt(w0 * w0 + w1 * w1 + w2 * w2)
-            if ang < 1e-300:
-                br00, br10, br20, br01, br11, br21 = 1.0, 0.0, 0.0, 0.0, 1.0, 0.0
-            else:
-                kx = w0 / ang
-                ky = w1 / ang
-                kz = w2 / ang
-                ca = cos(ang)
-                sa = sin(ang)
-                v = 1.0 - ca
-                vx = v * kx
-                vy = v * ky
-                vxy = vx * ky
-                sz = sa * kz
-                br00 = ca + vx * kx
-                br10 = vxy + sz
-                br20 = vx * kz - sa * ky
-                br01 = vxy - sz
-                br11 = ca + vy * ky
-                br21 = vy * kz + sa * kx
-            y0 = br00 * cph + br01 * sph
-            y1 = br10 * cph + br11 * sph
-            y2 = br20 * cph + br21 * sph
-            yp0 = br00 * cph - br01 * sph
-            yp1 = br10 * cph - br11 * sph
-            yp2 = br20 * cph - br21 * sph
-            ty0 = t00 * y0 + t01 * y1 + t02 * y2
-            ty1 = t10 * y0 + t11 * y1 + t12 * y2
-            ty2 = t20 * y0 + t21 * y1 + t22 * y2
-            tp0 = t00 * yp0 + t01 * yp1 + t02 * yp2
-            tp1 = t10 * yp0 + t11 * yp1 + t12 * yp2
-            tp2 = t20 * yp0 + t21 * yp1 + t22 * yp2
-            g = (
-                sx_sy * (x0 * ty0 + x1 * ty1 + x2 * ty2)
-                + sx_syp * (x0 * tp0 + x1 * tp1 + x2 * tp2)
-                + sxp_sy * (xp0 * ty0 + xp1 * ty1 + xp2 * ty2)
-                - sxp_syp * (xp0 * tp0 + xp1 * tp1 + xp2 * tp2)
-            )
-            if local_terms:
-                b_y = b0 * y0 + b1 * y1 + b2 * y2
-                b_yp = b0 * yp0 + b1 * yp1 + b2 * yp2
-            else:
-                b_y = b_yp = 0.0
-            new = (br00, br10, br20, br01, br11, br21, cph, sph, ty0, ty1, ty2, tp0, tp1, tp2, b_y, b_yp, g)
-            moved = side_b
-            if biased:
-                bx, bxp, by, byp = (p[nb], p[nb + 1], p[nb + 2], p[nb + 3]) if free_bias else fixed_bias
-                if bx != 0.0 or bxp != 0.0 or by != 0.0 or byp != 0.0:
-                    g += bx * by + bx * byp + bxp * by - bxp * byp
-                    if local_terms:
-                        g += b_y * sy * (bx + bxp)
-                        g += b_yp * syp * (bx - bxp)
-                        g += a_x * sx * (by + byp)
-                        g += a_xp * sxp * (by - byp)
-            return abs(g)
-
-        def move_phi(p):
-            nonlocal new, moved
-            cph = cos(0.5 * p[7])
-            sph = sin(0.5 * p[7])
-            y0 = br00 * cph + br01 * sph
-            y1 = br10 * cph + br11 * sph
-            y2 = br20 * cph + br21 * sph
-            yp0 = br00 * cph - br01 * sph
-            yp1 = br10 * cph - br11 * sph
-            yp2 = br20 * cph - br21 * sph
-            ty0 = t00 * y0 + t01 * y1 + t02 * y2
-            ty1 = t10 * y0 + t11 * y1 + t12 * y2
-            ty2 = t20 * y0 + t21 * y1 + t22 * y2
-            tp0 = t00 * yp0 + t01 * yp1 + t02 * yp2
-            tp1 = t10 * yp0 + t11 * yp1 + t12 * yp2
-            tp2 = t20 * yp0 + t21 * yp1 + t22 * yp2
-            g = (
-                sx_sy * (x0 * ty0 + x1 * ty1 + x2 * ty2)
-                + sx_syp * (x0 * tp0 + x1 * tp1 + x2 * tp2)
-                + sxp_sy * (xp0 * ty0 + xp1 * ty1 + xp2 * ty2)
-                - sxp_syp * (xp0 * tp0 + xp1 * tp1 + xp2 * tp2)
-            )
-            if local_terms:
-                b_y = b0 * y0 + b1 * y1 + b2 * y2
-                b_yp = b0 * yp0 + b1 * yp1 + b2 * yp2
-            else:
-                b_y = b_yp = 0.0
-            new = (br00, br10, br20, br01, br11, br21, cph, sph, ty0, ty1, ty2, tp0, tp1, tp2, b_y, b_yp, g)
-            moved = side_b
-            if biased:
-                bx, bxp, by, byp = (p[nb], p[nb + 1], p[nb + 2], p[nb + 3]) if free_bias else fixed_bias
-                if bx != 0.0 or bxp != 0.0 or by != 0.0 or byp != 0.0:
-                    g += bx * by + bx * byp + bxp * by - bxp * byp
-                    if local_terms:
-                        g += b_y * sy * (bx + bxp)
-                        g += b_yp * syp * (bx - bxp)
-                        g += a_x * sx * (by + byp)
-                        g += a_xp * sxp * (by - byp)
-            return abs(g)
-
-        def move_bias(p):
-            # The bias terms (chsh.bias_combination and the local terms) are
-            # written out in every closure: a call would cost a sizeable
-            # share of a move.
-            nonlocal moved
-            moved = 0
-            g = g_dir
-            bx = p[nb]
-            bxp = p[nb + 1]
-            by = p[nb + 2]
-            byp = p[nb + 3]
-            if bx != 0.0 or bxp != 0.0 or by != 0.0 or byp != 0.0:
-                g += bx * by + bx * byp + bxp * by - bxp * byp
-                if local_terms:
-                    g += b_y * sy * (bx + bxp)
-                    g += b_yp * syp * (bx - bxp)
-                    g += a_x * sx * (by + byp)
-                    g += a_xp * sxp * (by - byp)
-            return abs(g)
-
-        def commit():
-            nonlocal ar00, ar10, ar20, ar01, ar11, ar21, cth, sth, x0, x1, x2, xp0, xp1, xp2, a_x, a_xp
-            nonlocal br00, br10, br20, br01, br11, br21, cph, sph, ty0, ty1, ty2, tp0, tp1, tp2, b_y, b_yp
-            nonlocal g_dir
-            if moved == side_a:
-                ar00, ar10, ar20, ar01, ar11, ar21, cth, sth, x0, x1, x2, xp0, xp1, xp2, a_x, a_xp, g_dir = new
-            elif moved == side_b:
-                br00, br10, br20, br01, br11, br21, cph, sph, ty0, ty1, ty2, tp0, tp1, tp2, b_y, b_yp, g_dir = new
-
-        def value(p):
-            nonlocal cth, sth, cph, sph
-            if free_angles:
-                cth = cos(0.5 * p[6])
-                sth = sin(0.5 * p[6])
-                cph = cos(0.5 * p[7])
-                sph = sin(0.5 * p[7])
-            move_b(p)
-            commit()
-            g = move_a(p)
-            commit()
-            return g
-
-        moves = [move_a] * 3 + [move_b] * 3
-        if free_angles:
-            moves += [move_theta, move_phi]
-        if free_bias:
-            moves += [move_bias] * 4
-        return value, tuple(moves), commit
+        biased = self.free_bias or any(v != 0.0 for v in self.fixed_bias)
+        local_terms = biased and any(c != 0.0 for c in bloch)
+        return _objective_factory(
+            np.asarray(state.t, dtype=float).tolist(), bloch, self.strengths, self.theta0, self.phi0, self.free_angles,
+            self.free_bias, self.fixed_bias, biased, local_terms, self.dim - 4,
+        )
 
     def scenario(self, p, biases=None) -> Scenario:
         if self.free_angles:
@@ -470,17 +388,7 @@ class _Problem:
                 biases = tuple(p[self.dim - 4 :])
             else:
                 biases = self.fixed_bias
-        cth = math.cos(0.5 * theta)
-        sth = math.sin(0.5 * theta)
-        cph = math.cos(0.5 * phi)
-        sph = math.sin(0.5 * phi)
-        r00, r10, r20, r01, r11, r21 = _rot_cols01(p[0], p[1], p[2])
-        x = np.array([r00 * cth + r01 * sth, r10 * cth + r11 * sth, r20 * cth + r21 * sth])
-        xp = np.array([r00 * cth - r01 * sth, r10 * cth - r11 * sth, r20 * cth - r21 * sth])
-        r00, r10, r20, r01, r11, r21 = _rot_cols01(p[3], p[4], p[5])
-        y = np.array([r00 * cph + r01 * sph, r10 * cph + r11 * sph, r20 * cph + r21 * sph])
-        yp = np.array([r00 * cph - r01 * sph, r10 * cph - r11 * sph, r20 * cph - r21 * sph])
-        return scenario_from_directions(self.spec.strengths, (x, xp, y, yp), biases)
+        return scenario_from_directions(self.spec.strengths, _directions(p, theta, phi), biases)
 
     def params_from_scenario(self, scenario: Scenario) -> list[float]:
         frame_a = frame_from_pair(scenario.x.direction, scenario.xp.direction)
@@ -502,7 +410,7 @@ class _Problem:
         if self.free_angles:
             p += rng.uniform(0.0, math.pi, size=2).tolist()
         if self.free_bias:
-            for s in (self.sx, self.sxp, self.sy, self.syp):
+            for s in self.strengths:
                 room = max(0.0, 1.0 - s)
                 p.append(float(rng.uniform(-room, room)) if room > 0.0 else 0.0)
         return p
@@ -966,8 +874,8 @@ def audit_bound(
 
     Per-trial seeds derive from (seed, trial index), so results do not
     depend on the execution order or the number of worker processes.
-    ``threads`` asks for worker processes; at most one per CPU the process
-    may run on and at most one per trial are started. ``tolerance``
+    ``threads`` (at least 1) asks for worker processes; at most one per CPU
+    the process may run on and at most one per trial are started. ``tolerance``
     overrides the undershoot tolerance for tightness-claimed criteria.
     """
     if criterion_id not in _AUDIT_REGISTRY:
@@ -980,6 +888,8 @@ def audit_bound(
         raise InvalidInputError(f"seed must be >= 0, got {seed}")
     if restarts is not None and restarts < 1:
         raise InvalidInputError("restarts must be >= 1")
+    if threads < 1:
+        raise InvalidInputError(f"threads must be >= 1, got {threads}")
     if tolerance is not None and not (math.isfinite(tolerance) and tolerance >= 0.0):
         raise InvalidInputError(f"tolerance must be finite and >= 0, got {tolerance}")
     cfg = _AUDIT_REGISTRY[criterion_id]

@@ -8,6 +8,7 @@ from bellbound import (
     DomainError,
     InternalConsistencyError,
     InvalidInputError,
+    OptimizeSpec,
     StrengthQuad,
     bell_diagonal,
     cor1_bound,
@@ -16,6 +17,7 @@ from bellbound import (
     correlation_singular_values,
     horodecki,
     j_max,
+    maximize_chsh,
     random_state,
     s0_bound,
     s0_tilde,
@@ -593,6 +595,24 @@ def test_thm4_branch_dominance():
         extremal = s1 * max(abs(v) for v in coefficients_abcd(q))
         assert interior >= extremal - 1e-12
         checked += 1
+
+
+def test_thm4_sound_in_the_branch_band():
+    # Strengths with 0.9 < |ab|/c^2 <= 1: the interior-angle branch applies,
+    # but the thm4 audit sampler keeps clear of the branch boundary and never
+    # draws them. A branch test at |ab| <= 0.9 c^2 lowers the bound here by
+    # 3.6e-6 to 2e-4, and the free-angle oracle then overshoots it.
+    rng = np.random.default_rng(2024)
+    state = werner(0.9)
+    quads = []
+    while len(quads) < 6:
+        q = StrengthQuad(*rng.uniform(0.3, 1.0, 4))
+        _, a, b, c = thm4_branch(q)
+        if 0.9 * c * c < abs(a * b) <= c * c:
+            quads.append(q)
+    for seed, q in enumerate(quads):
+        oracle = maximize_chsh(OptimizeSpec(state, q, None, "fixed-zero", restarts=8, seed=seed)).best_value
+        assert oracle <= thm4_bound(state, q).value + 1e-9
 
 
 def test_thm4_requires_equal_singular_values():

@@ -319,6 +319,15 @@ def test_verify_summary_names_worst_trials(capsys, criterion):
         assert "worst_undershoot_trial" not in summary
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_verify_rejects_threads_below_one(capsys, threads):
+    # Like --trials and --restarts below 1: exit 2 with an input error, not
+    # a silent run on one worker.
+    code, out, err = _run(capsys, ["verify", "--criterion", "jmax", "--trials", "2", "--threads", threads])
+    assert code == 2 and out == ""
+    assert err == f"error: threads must be >= 1, got {threads}\n"
+
+
 def test_verify_thm1_small(tmp_path, capsys):
     out_path = tmp_path / "gaps.csv"
     code, _, err = _run(

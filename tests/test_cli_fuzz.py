@@ -7,17 +7,23 @@ exit code: 0, 2 (input error), 3 (unphysical state) or 4 (construction
 failure); ``compat`` with 0 or 2. ``scan`` arguments are drawn around the
 range edges, as non-finite values and as text that is not a number, with
 or without an input document; ``scan`` ends with 0, 2 or 3, and a
-success writes one line per step after the header.
+success writes one line per step after the header. ``verify`` arguments
+are drawn around their limits (trials, seeds up to 1e30, tolerances that
+are not finite, negative or not numbers, restarts, threads below 1, an
+output path that cannot be written); ``verify`` ends with 0, 2 or 5 and
+starts no worker process.
 """
 
+import concurrent.futures
 import copy
 import json
 import math
 
-from hypothesis import HealthCheck, Phase, given, settings
+from hypothesis import HealthCheck, Phase, example, given, settings
 from hypothesis import strategies as st
 
 from bellbound.cli import main
+from bellbound.optimize import AUDIT_CRITERIA
 
 json_leaf = (
     st.none()
@@ -203,3 +209,48 @@ def test_scan_argument_exit_codes(tmp_path, capsys, family, span, steps, doc):
         assert out.count("\n") == steps + 1
     else:
         assert out == "" and err.startswith("error: ")
+
+
+# Each argument is drawn in its valid range half the time, so that some
+# draws run an audit and reach the output file.
+verify_seed = st.integers(0, 3) | st.integers(-(10**30), 10**30) | st.sampled_from([-1, 2**63, 10**30])
+verify_tolerance = st.none() | st.sampled_from(
+    ["nan", "inf", "-inf", "-1", "-0.5", "-1e-3", "-0.0", "0", "1e-3", "0.5", "1e308", "abc", "", "1e", "0x1p-3"]
+)
+
+
+@_fuzz_settings(100)
+@given(
+    criterion=st.sampled_from(sorted(AUDIT_CRITERIA) + ["thm9"]),
+    trials=st.integers(1, 3) | st.integers(-2, 3),
+    seed=verify_seed,
+    tolerance=verify_tolerance,
+    joined=st.booleans(),
+    restarts=st.integers(1, 2) | st.integers(-1, 2),
+    threads=st.just(1) | st.integers(-2, 1),
+    output=st.none() | st.sampled_from(["missing-directory", "directory"]),
+)
+@example(criterion="horodecki-upper", trials=2, seed=10**30, tolerance=None, joined=True, restarts=1, threads=1, output=None)
+@example(criterion="thm1", trials=3, seed=0, tolerance="0", joined=True, restarts=1, threads=1, output=None)
+def test_verify_argument_exit_codes(
+    tmp_path, capsys, monkeypatch, criterion, trials, seed, tolerance, joined, restarts, threads, output
+):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("verify started a process pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    cmd = ["verify", "--criterion", criterion, "--trials", str(trials), "--seed", str(seed)]
+    cmd += ["--restarts", str(restarts), "--threads", str(threads)]
+    if tolerance is not None:
+        # "--tolerance -inf" is an argparse error; "--tolerance=-inf" reaches the audit's check.
+        cmd += [f"--tolerance={tolerance}"] if joined else ["--tolerance", tolerance]
+    if output == "missing-directory":
+        cmd += ["--output", str(tmp_path / "missing" / "gaps.csv")]
+    elif output == "directory":
+        cmd += ["--output", str(tmp_path)]
+    code, out, err = _main(cmd, capsys)
+    assert code in (0, 2, 5)
+    if code == 2:
+        assert out == "" and err.startswith("error: ")
+    elif output is None:
+        assert out.count("\n") == trials + 1

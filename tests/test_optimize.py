@@ -267,6 +267,17 @@ def test_audit_rejects_restarts_below_one(criterion, restarts, monkeypatch):
         audit_bound(criterion, trials=2, restarts=restarts, threads=2)
 
 
+@pytest.mark.parametrize("threads", [0, -3])
+@pytest.mark.parametrize("criterion", ["jmax", "thm1"])
+def test_audit_rejects_threads_below_one(criterion, threads, monkeypatch):
+    # worker_count would run them on one worker; the audit refuses them
+    # instead, before any trial runs or any worker process starts.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)
+    monkeypatch.setattr(optimize, "_audit_one", None)
+    with pytest.raises(InvalidInputError, match=f"threads must be >= 1, got {threads}"):
+        audit_bound(criterion, trials=2, threads=threads)
+
+
 @pytest.mark.parametrize(
     "criterion", ["thm2", "thm3", "thm4", "cor1", "cor4", "horodecki-upper", "zero-strength"]
 )

@@ -7,10 +7,23 @@ every top-level definition (function, class or constant) that a reached
 definition names is reached in turn. A reached definition that loads a
 name ``optimize.py`` imports from ``.bounds`` or ``.construct``, or imports
 from them itself, fails the test.
+
+The objective's closures are not in ``optimize.py`` as code: they are
+rendered from text templates at import into ``optimize._OBJECTIVE_SOURCE``
+(and the scenario's directions into ``optimize._DIRECTIONS_SOURCE``). That
+text may load only the names it binds itself and ``cos``, ``sin``,
+``sqrt`` and ``abs``, and it runs in a namespace that holds nothing else,
+so it cannot reach the closed forms either.
 """
 
 import ast
+import inspect
+import traceback
 from pathlib import Path
+
+import pytest
+
+from bellbound import OptimizeSpec, StrengthQuad, optimize, singlet
 
 OPTIMIZE = Path(__file__).resolve().parent.parent / "src" / "bellbound" / "optimize.py"
 CLOSED_FORMS = ("bounds", "construct")
@@ -80,4 +93,61 @@ def test_scan_follows_definitions():
 def test_oracle_loads_no_closed_form():
     reached = closed_form_loads(OPTIMIZE.read_text(), "maximize_chsh")
     assert {"_Problem", "_run_starts", "_coordinate_refine", "_maximize_extremal", "_finalize"} <= reached.keys()
+    assert {"_objective_factory", "_OBJECTIVE_SOURCE", "_directions", "_DIRECTIONS_SOURCE"} <= reached.keys()
     assert {name: names for name, names in reached.items() if names} == {}
+
+
+RENDERED_GLOBALS = {"cos", "sin", "sqrt", "abs"}
+
+
+def unbound_loads(source: str) -> set[str]:
+    """Names that ``source`` loads without binding them, other than ``RENDERED_GLOBALS``.
+
+    An import binds nothing here: every name it imports is reported.
+    """
+    bound, loads = set(), set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            (loads if isinstance(node.ctx, ast.Load) else bound).add(node.id)
+        elif isinstance(node, ast.arg):
+            bound.add(node.arg)
+        elif isinstance(node, ast.FunctionDef):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            loads.update(alias.asname or alias.name for alias in node.names)
+    return loads - bound - RENDERED_GLOBALS
+
+
+def test_unbound_loads_flags_outside_names():
+    named = optimize._OBJECTIVE_SOURCE.replace("return abs(g)", "return s0_bound(g)", 1)
+    assert unbound_loads(named) == {"s0_bound"}
+    imported = "def f(p):\n    from .bounds import s0_bound\n    return s0_bound(p)\n"
+    assert unbound_loads(imported) == {"s0_bound"}
+    assert unbound_loads("def f(p):\n    return max(p)\n") == {"max"}
+
+
+@pytest.mark.parametrize("name", ["_OBJECTIVE_SOURCE", "_DIRECTIONS_SOURCE"])
+def test_rendered_text_loads_only_its_own_names(name):
+    assert unbound_loads(getattr(optimize, name)) == set()
+
+
+@pytest.mark.parametrize("function", ["_objective_factory", "_directions"])
+def test_rendered_functions_see_only_cos_sin_sqrt(function):
+    assert set(getattr(optimize, function).__globals__) == {"__builtins__", "cos", "sin", "sqrt", function}
+
+
+def _moves():
+    problem = optimize._Problem(OptimizeSpec(singlet(), StrengthQuad(0.9, 0.6, 0.8, 0.5)))
+    return problem.make_objective()[1]
+
+
+def test_rendered_closures_have_source():
+    assert inspect.getsource(_moves()[0]).lstrip().startswith("def move_a(p):")
+
+
+def test_traceback_shows_the_rendered_line():
+    with pytest.raises(IndexError) as info:
+        _moves()[0]([0.0])
+    text = "".join(traceback.format_exception(info.value))
+    assert 'File "<bellbound.optimize _objective_factory>", line ' in text
+    assert ", in move_a\n    w1 = p[1]\n" in text

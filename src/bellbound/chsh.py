@@ -42,28 +42,26 @@ def expectation(obs_a: Observable, obs_b: Observable, state: FanoState) -> float
     )
 
 
-def _combination(x, xp, y, yp, state: FanoState) -> float:
-    return (
-        expectation(x, y, state)
-        + expectation(x, yp, state)
-        + expectation(xp, y, state)
-        - expectation(xp, yp, state)
-    )
+def _correlations(scenario: Scenario, state: FanoState) -> tuple[float, float, float, float]:
+    """E(x, y), E(x, y'), E(x', y) and E(x', y'): every correlation a CHSH variant reads."""
+    x, xp, y, yp = scenario.observables()
+    return tuple(expectation(a, b, state) for a, b in ((x, y), (x, yp), (xp, y), (xp, yp)))
 
 
 def chsh_signed(scenario: Scenario, state: FanoState) -> float:
     """Canonical CHSH combination before taking the absolute value."""
-    return _combination(scenario.x, scenario.xp, scenario.y, scenario.yp, state)
+    xy, xyp, xpy, xpyp = _correlations(scenario, state)
+    return xy + xyp + xpy - xpyp
 
 
 def chsh(scenario: Scenario, state: FanoState) -> ChshVariants:
-    """All four CHSH parameter variants for the scenario on the state."""
-    x, xp, y, yp = scenario.observables()
+    """All four CHSH parameter variants, each summed in its relabeled canonical order."""
+    xy, xyp, xpy, xpyp = _correlations(scenario, state)
     return ChshVariants(
-        canonical=abs(_combination(x, xp, y, yp, state)),
-        swap_x=abs(_combination(xp, x, y, yp, state)),
-        swap_y=abs(_combination(x, xp, yp, y, state)),
-        swap_both=abs(_combination(xp, x, yp, y, state)),
+        canonical=abs(xy + xyp + xpy - xpyp),
+        swap_x=abs(xpy + xpyp + xy - xyp),
+        swap_y=abs(xyp + xy + xpyp - xpy),
+        swap_both=abs(xpyp + xpy + xyp - xy),
     )
 
 

@@ -57,6 +57,9 @@ EXIT_UNPHYSICAL = 3
 EXIT_CONSTRUCTION = 4
 EXIT_AUDIT = 5
 
+# Most rows a scan writes; its grid is built in memory at once.
+_MAX_STEPS = 10**6
+
 
 def _fmt12(value):
     """Round every float in a JSON-like structure to 12 significant digits."""
@@ -265,7 +268,9 @@ def _read_json(path: str):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError: malformed JSON, bytes that do not decode, integers past the digit limit;
+        # RecursionError: nesting deeper than the parser recurses.
         raise InvalidInputError(f"could not parse {path}: {exc}") from exc
     except OSError as exc:
         raise InvalidInputError(f"could not read {path}: {exc}") from exc
@@ -526,6 +531,8 @@ def angle_sweep(state: FanoState, q: StrengthQuad, start: float, stop: float, st
 def cmd_scan(args) -> int:
     if args.steps < 2:
         raise InvalidInputError("steps must be >= 2")
+    if args.steps > _MAX_STEPS:
+        raise InvalidInputError(f"steps must be <= {_MAX_STEPS}, got {args.steps}")
     if not (math.isfinite(args.start) and math.isfinite(args.stop) and args.start < args.stop):
         raise InvalidInputError("need start < stop")
     if not math.isfinite(args.stop - args.start):
@@ -651,17 +658,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _join_negative_numbers(argv: list[str]) -> list[str]:
-    """Attach a negative number to the ``--start``/``--stop`` before it.
+    """Attach a negative number to the long option before it.
 
     argparse takes a token such as ``-1e-05`` or ``-inf`` for an option
     flag, because its negative-number pattern knows no exponent or
-    infinity, so ``--start -1e-05`` fails with "expected one argument".
-    ``--start=-1e-05`` parses the same value, so such a pair is rewritten
+    infinity, so ``--tolerance -1e-05`` fails with "expected one argument".
+    ``--tolerance=-1e-05`` parses the same value, so a long option (every
+    one but ``--help`` takes a value) followed by such a token is rewritten
     to that form when ``float`` accepts the token.
     """
     out = []
     for token in argv:
-        if out and out[-1] in ("--start", "--stop") and token.startswith("-"):
+        prev = out[-1] if out else ""
+        if prev.startswith("--") and prev not in ("--", "--help") and "=" not in prev and token.startswith("-"):
             try:
                 float(token)
             except ValueError:

@@ -86,18 +86,7 @@ def _check_attainment(config: AchievingConfig, theta: float, phi: float) -> Achi
 
 def achieving_directions(state: FanoState, q: StrengthQuad, theta: float, phi: float) -> AchievingConfig:
     """Unbiased scenario attaining the fixed-strengths, fixed-angles bound."""
-    theta = float(theta)
-    phi = float(phi)
-    target = s0_bound(state, q, theta, phi).value
-    refs = reference_frames(theta, phi)
-    o1, o2 = optimal_transforms(state, q, theta, phi)
-    dirs = (o1 @ refs[0], o1 @ refs[1], o2 @ refs[2], o2 @ refs[3])
-    scenario = scenario_from_directions(q, dirs)
-    attained = abs(chsh_signed(scenario, state))
-    config = AchievingConfig(
-        scenario=scenario, target_bound=target, attained_chsh=attained, recipe_id="appendixA"
-    )
-    return _check_attainment(config, theta, phi)
+    return _appendix_a(state, q, theta, phi, biased=False)
 
 
 def _sign(value: float) -> float:
@@ -122,18 +111,26 @@ def achieving_biases(q: StrengthQuad) -> tuple[float, float, float, float]:
 
 def achieving_scenario_tstate(state: FanoState, q: StrengthQuad, theta: float, phi: float) -> AchievingConfig:
     """Biased scenario attaining the T-state bound (directions plus biases)."""
-    target = st_bound(state, q, theta, phi).value
-    base = achieving_directions(state, q, theta, phi)
-    dirs = [o.direction for o in base.scenario.observables()]
-    signed = chsh_signed(base.scenario, state)
-    if signed < 0.0:
+    return _appendix_a(state, q, theta, phi, biased=True)
+
+
+def _appendix_a(state: FanoState, q: StrengthQuad, theta, phi, biased: bool) -> AchievingConfig:
+    """The aligned unbiased scenario, with the bias recipe added if ``biased``."""
+    theta, phi = float(theta), float(phi)
+    target = (st_bound if biased else s0_bound)(state, q, theta, phi).value
+    refs = reference_frames(theta, phi)
+    o1, o2 = optimal_transforms(state, q, theta, phi)
+    scenario = scenario_from_directions(q, (o1 @ refs[0], o1 @ refs[1], o2 @ refs[2], o2 @ refs[3]))
+    if biased:
+        dirs = [o.direction for o in scenario.observables()]
         # Flip the B side so the direction term adds to the bias term.
-        dirs[2] = -dirs[2]
-        dirs[3] = -dirs[3]
-    biases = achieving_biases(q)
-    if bias_combination(*biases) < 0.0:
-        biases = tuple(-b for b in biases)
-    scenario = scenario_from_directions(q, tuple(dirs), biases)
+        if chsh_signed(scenario, state) < 0.0:
+            dirs[2] = -dirs[2]
+            dirs[3] = -dirs[3]
+        biases = achieving_biases(q)
+        if bias_combination(*biases) < 0.0:
+            biases = tuple(-b for b in biases)
+        scenario = scenario_from_directions(q, tuple(dirs), biases)
     attained = abs(chsh_signed(scenario, state))
     config = AchievingConfig(
         scenario=scenario, target_bound=target, attained_chsh=attained, recipe_id="appendixA"

@@ -825,6 +825,9 @@ _AUDIT_REGISTRY: dict[str, _AuditCriterion] = {
 
 AUDIT_CRITERIA = tuple(_AUDIT_REGISTRY)
 
+# Most trials one audit runs; its job list is built in memory at once.
+_MAX_TRIALS = 10**6
+
 
 def _audit_one(args) -> AuditRow:
     criterion_id, seed, trial, restarts = args
@@ -884,6 +887,8 @@ def audit_bound(
         )
     if trials < 1:
         raise InvalidInputError("trials must be >= 1")
+    if trials > _MAX_TRIALS:
+        raise InvalidInputError(f"trials must be <= {_MAX_TRIALS}, got {trials}")
     if seed < 0:
         raise InvalidInputError(f"seed must be >= 0, got {seed}")
     if restarts is not None and restarts < 1:

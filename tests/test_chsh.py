@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -20,6 +21,9 @@ from bellbound import (
     sgen_bound,
 )
 from bellbound.model import random_direction
+
+# The module; the package's name ``chsh`` is the function.
+chsh_module = importlib.import_module("bellbound.chsh")
 
 SQ2 = math.sqrt(2.0)
 
@@ -168,3 +172,41 @@ def test_zero_strength_arm_respects_local_bound():
         direction = random_direction(rng)
         scenario = Scenario(x, xp, y, make_observable(rng.uniform(-1.0, 1.0), 0.0, direction))
         assert chsh(scenario, state).canonical <= 2.0 + 1e-9
+
+
+def _sixteen_call_combination(x, xp, y, yp, state):
+    # The canonical combination as four fresh expectation calls, the form
+    # every variant was once evaluated in (sixteen calls per scenario).
+    return (
+        expectation(x, y, state)
+        + expectation(x, yp, state)
+        + expectation(xp, y, state)
+        - expectation(xp, yp, state)
+    )
+
+
+def test_variants_equal_the_relabeled_sixteen_call_form_bit_for_bit():
+    rng = np.random.default_rng(2301)
+    kinds = ("tstate", "general", "pure")
+    for trial in range(600):
+        state = random_state(rng, kinds[trial % 3])
+        scenario = Scenario(*(random_observable(rng) for _ in range(4)))
+        x, xp, y, yp = scenario.observables()
+        v = chsh(scenario, state)
+        got = (v.canonical, v.swap_x, v.swap_y, v.swap_both, chsh_signed(scenario, state))
+        want = (
+            abs(_sixteen_call_combination(x, xp, y, yp, state)),
+            abs(_sixteen_call_combination(xp, x, y, yp, state)),
+            abs(_sixteen_call_combination(x, xp, yp, y, state)),
+            abs(_sixteen_call_combination(xp, x, yp, y, state)),
+            _sixteen_call_combination(x, xp, y, yp, state),
+        )
+        assert [g.hex() for g in got] == [w.hex() for w in want]
+
+
+def test_chsh_evaluates_each_correlation_once(monkeypatch):
+    calls = []
+    original = chsh_module.expectation
+    monkeypatch.setattr(chsh_module, "expectation", lambda *args: calls.append(args) or original(*args))
+    chsh(_tsirelson_scenario(), singlet())
+    assert len(calls) == 4

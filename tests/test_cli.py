@@ -713,3 +713,66 @@ def test_parser_built_once_gives_fresh_parser_outputs(tmp_path, monkeypatch):
         for (argv, mode), want in zip(calls, fresh):
             assert run(argv, mode) == want, argv
     assert cli.build_parser.cache_info().misses == 1
+
+
+def _unreadable_inputs(tmp_path):
+    invalid_utf8 = tmp_path / "invalid_utf8.json"
+    invalid_utf8.write_bytes(b'{"state": "\xff\xfe"}')
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    return {"invalid_utf8": str(invalid_utf8), "deep": str(deep)}
+
+
+@pytest.mark.parametrize("command", ["bound", "compat"])
+@pytest.mark.parametrize("case, reason", [("invalid_utf8", "codec can't decode"), ("deep", "recursion")])
+def test_unreadable_input_exits_2(tmp_path, command, case, reason):
+    path = _unreadable_inputs(tmp_path)[case]
+    code, out, err, _ = _call_in_process([command, "--input", path])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: could not parse {path}: ") and reason in err
+
+
+def test_integer_past_the_conversion_limit_exits_2(tmp_path):
+    # json raises ValueError for integers of more than 4300 digits (Python's
+    # int conversion limit, where the interpreter has one).
+    path = tmp_path / "long.json"
+    path.write_text('{"state": {"kind": "werner", "w": ' + "1" * 5000 + '}, "strengths": [1, 1, 1, 1]}')
+    code, out, err, _ = _call_in_process(["bound", "--input", str(path)])
+    assert (code, out) == (2, "") and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("steps", [str(10**6 + 1), str(10**20)])
+def test_scan_steps_above_the_limit_exit_2(steps):
+    code, out, err, _ = _call_in_process(
+        ["scan", "--family", "werner-sweep", "--start", "0", "--stop", "1", "--steps", steps]
+    )
+    assert (code, out, err) == (2, "", f"error: steps must be <= 1000000, got {steps}\n")
+
+
+def test_verify_trials_above_the_limit_exit_2_before_any_trial(monkeypatch):
+    import concurrent.futures
+
+    from bellbound import optimize
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the audit started")
+
+    monkeypatch.setattr(optimize, "_audit_one", fail)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", fail)
+    code, out, err, _ = _call_in_process(["verify", "--criterion", "jmax", "--trials", str(10**6 + 1)])
+    assert (code, out, err) == (2, "", "error: trials must be <= 1000000, got 1000001\n")
+
+
+@pytest.mark.parametrize("value, shown", [("-1e-3", "-0.001"), ("-inf", "-inf")])
+def test_verify_negative_tolerance_parses_like_equals_form(value, shown):
+    head = ["verify", "--criterion", "jmax", "--trials", "2"]
+    spaced = _call_in_process(head + ["--tolerance", value])
+    assert spaced == _call_in_process(head + [f"--tolerance={value}"])
+    assert spaced[:3] == (2, "", f"error: tolerance must be finite and >= 0, got {shown}\n")
+
+
+def test_join_negative_numbers_leaves_help_and_non_numbers_alone():
+    join = cli._join_negative_numbers
+    assert join(["scan", "--start", "-1e-05", "--stop", "-inf"]) == ["scan", "--start=-1e-05", "--stop=-inf"]
+    assert join(["--help", "-1", "--", "-2", "--start=-1", "-3"]) == ["--help", "-1", "--", "-2", "--start=-1", "-3"]
+    assert join(["--start", "--stop", "1"]) == ["--start", "--stop", "1"]

@@ -242,7 +242,7 @@ def test_verify_argument_exit_codes(
     cmd = ["verify", "--criterion", criterion, "--trials", str(trials), "--seed", str(seed)]
     cmd += ["--restarts", str(restarts), "--threads", str(threads)]
     if tolerance is not None:
-        # "--tolerance -inf" is an argparse error; "--tolerance=-inf" reaches the audit's check.
+        # "--tolerance -inf" and "--tolerance=-inf" both reach the audit's check.
         cmd += [f"--tolerance={tolerance}"] if joined else ["--tolerance", tolerance]
     if output == "missing-directory":
         cmd += ["--output", str(tmp_path / "missing" / "gaps.csv")]

@@ -2,6 +2,7 @@ import itertools
 import math
 
 import numpy as np
+import pytest
 
 from bellbound import (
     StrengthQuad,
@@ -23,7 +24,8 @@ from bellbound import (
     thm3_bound,
     w_bundle,
 )
-from bellbound.construct import _ATTAIN_TOL
+from bellbound import construct
+from bellbound.construct import _ATTAIN_TOL, achieve
 
 PI2 = math.pi / 2
 SQ2 = math.sqrt(2.0)
@@ -200,3 +202,74 @@ def test_trace_pairing_bounded_by_singular_products():
         pairing = abs(np.sum(w_embedded * m))
         bound = s0_bound(state, q, theta, phi).value
         assert pairing <= bound + 1e-9
+
+
+def _pinned_case(seed):
+    rng = np.random.default_rng([2300, seed])
+    state = random_state(rng, "tstate")
+    sa, sb = rng.uniform(0.3, 1.0, 2)
+    q = StrengthQuad(*rng.uniform(0.3, 1.0, 4)) if seed % 2 else StrengthQuad(sa, sa, sb, sb)
+    return state, q, tuple(rng.uniform(0.2, math.pi - 0.2, 2))
+
+
+# float.hex of target and attained, then bias, strength and direction of x,
+# x', y and y'. The biased scenario takes the unbiased observables'
+# (normalised) directions; building it from the raw transformed reference
+# directions moves each of these cases by an ulp.
+_TSTATE_PINS = {
+    ("cor4", 0): (
+        "0x1.accaff64510a0p-2 0x1.accaff64510a1p-2",
+        "0x1.578d189bb3b68p-3 0x1.aa1cb9d913126p-1 -0x1.426b7c69d62b8p-2 0x1.9708cd91d69cep-1 0x1.097a4521c9b6cp-1",
+        "0x1.578d189bb3b68p-3 0x1.aa1cb9d913126p-1 -0x1.3220252631cfap-1 -0x1.1ef6f901fd018p-1 0x1.2565e24740d60p-1",
+        "0x1.1cc6939bb7e45p-1 0x1.c672d8c890376p-2 -0x1.0a937cb32f19bp-2 0x1.e564193921008p-1 0x1.76acf0b697fa8p-3",
+        "0x1.1cc6939bb7e45p-1 0x1.c672d8c890376p-2 0x1.1ec12fbbfec43p-1 0x1.5da4db48e1a34p-2 -0x1.827654826d7afp-1",
+    ),
+    ("cor4", 4): (
+        "0x1.865b698275993p+0 0x1.865b698275994p+0",
+        "0x1.f123cc723a560p-5 0x1.e0edc338dc5aap-1 0x1.e4b15f29127dbp-1 -0x1.15d481360ec46p-5 0x1.481e23a3ad03cp-2",
+        "0x1.f123cc723a560p-5 0x1.e0edc338dc5aap-1 0x1.699e41969d9c6p-4 -0x1.e88748d8bd794p-1 -0x1.24da5690e40e2p-2",
+        "0x1.6e202f93c6764p-2 0x1.48efe8361cc4ep-1 0x1.84e0505417161p-1 -0x1.19c000d1a6f9ep-1 -0x1.632b33acd9c32p-2",
+        "0x1.6e202f93c6764p-2 0x1.48efe8361cc4ep-1 0x1.8494bb2cddbb3p-2 0x1.92bdf892f344dp-1 -0x1.f2c64c98cd378p-2",
+    ),
+    ("thm2", 5): (
+        "0x1.b1114959af666p-1 0x1.b1114959af664p-1",
+        "-0x1.2840e183e5460p-4 0x1.daf7e3cf83574p-1 -0x1.3a5286bc2203ap-1 0x1.9198d3d57473ep-1 -0x1.6b90d02809dd4p-4",
+        "0x1.b3224dbcaa070p-4 0x1.c99bb6486abf2p-1 0x1.dd542068238d9p-3 -0x1.4759c0db5f2d6p-1 -0x1.7729186534badp-1",
+        "0x1.b3682de4b5860p-4 0x1.c992fa43694f4p-1 0x1.e2f1a00ffe0fdp-1 -0x1.f8c23c45da2a4p-3 0x1.c7d0658c4af27p-3",
+        "-0x1.224ba30d6fcd1p-1 0x1.bb68b9e52065ep-2 0x1.cd71ccc8a0481p-1 0x1.83b3184995196p-3 0x1.8f176d71d390dp-2",
+    ),
+    ("thm2", 7): (
+        "0x1.6c21631c5f342p+0 0x1.6c21631c5f343p+0",
+        "0x1.0fc7912ccebb8p-1 0x1.e070dda66288fp-2 -0x1.f5e07fd2c8317p-5 0x1.d768a7586857ap-2 0x1.c56f6c9cf7f62p-1",
+        "-0x1.09ee752e9ec20p-2 0x1.7b08c568b09f0p-1 -0x1.61f4626c37d55p-1 0x1.c8e8305311542p-2 0x1.22fac696b3440p-1",
+        "0x1.6be23a73a1cc0p-5 0x1.e941dc58c5e34p-1 0x1.eec96e61c1ceep-1 -0x1.c095c578e07ecp-3 -0x1.13c61652e6beep-3",
+        "0x1.59ad651e05deap-1 0x1.4ca535c3f442bp-2 -0x1.344435d7bfcfap-1 0x1.8e93b49440b08p-1 0x1.6b5dc87a1fbd5p-3",
+    ),
+}
+
+
+@pytest.mark.parametrize("criterion, seed", sorted(_TSTATE_PINS))
+def test_biased_constructions_are_pinned_bit_for_bit(criterion, seed):
+    config = achieve(criterion, *_pinned_case(seed))
+    values = [config.target_bound, config.attained_chsh]
+    for o in config.scenario.observables():
+        values += [o.bias, o.strength, *o.direction]
+    want = " ".join(_TSTATE_PINS[criterion, seed]).split()
+    assert [float(v).hex() for v in values] == want
+
+
+def test_tstate_construction_evaluates_one_bound_and_one_check(monkeypatch):
+    calls = []
+
+    def counted(name):
+        original = getattr(construct, name)
+        monkeypatch.setattr(construct, name, lambda *args: calls.append(name) or original(*args))
+
+    for name in ("st_bound", "s0_bound", "_check_attainment", "chsh_signed"):
+        counted(name)
+    state, q, angles = _pinned_case(5)
+    construct.achieving_scenario_tstate(state, q, *angles)
+    assert sorted(calls) == ["_check_attainment", "chsh_signed", "chsh_signed", "st_bound"]
+    calls.clear()
+    construct.achieving_directions(state, q, *angles)
+    assert sorted(calls) == ["_check_attainment", "chsh_signed", "s0_bound"]

@@ -73,16 +73,13 @@ from .construct import (
     reference_frames,
     thm3_achieving,
 )
-from .optimize import (
-    AUDIT_CRITERIA,
-    AuditReport,
-    AuditRow,
+from .oracle import (
     OptimizeResult,
     OptimizeSpec,
-    audit_bound,
     exhaustive_bias_max,
     extremal_bias_patterns,
     maximize_chsh,
 )
+from .optimize import AUDIT_CRITERIA, AuditReport, AuditRow, audit_bound
 
 __version__ = "0.1.0"

@@ -37,6 +37,7 @@ from .model import (
     StrengthQuad,
     bell_diagonal,
     check_angle,
+    check_bias,
     check_strength,
     check_werner_weight,
     number_from_json,
@@ -261,7 +262,8 @@ class ScenarioFile:
         if "angles" in data:
             self.angles = _parse_angles(data["angles"])
         if "biases" in data:
-            self.biases = tuple(numbers_from_json(data["biases"], "biases", 4))
+            biases = numbers_from_json(data["biases"], "biases", 4)
+            self.biases = tuple(check_bias(b, s) for b, s in zip(biases, self.strengths.as_tuple()))
 
 
 def _read_json(path: str):

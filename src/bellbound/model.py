@@ -82,6 +82,14 @@ def check_strength(strength, name: str):
     return _clamped(strength, name, 0.0, 1.0, "[0, 1]")
 
 
+def check_bias(bias, strength: float) -> float:
+    """The bias checked and clamped to [-1, 1] by the rule of ``check_angle``, with strength + |bias| <= 1."""
+    bias = _clamped(bias, "bias", -1.0, 1.0, "[-1, 1]")
+    if strength + abs(bias) > 1.0 + 1e-12:
+        raise ConstraintError(f"strength + |bias| = {strength + abs(bias):.6g} exceeds 1")
+    return bias
+
+
 def check_werner_weight(w, name: str):
     """The Werner weight checked and clamped to [-1/3, 1] by the rule of ``check_angle``."""
     return _clamped(w, name, -1.0 / 3.0, 1.0, "[-1/3, 1]")
@@ -117,11 +125,7 @@ class Observable:
 def make_observable(bias: float, strength: float, direction) -> Observable:
     """Validated observable; directions within 1e-6 of unit norm are renormalized."""
     strength = check_strength(strength, "strength")
-    bias = _clamped(bias, "bias", -1.0, 1.0, "[-1, 1]")
-    if strength + abs(bias) > 1.0 + 1e-12:
-        raise ConstraintError(
-            f"strength + |bias| = {strength + abs(bias):.6g} exceeds 1"
-        )
+    bias = check_bias(bias, strength)
     return Observable(
         bias=bias,
         strength=strength,

@@ -1,36 +1,19 @@
-"""Independent numerical maximization of the CHSH parameter.
+"""Seeded audits of the closed-form bounds against the numerical oracle.
 
-This is the ground-truth oracle used to certify every closed-form bound:
-a multistart coordinate descent with shrinking step over frame
-orientations (axis-angle per side), optionally the relative angles, and
-the biases. It shares no code path with the closed-form bounds; the only
-common dependency is the expectation formula itself.
-
-Relative angles are held exactly fixed during constrained runs by
-parameterizing each side as one rotation applied to reference directions
-with the requested opening angle, so constraint violations cannot leak
-into the search.
-
-The search moves one parameter at a time, so the objective is cached per
-parameter block (A's rotation, B's rotation, theta, phi, the biases), and
-each block has one flat closure: a move is one Python call that computes
-the block's rotation columns or half-angle, its side's vectors and the
-final CHSH combination inline, in the order of operations of a full
-evaluation, so both give the same value bit for bit. Unbiased problems
-skip the bias terms. No decomposition of T or other closed-form shortcut
-enters the objective. The closures are rendered at import from one
-template per expression into ``_OBJECTIVE_SOURCE``, which tracebacks and
-``inspect`` read as the file ``<bellbound.optimize _objective_factory>``.
+Each audit criterion samples trials in its bound's domain and compares
+the closed form with the oracle's value on the same case: the search of
+``oracle.maximize_chsh``, warm-started from the criterion's construction
+where it has one, or an exact value (sgen, jmax). An overshoot of the
+bound is a hard failure. This module joins the two sides: it imports
+``bounds`` and ``construct`` as well as ``oracle``, while ``oracle``
+imports neither.
 """
 
 from __future__ import annotations
 
-import itertools
-import linecache
 import math
 import os
-import textwrap
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -47,562 +30,27 @@ from .bounds import (
     thm4_branch,
     thm4_bound,
 )
-from .chsh import bias_combination, chsh_signed
+from .chsh import chsh_signed
 from .construct import ACHIEVABLE, achieve
 from .errors import InternalConsistencyError, InvalidInputError
-from .linalg import frame_from_pair, matrix_to_axis_angle
 from .model import (
-    FanoState,
     Scenario,
     StrengthQuad,
-    check_angle,
     correlation_singular_values,
-    make_observable,
     random_observable,
     random_rotation,
     random_state,
-    scenario_from_directions,
     state_from_fano,
 )
 
-_BIAS_MODES = ("fixed-zero", "fixed-values", "free-extremal", "free-continuous")
-_SIGN_PATTERNS = tuple(itertools.product((1.0, -1.0), repeat=4))
-_EVAL_BUDGET = 200_000
-_START_STEP = 0.8
+# The audits keep this module's name because ``bench/`` reaches them, and the
+# oracle names they call, as ``optimize.*``.
+from .oracle import OptimizeSpec, exhaustive_bias_max, maximize_chsh
+
 # Draw limits of the audit samplers that reject draws; running out is a
 # sampler bug, not a pass.
 _THM3_DRAWS = 500
 _THM4_DRAWS = 1000
-
-
-@dataclass(frozen=True)
-class OptimizeSpec:
-    """Constraint set and search controls for one maximization run."""
-
-    state: FanoState
-    strengths: StrengthQuad
-    fixed_angles: tuple[float, float] | None = None
-    biases: str = "fixed-zero"
-    bias_values: tuple[float, float, float, float] | None = None
-    restarts: int = 32
-    seed: int = 0
-    warm_starts: tuple[Scenario, ...] = ()
-
-    def __post_init__(self):
-        if self.biases not in _BIAS_MODES:
-            raise InvalidInputError(f"bias mode must be one of {_BIAS_MODES}")
-        if self.biases == "fixed-values":
-            if self.bias_values is None or len(self.bias_values) != 4:
-                raise InvalidInputError("fixed-values mode needs four bias values")
-            for b, s in zip(self.bias_values, self.strengths.as_tuple()):
-                if not math.isfinite(b):
-                    raise InvalidInputError(f"bias values must be finite, got {b}")
-                if abs(b) > 1.0 - s + 1e-12:
-                    raise InvalidInputError("bias values violate strength + |bias| <= 1")
-        if self.restarts < 1:
-            raise InvalidInputError("restarts must be >= 1")
-        if self.seed < 0:
-            raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
-        if self.fixed_angles is not None:
-            th, ph = self.fixed_angles
-            object.__setattr__(self, "fixed_angles", (check_angle(th, "fixed theta"), check_angle(ph, "fixed phi")))
-
-
-@dataclass(frozen=True)
-class OptimizeResult:
-    best_value: float
-    best_scenario: Scenario
-    evaluations: int
-    converged: bool
-
-
-# ---------------------------------------------------------------------------
-# The objective's expression templates, inlined into one flat closure per
-# block: a closure is called millions of times per audit. A side's fields:
-# l (a or b), rotation columns r*, the half-angle's cos and sin c and s,
-# the places in p of the rotation (w) and angle, directions d and dp, and
-# v, the vectors that enter the combination (x, x' on A; T y, T y' on B).
-
-# First two columns of the rotation for an axis-angle vector; the third
-# column never multiplies anything (reference dirs have z = 0).
-_ROTATION = """\
-w0 = p[{w[0]}]
-w1 = p[{w[1]}]
-w2 = p[{w[2]}]
-ang = sqrt(w0 * w0 + w1 * w1 + w2 * w2)
-if ang < 1e-300:
-    {r}00, {r}10, {r}20, {r}01, {r}11, {r}21 = 1.0, 0.0, 0.0, 0.0, 1.0, 0.0
-else:
-    kx = w0 / ang
-    ky = w1 / ang
-    kz = w2 / ang
-    ca = cos(ang)
-    sa = sin(ang)
-    v = 1.0 - ca
-    vx = v * kx
-    vy = v * ky
-    vxy = vx * ky
-    sz = sa * kz
-    {r}00 = ca + vx * kx
-    {r}10 = vxy + sz
-    {r}20 = vx * kz - sa * ky
-    {r}01 = vxy - sz
-    {r}11 = ca + vy * ky
-    {r}21 = vy * kz + sa * kx
-"""
-
-_HALF_ANGLE = """\
-{c} = cos(0.5 * {angle})
-{s} = sin(0.5 * {angle})
-"""
-
-_DIRECTIONS = """\
-{d}0 = {r}00 * {c} + {r}01 * {s}
-{d}1 = {r}10 * {c} + {r}11 * {s}
-{d}2 = {r}20 * {c} + {r}21 * {s}
-{d}p0 = {r}00 * {c} - {r}01 * {s}
-{d}p1 = {r}10 * {c} - {r}11 * {s}
-{d}p2 = {r}20 * {c} - {r}21 * {s}
-"""
-
-_T_Y = """\
-ty0 = t00 * y0 + t01 * y1 + t02 * y2
-ty1 = t10 * y0 + t11 * y1 + t12 * y2
-ty2 = t20 * y0 + t21 * y1 + t22 * y2
-tp0 = t00 * yp0 + t01 * yp1 + t02 * yp2
-tp1 = t10 * yp0 + t11 * yp1 + t12 * yp2
-tp2 = t20 * yp0 + t21 * yp1 + t22 * yp2
-"""
-
-# The bias terms (chsh.bias_combination and the local terms) are rendered
-# into every closure that needs them: a call would cost a sizeable share
-# of a move.
-_BIAS_TERMS = """\
-if bx != 0.0 or bxp != 0.0 or by != 0.0 or byp != 0.0:
-    g += bx * by + bx * byp + bxp * by - bxp * byp
-    if local_terms:
-        g += b_y * sy * (bx + bxp)
-        g += b_yp * syp * (bx - bxp)
-        g += a_x * sx * (by + byp)
-        g += a_xp * sxp * (by - byp)
-"""
-
-# A side's move recomputes its block (rotation or half-angle), its vectors,
-# the combination (in chsh's operation order) and its local terms a.x, a.x'
-# or b.y, b.y', and leaves the side's new values in ``new`` for commit.
-_SIDE_MOVE = """\
-def move_{name}(p):
-    nonlocal new, moved
-{body}\
-    g = (
-        sx_sy * (x0 * ty0 + x1 * ty1 + x2 * ty2)
-        + sx_syp * (x0 * tp0 + x1 * tp1 + x2 * tp2)
-        + sxp_sy * (xp0 * ty0 + xp1 * ty1 + xp2 * ty2)
-        - sxp_syp * (xp0 * tp0 + xp1 * tp1 + xp2 * tp2)
-    )
-    if local_terms:
-        {l}_{d} = {l}0 * {d}0 + {l}1 * {d}1 + {l}2 * {d}2
-        {l}_{d}p = {l}0 * {d}p0 + {l}1 * {d}p1 + {l}2 * {d}p2
-    else:
-        {l}_{d} = {l}_{d}p = 0.0
-    new = ({r}00, {r}10, {r}20, {r}01, {r}11, {r}21, {c}, {s}, {v}, {l}_{d}, {l}_{d}p, g)
-    moved = side_{l}
-    if biased:
-        bx, bxp, by, byp = (p[nb], p[nb + 1], p[nb + 2], p[nb + 3]) if free_bias else fixed_bias
-{bias_terms}\
-    return abs(g)
-"""
-
-# The cached point lives in the factory's cells, named per side, and in
-# g_dir, the direction part of the combination, which a bias move reuses.
-# A closure holds the names it recomputes in locals. Biases are read from p.
-_FACTORY = """\
-def _objective_factory(t, bloch, strengths, theta0, phi0, free_angles, free_bias, fixed_bias, biased, local_terms, nb):
-    (t00, t01, t02), (t10, t11, t12), (t20, t21, t22) = t
-    a0, a1, a2, b0, b1, b2 = bloch
-    sx, sxp, sy, syp = strengths
-    sx_sy, sx_syp, sxp_sy, sxp_syp = sx * sy, sx * syp, sxp * sy, sxp * syp
-    side_a, side_b = 1, 2
-{start_angles}\
-    ar00 = ar10 = ar20 = ar01 = ar11 = ar21 = 0.0
-    br00 = br10 = br20 = br01 = br11 = br21 = 0.0
-    x0 = x1 = x2 = xp0 = xp1 = xp2 = a_x = a_xp = 0.0
-    ty0 = ty1 = ty2 = tp0 = tp1 = tp2 = b_y = b_yp = 0.0
-    g_dir = 0.0
-    new = ()
-    moved = 0
-
-{move_a}
-{move_theta}
-{move_b}
-{move_phi}
-    def move_bias(p):
-        nonlocal moved
-        moved = 0
-        g = g_dir
-        bx = p[nb]
-        bxp = p[nb + 1]
-        by = p[nb + 2]
-        byp = p[nb + 3]
-{bias_terms}\
-        return abs(g)
-
-    def commit():
-        nonlocal ar00, ar10, ar20, ar01, ar11, ar21, cth, sth, x0, x1, x2, xp0, xp1, xp2, a_x, a_xp
-        nonlocal br00, br10, br20, br01, br11, br21, cph, sph, ty0, ty1, ty2, tp0, tp1, tp2, b_y, b_yp
-        nonlocal g_dir
-        if moved == side_a:
-            ar00, ar10, ar20, ar01, ar11, ar21, cth, sth, x0, x1, x2, xp0, xp1, xp2, a_x, a_xp, g_dir = new
-        elif moved == side_b:
-            br00, br10, br20, br01, br11, br21, cph, sph, ty0, ty1, ty2, tp0, tp1, tp2, b_y, b_yp, g_dir = new
-
-    def value(p):
-        nonlocal cth, sth, cph, sph
-        if free_angles:
-{free_half_angles}\
-        move_b(p)
-        commit()
-        g = move_a(p)
-        commit()
-        return g
-
-    moves = (move_a,) * 3 + (move_b,) * 3
-    if free_angles:
-        moves += (move_theta, move_phi)
-    if free_bias:
-        moves += (move_bias,) * 4
-    return value, moves, commit
-"""
-
-_SIDE_A = dict(l="a", r="ar", c="cth", s="sth", d="x", w=(0, 1, 2), angle="p[6]", v="x0, x1, x2, xp0, xp1, xp2")
-_SIDE_B = dict(l="b", r="br", c="cph", s="sph", d="y", w=(3, 4, 5), angle="p[7]", v="ty0, ty1, ty2, tp0, tp1, tp2")
-
-
-def _fill(template: str, fields: dict, depth: int, **more) -> str:
-    """``template`` filled in from ``fields`` and ``more``, indented by ``depth`` levels."""
-    return textwrap.indent(template.format_map(dict(fields, **more)), "    " * depth)
-
-
-def _side_move(name: str, side: dict, block: str) -> str:
-    body = _fill(block + _DIRECTIONS + (_T_Y if side is _SIDE_B else ""), side, 1)
-    return _fill(_SIDE_MOVE, side, 1, name=name, body=body, bias_terms=_fill(_BIAS_TERMS, {}, 2))
-
-
-def _render(name: str, source: str):
-    """Compile ``source`` under a pseudo-filename that ``linecache`` serves; return its function ``name``."""
-    filename = f"<bellbound.optimize {name}>"
-    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-    namespace = {"cos": math.cos, "sin": math.sin, "sqrt": math.sqrt}
-    exec(compile(source, filename, "exec"), namespace)
-    return namespace[name]
-
-
-_OBJECTIVE_SOURCE = _FACTORY.format(
-    start_angles=_fill(_HALF_ANGLE, _SIDE_A, 1, angle="theta0") + _fill(_HALF_ANGLE, _SIDE_B, 1, angle="phi0"),
-    move_a=_side_move("a", _SIDE_A, _ROTATION),
-    move_theta=_side_move("theta", _SIDE_A, _HALF_ANGLE),
-    move_b=_side_move("b", _SIDE_B, _ROTATION),
-    move_phi=_side_move("phi", _SIDE_B, _HALF_ANGLE),
-    bias_terms=_fill(_BIAS_TERMS, {}, 2),
-    free_half_angles=_fill(_HALF_ANGLE, _SIDE_A, 3) + _fill(_HALF_ANGLE, _SIDE_B, 3),
-)
-_objective_factory = _render("_objective_factory", _OBJECTIVE_SOURCE)
-
-# The scenario's directions, from the same templates.
-_DIRECTIONS_SOURCE = (
-    "def _directions(p, theta, phi):\n"
-    + _fill(_HALF_ANGLE + _ROTATION + _DIRECTIONS, _SIDE_A, 1, angle="theta")
-    + _fill(_HALF_ANGLE + _ROTATION + _DIRECTIONS, _SIDE_B, 1, angle="phi")
-    + "    return (x0, x1, x2), (xp0, xp1, xp2), (y0, y1, y2), (yp0, yp1, yp2)\n"
-)
-_directions = _render("_directions", _DIRECTIONS_SOURCE)
-
-
-class _Problem:
-    """Search parameters of one maximization and the CHSH objective over them.
-
-    ``p[0:3]`` and ``p[3:6]`` are the axis-angle vectors of A's and B's
-    frames, then theta and phi when the angles are free, then the four
-    biases in free-continuous mode. Each of these is one block of the
-    objective, and each bias is a block of its own.
-    """
-
-    def __init__(self, spec: OptimizeSpec):
-        self.spec = spec
-        # Python floats throughout: arithmetic on numpy scalars (as the audit
-        # samplers draw them) costs several times more in the hot loop.
-        self.strengths = tuple(float(v) for v in spec.strengths.as_tuple())
-        self.free_angles = spec.fixed_angles is None
-        if spec.fixed_angles is not None:
-            self.theta0, self.phi0 = float(spec.fixed_angles[0]), float(spec.fixed_angles[1])
-        else:
-            self.theta0 = self.phi0 = 0.5 * math.pi
-        self.free_bias = spec.biases == "free-continuous"
-        if spec.biases == "fixed-values":
-            self.fixed_bias = tuple(float(b) for b in spec.bias_values)
-        else:
-            self.fixed_bias = (0.0, 0.0, 0.0, 0.0)
-        self.dim = 6 + (2 if self.free_angles else 0) + (4 if self.free_bias else 0)
-        lo = [-math.inf] * 6
-        hi = [math.inf] * 6
-        if self.free_angles:
-            lo += [0.0, 0.0]
-            hi += [math.pi, math.pi]
-        if self.free_bias:
-            for s in self.strengths:
-                room = max(0.0, 1.0 - s)
-                lo.append(-room)
-                hi.append(room)
-        self.lo = lo
-        self.hi = hi
-
-    def make_objective(self):
-        """The objective |S(p)| as ``(value, moves, commit)``.
-
-        ``value(p)`` evaluates every block at ``p`` and caches the results.
-        ``moves[i](p)`` is the value when ``p`` differs from the cached point
-        in coordinate ``i`` only: it recomputes that coordinate's block and
-        what depends on it. ``commit()`` makes the last move's point the
-        cached one. Every route ends in the same expression on the same
-        intermediates, so a moved value equals a fresh ``value(p)`` bit for
-        bit.
-        """
-        state = self.spec.state
-        bloch = [float(c) for c in (*state.a, *state.b)]
-        # Every Bloch-vector term carries a bias factor, so the local terms
-        # matter only in biased problems.
-        biased = self.free_bias or any(v != 0.0 for v in self.fixed_bias)
-        local_terms = biased and any(c != 0.0 for c in bloch)
-        return _objective_factory(
-            np.asarray(state.t, dtype=float).tolist(), bloch, self.strengths, self.theta0, self.phi0, self.free_angles,
-            self.free_bias, self.fixed_bias, biased, local_terms, self.dim - 4,
-        )
-
-    def scenario(self, p, biases=None) -> Scenario:
-        if self.free_angles:
-            theta, phi = p[6], p[7]
-        else:
-            theta, phi = self.theta0, self.phi0
-        if biases is None:
-            if self.free_bias:
-                biases = tuple(p[self.dim - 4 :])
-            else:
-                biases = self.fixed_bias
-        return scenario_from_directions(self.spec.strengths, _directions(p, theta, phi), biases)
-
-    def params_from_scenario(self, scenario: Scenario) -> list[float]:
-        frame_a = frame_from_pair(scenario.x.direction, scenario.xp.direction)
-        frame_b = frame_from_pair(scenario.y.direction, scenario.yp.direction)
-        p = list(matrix_to_axis_angle(frame_a.as_matrix()))
-        p += list(matrix_to_axis_angle(frame_b.as_matrix()))
-        if self.free_angles:
-            p += [scenario.theta, scenario.phi]
-        if self.free_bias:
-            p += list(scenario.biases)
-        return [float(v) for v in p]
-
-    def random_params(self, rng: np.random.Generator) -> list[float]:
-        p = []
-        for _ in range(2):
-            axis = rng.standard_normal(3)
-            axis /= math.sqrt(float(axis @ axis)) or 1.0
-            p += (axis * rng.uniform(0.0, math.pi)).tolist()
-        if self.free_angles:
-            p += rng.uniform(0.0, math.pi, size=2).tolist()
-        if self.free_bias:
-            for s in self.strengths:
-                room = max(0.0, 1.0 - s)
-                p.append(float(rng.uniform(-room, room)) if room > 0.0 else 0.0)
-        return p
-
-
-def _coordinate_refine(objective, lo, hi, p: list[float], tol: float, step0: float = _START_STEP):
-    """Greedy per-coordinate ascent with step halving; deterministic.
-
-    Successful moves walk onward with doubling stride; the step is halved
-    once a sweep's total gain falls below the quadratic scale step^2 / 4,
-    which stops unproductive zigzagging along curved ridges. Each trial
-    moves one coordinate, so only that coordinate's block is recomputed;
-    an accepted move is committed to the objective's cache.
-    """
-    value, moves, commit = objective
-    budget = _EVAL_BUDGET
-    best = value(p)
-    evals = 1
-    step = step0
-    n = len(p)
-    sweeps_at_level = 0
-    while step > tol and evals < budget:
-        gain = 0.0
-        sweeps_at_level += 1
-        for i in range(n):
-            move = moves[i]
-            lo_i = lo[i]
-            hi_i = hi[i]
-            base = p[i]
-            for delta in (step, -step):
-                cand = base + delta
-                if cand > hi_i:
-                    cand = hi_i
-                elif cand < lo_i:
-                    cand = lo_i
-                if cand == base:
-                    continue
-                p[i] = cand
-                val = move(p)
-                evals += 1
-                if val > best:
-                    commit()
-                    gain += val - best
-                    best = val
-                    stride = delta
-                    while evals < budget:
-                        stride *= 2.0
-                        nxt = p[i] + stride
-                        if nxt > hi_i:
-                            nxt = hi_i
-                        elif nxt < lo_i:
-                            nxt = lo_i
-                        if nxt == p[i]:
-                            break
-                        prev = p[i]
-                        p[i] = nxt
-                        val = move(p)
-                        evals += 1
-                        if val > best:
-                            commit()
-                            gain += val - best
-                            best = val
-                        else:
-                            p[i] = prev
-                            break
-                    break
-                p[i] = base
-        if gain <= 0.25 * step * step or sweeps_at_level >= 12:
-            step *= 0.5
-            sweeps_at_level = 0
-    return best, p, evals, step <= tol
-
-
-# Random restarts refine at this coarse parameter tolerance and the winner
-# is polished at full precision only when it beats the incumbent (warm
-# starts always run at full precision). A non-winning coarse candidate can
-# trail its own local optimum by at most O(coarse^2) in value, so nothing
-# meaningful is lost by not polishing it.
-_COARSE_TOL = 1e-4
-_REFINE_TOL = 1e-8
-
-
-def _run_starts(problem: _Problem, spec: OptimizeSpec):
-    rng = np.random.default_rng(spec.seed)
-    objective = problem.make_objective()
-    lo = problem.lo
-    hi = problem.hi
-    best_val = -math.inf
-    best_p = None
-    total_evals = 0
-    converged = True
-    for scenario in spec.warm_starts:
-        start = problem.params_from_scenario(scenario)
-        val, p, evals, conv = _coordinate_refine(objective, lo, hi, start, _REFINE_TOL)
-        total_evals += evals
-        converged = converged and conv
-        if val > best_val:
-            best_val = val
-            best_p = list(p)
-    for _ in range(spec.restarts):
-        start = problem.random_params(rng)
-        val, p, evals, conv = _coordinate_refine(objective, lo, hi, start, _COARSE_TOL)
-        total_evals += evals
-        if val > best_val:
-            step0 = 4.0 * _COARSE_TOL
-            val, p, evals, conv = _coordinate_refine(objective, lo, hi, p, _REFINE_TOL, step0=step0)
-            total_evals += evals
-        converged = converged and conv
-        if val > best_val:
-            best_val = val
-            best_p = list(p)
-    return best_val, best_p, total_evals, converged
-
-
-def maximize_chsh(spec: OptimizeSpec) -> OptimizeResult:
-    """Maximize the canonical CHSH parameter under the spec's constraints.
-
-    Deterministic for identical specs; nondecreasing in ``restarts`` for a
-    fixed seed. The returned value is re-evaluated through the exact
-    engine on the returned scenario.
-    """
-    if spec.biases == "free-extremal":
-        return _maximize_extremal(spec)
-    problem = _Problem(spec)
-    best_val, best_p, evals, converged = _run_starts(problem, spec)
-    scenario = problem.scenario(best_p)
-    return _finalize(spec, scenario, evals, converged)
-
-
-def _finalize(spec: OptimizeSpec, scenario: Scenario, evals: int, converged: bool) -> OptimizeResult:
-    value = abs(chsh_signed(scenario, spec.state))
-    return OptimizeResult(
-        best_value=value, best_scenario=scenario, evaluations=evals, converged=converged
-    )
-
-
-def extremal_bias_patterns(q: StrengthQuad):
-    """The sixteen sign patterns at |bias| = 1 - strength."""
-    rooms = tuple(1.0 - s for s in q.as_tuple())
-    return tuple(
-        tuple(sign * room for sign, room in zip(pattern, rooms)) for pattern in _SIGN_PATTERNS
-    )
-
-
-def exhaustive_bias_max(q: StrengthQuad) -> float:
-    """Max |bias-only CHSH term| over the sixteen extremal sign patterns."""
-    return max(abs(bias_combination(*biases)) for biases in extremal_bias_patterns(q))
-
-
-def _maximize_extremal(spec: OptimizeSpec) -> OptimizeResult:
-    # Biases appear linearly, so extremal patterns suffice. On T-states the
-    # bias term decouples from the direction term entirely: optimize
-    # directions once, add the best pattern, and align signs by flipping
-    # the B side if needed.
-    if spec.state.is_tstate():
-        unbiased = replace(spec, biases="fixed-zero", bias_values=None)
-        problem = _Problem(unbiased)
-        best_val, best_p, evals, converged = _run_starts(problem, unbiased)
-        best_biases = (0.0, 0.0, 0.0, 0.0)
-        best_j = 0.0
-        for biases in extremal_bias_patterns(spec.strengths):
-            j = bias_combination(*biases)
-            if j > best_j:
-                best_j = j
-                best_biases = biases
-        evals += 16
-        scenario = problem.scenario(best_p, biases=best_biases)
-        if chsh_signed(problem.scenario(best_p), spec.state) < 0.0:
-            scenario = Scenario(
-                x=scenario.x,
-                xp=scenario.xp,
-                y=make_observable(scenario.y.bias, scenario.y.strength, -scenario.y.direction),
-                yp=make_observable(scenario.yp.bias, scenario.yp.strength, -scenario.yp.direction),
-            )
-        return _finalize(spec, scenario, evals, converged)
-    best_result = None
-    total_evals = 0
-    converged = True
-    for biases in extremal_bias_patterns(spec.strengths):
-        fixed = replace(spec, biases="fixed-values", bias_values=biases)
-        problem = _Problem(fixed)
-        val, p, evals, conv = _run_starts(problem, fixed)
-        total_evals += evals
-        converged = converged and conv
-        if best_result is None or val > best_result[0]:
-            best_result = (val, problem.scenario(p))
-    return _finalize(spec, best_result[1], total_evals, converged)
-
-
-# ---------------------------------------------------------------------------
-# Bound audits: per-trial sampling in each criterion's domain, closed-form
-# bound vs oracle, with overshoots treated as hard failures.
 
 
 @dataclass(frozen=True)

@@ -615,6 +615,34 @@ def test_thm4_sound_in_the_branch_band():
         assert oracle <= thm4_bound(state, q).value + 1e-9
 
 
+@pytest.mark.parametrize("stream, kind", enumerate(["tstate", "general", "pure"]))
+def test_thm1_sound_at_strengths_0_1_and_angles_0_pi(stream, kind):
+    # The thm1 audit draws strengths and angles uniformly, so it never lands
+    # on their ends: here every strength is 0 or 1 and every angle 0 or pi
+    # (x parallel or antiparallel to x').
+    rng = np.random.default_rng((stream, 31))
+    for seed in range(25):
+        state = random_state(rng, kind)
+        q = StrengthQuad(*(float(v) for v in rng.choice([0.0, 1.0], 4)))
+        theta, phi = (float(v) for v in rng.choice([0.0, math.pi], 2))
+        oracle = maximize_chsh(OptimizeSpec(state, q, (theta, phi), "fixed-zero", restarts=3, seed=seed)).best_value
+        assert oracle <= s0_bound(state, q, theta, phi).value + 1e-9
+
+
+@pytest.mark.parametrize("stream, kind", enumerate(["tstate", "general", "pure"]))
+def test_thm3_sound_with_b_strengths_nearly_equal(stream, kind):
+    # The thm3 audit keeps sy - syp >= 0.25. Here sy and syp are 1e-9 apart,
+    # or 1e-13, within EQUAL_STRENGTH_TOL, so that both sides count as equal.
+    rng = np.random.default_rng((stream, 37))
+    for seed in range(3):
+        state = random_state(rng, kind)
+        s_a, sy = (float(v) for v in rng.uniform(0.2, 1.0, 2))
+        for gap in (1e-9, 1e-13):
+            q = StrengthQuad(s_a, s_a, sy, sy - gap if seed % 2 == 0 else sy + gap)
+            oracle = maximize_chsh(OptimizeSpec(state, q, None, "fixed-zero", restarts=3, seed=seed)).best_value
+            assert oracle <= thm3_bound(state, q).value + 1e-9
+
+
 def test_thm4_requires_equal_singular_values():
     with pytest.raises(DomainError):
         thm4_bound(bell_diagonal(0.9, -0.3, 0.3), StrengthQuad(1, 1, 1, 1))

@@ -168,6 +168,29 @@ def test_achieve_precondition_exits_2(tmp_path, capsys, criterion, doc, message)
     assert out == ""
 
 
+_T_DOC = {"state": {"kind": "bell_diagonal", "t": [0.6, -0.4, 0.2]}, "strengths": [0.9, 0.8, 0.7, 0.6]}
+
+
+@pytest.mark.parametrize("command", [["bound"], ["achieve", "--criterion", "thm1"]], ids=["bound", "achieve"])
+@pytest.mark.parametrize("angles", [None, {"theta": 1.0, "phi": 2.0}], ids=["no-angles", "angles"])
+@pytest.mark.parametrize(
+    "biases, message",
+    [([5, 0, 0, 0], "bias must lie in [-1, 1], got 5.0"), ([0, 0, 0, -0.5], "strength + |bias| = 1.1 exceeds 1")],
+    ids=["out-of-range", "over-strength"],
+)
+def test_biases_are_checked_with_or_without_angles(tmp_path, capsys, command, angles, biases, message):
+    doc = dict(_T_DOC, biases=biases, **({} if angles is None else {"angles": angles}))
+    code, out, err = _run(capsys, [*command, "--input", _write(tmp_path, "in.json", doc)])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_biases_at_their_limit_are_accepted(tmp_path, capsys):
+    doc = dict(_T_DOC, biases=[0.1, -0.2, 0.3, -0.4], angles={"theta": 1.0, "phi": 2.0})
+    path = _write(tmp_path, "in.json", doc)
+    assert _run(capsys, ["bound", "--input", path])[0] == 0
+    assert _run(capsys, ["achieve", "--criterion", "thm1", "--input", path])[0] == 0
+
+
 def test_achieve_thm3(tmp_path, capsys):
     path = _write(tmp_path, "in.json", _singlet_doc(strengths=[1, 1, 1, 0.5], angles=None))
     code, out, _ = _run(capsys, ["achieve", "--input", path, "--criterion", "thm3"])

@@ -26,7 +26,7 @@ from bellbound import (
     singlet,
     st_bound,
 )
-from bellbound import optimize
+from bellbound import optimize, oracle
 from bellbound.optimize import sample_thm3_trial, worker_count
 
 SQ2 = math.sqrt(2.0)
@@ -365,7 +365,7 @@ def test_objective_moves_match_full_evaluation(kind, angles, biases):
     if biases == "free-extremal":
         # The free-extremal search runs one fixed-values problem per sign pattern.
         spec = replace(spec, biases="fixed-values", bias_values=extremal_bias_patterns(q)[5])
-    problem = optimize._Problem(spec)
+    problem = oracle._Problem(spec)
     assert problem.dim == 6 + (2 if angles is None else 0) + (4 if biases == "free-continuous" else 0)
     value, moves, commit = problem.make_objective()
     p = problem.random_params(rng)

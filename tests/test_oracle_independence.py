@@ -1,16 +1,19 @@
-"""The oracle loads nothing from the closed forms that it certifies.
+"""The oracle imports nothing from the closed forms that it certifies.
 
-``optimize.py`` imports the bounds and constructions for its audits, but
-the search must not use them: it shares only the expectation formula with
-them. ``optimize.py`` is parsed with ``ast``; starting at ``maximize_chsh``,
-every top-level definition (function, class or constant) that a reached
-definition names is reached in turn. A reached definition that loads a
-name ``optimize.py`` imports from ``.bounds`` or ``.construct``, or imports
-from them itself, fails the test.
+``oracle.py`` holds the search, and it must share only the expectation
+formula with the bounds: no SVD or Procrustes shortcut, no closed form.
+The audits that compare the two live in ``optimize.py``, which imports
+both sides. So the boundary is the oracle's import list: every ``import``
+and ``from ... import`` statement in ``oracle.py``, at any nesting depth,
+is read with ``ast`` and followed through the bellbound modules it names.
+The chain must reach only ``model``, ``chsh``, ``linalg`` and ``errors``,
+and so never ``bounds``, ``construct``, ``optimize`` or ``cli``. A name
+imported from the package itself (``from bellbound import s0_bound``)
+counts as an import of ``__init__``, which imports all but ``cli``.
 
-The objective's closures are not in ``optimize.py`` as code: they are
-rendered from text templates at import into ``optimize._OBJECTIVE_SOURCE``
-(and the scenario's directions into ``optimize._DIRECTIONS_SOURCE``). That
+The objective's closures are not in ``oracle.py`` as code: they are
+rendered from text templates at import into ``oracle._OBJECTIVE_SOURCE``
+(and the scenario's directions into ``oracle._DIRECTIONS_SOURCE``). That
 text may load only the names it binds itself and ``cos``, ``sin``,
 ``sqrt`` and ``abs``, and it runs in a namespace that holds nothing else,
 so it cannot reach the closed forms either.
@@ -23,78 +26,75 @@ from pathlib import Path
 
 import pytest
 
-from bellbound import OptimizeSpec, StrengthQuad, optimize, singlet
+from bellbound import OptimizeSpec, StrengthQuad, oracle, singlet
 
-OPTIMIZE = Path(__file__).resolve().parent.parent / "src" / "bellbound" / "optimize.py"
-CLOSED_FORMS = ("bounds", "construct")
-
-
-def _closed_form_names(node) -> set[str]:
-    """Names that an import node binds from the closed-form modules."""
-    if not isinstance(node, ast.ImportFrom):
-        return set()
-    if node.module is None:  # from . import bounds
-        return {a.asname or a.name for a in node.names if a.name in CLOSED_FORMS}
-    if node.module.split(".")[-1] in CLOSED_FORMS:
-        return {a.asname or a.name for a in node.names}
-    return set()
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "bellbound"
+CLOSED_FORM_SIDE = {"bounds", "construct", "optimize", "cli"}
 
 
-def closed_form_loads(source: str, root: str) -> dict[str, list[str]]:
-    """Each top-level definition reachable from ``root``, with the closed-form names it uses."""
-    tree = ast.parse(source)
-    forbidden = set().union(*(_closed_form_names(node) for node in tree.body))
-    definitions = {}
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            definitions[node.name] = node
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
-                for name in ast.walk(target):
-                    if isinstance(name, ast.Name):
-                        definitions[name.id] = node
-    found = {}
-    todo = [root]
-    while todo:
-        name = todo.pop()
-        inner = list(ast.walk(definitions[name]))
-        loads = {n.id for n in inner if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
-        local_imports = set().union(*(_closed_form_names(n) for n in inner))
-        found[name] = sorted(loads & forbidden | local_imports)
-        todo += sorted((loads & definitions.keys()) - found.keys() - set(todo))
+def imported_modules(source: str) -> set[str]:
+    """The bellbound modules that ``source``, a module of the package, imports anywhere in its body."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ("bellbound" if node.level else "", node.module)))
+            names = [f"{module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        for name in names:
+            parts = name.split(".") + ["__init__"]
+            if parts[0] == "bellbound":
+                # bellbound.<module>, or a name that __init__ re-exports.
+                found.add(parts[1] if (PACKAGE / f"{parts[1]}.py").exists() else "__init__")
     return found
 
 
-def test_scan_follows_definitions():
+def reached(sources: dict[str, str], root: str = "oracle") -> set[str]:
+    """The modules that ``root`` reaches through imports, ``root`` included."""
+    seen, todo = set(), [root]
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            todo += imported_modules(sources[name])
+    return seen
+
+
+def package_sources() -> dict[str, str]:
+    return {path.stem: path.read_text() for path in PACKAGE.glob("*.py")}
+
+
+def test_imported_modules_reads_every_import_form():
     source = (
-        "from .bounds import s0_bound, j_max\n"
-        "from . import construct as C\n"
-        "from .chsh import chsh\n"
-        "LIMIT = j_max\n"
-        "def unreached():\n"
-        "    return s0_bound\n"
-        "def helper(x):\n"
-        "    from .bounds import horodecki\n"
-        "    return chsh(LIMIT)\n"
-        "class Search:\n"
-        "    def run(self):\n"
-        "        return C.achieve\n"
-        "def entry():\n"
-        "    return helper(1), Search()\n"
+        "import numpy, bellbound.linalg\n"
+        "from bellbound.chsh import chsh\n"
+        "from . import model as M\n"
+        "def f():\n"
+        "    if M:\n"
+        "        from bellbound import s0_bound\n"
     )
-    assert closed_form_loads(source, "entry") == {
-        "entry": [],
-        "helper": ["horodecki"],
-        "LIMIT": ["j_max"],
-        "Search": ["C"],
-    }
+    assert imported_modules(source) == {"linalg", "chsh", "model", "__init__"}
 
 
-def test_oracle_loads_no_closed_form():
-    reached = closed_form_loads(OPTIMIZE.read_text(), "maximize_chsh")
-    assert {"_Problem", "_run_starts", "_coordinate_refine", "_maximize_extremal", "_finalize"} <= reached.keys()
-    assert {"_objective_factory", "_OBJECTIVE_SOURCE", "_directions", "_DIRECTIONS_SOURCE"} <= reached.keys()
-    assert {name: names for name, names in reached.items() if names} == {}
+def test_guard_flags_planted_imports():
+    sources = package_sources()
+    oracle_source = sources["oracle"]
+    nested = "\n\ndef _planted(p):\n    if p:\n        from .bounds import s0_bound\n\n        return s0_bound\n"
+    assert CLOSED_FORM_SIDE & reached({**sources, "oracle": oracle_source + nested}) == {"bounds"}
+    planted = oracle_source + "\nfrom . import construct\n"
+    assert CLOSED_FORM_SIDE & reached({**sources, "oracle": planted}) == {"construct", "bounds"}
+    # A module the oracle imports that imports a closed form is flagged too,
+    # and so is the package itself, which imports every module but cli.
+    through = sources["model"] + "\nfrom .bounds import j_max\n"
+    assert CLOSED_FORM_SIDE & reached({**sources, "model": through}) == {"bounds"}
+    package = oracle_source + "\nimport bellbound\n"
+    assert CLOSED_FORM_SIDE & reached({**sources, "oracle": package}) == {"bounds", "construct", "optimize"}
+
+
+def test_oracle_imports_no_closed_form():
+    assert reached(package_sources()) == {"oracle", "model", "chsh", "linalg", "errors"}
 
 
 RENDERED_GLOBALS = {"cos", "sin", "sqrt", "abs"}
@@ -119,7 +119,7 @@ def unbound_loads(source: str) -> set[str]:
 
 
 def test_unbound_loads_flags_outside_names():
-    named = optimize._OBJECTIVE_SOURCE.replace("return abs(g)", "return s0_bound(g)", 1)
+    named = oracle._OBJECTIVE_SOURCE.replace("return abs(g)", "return s0_bound(g)", 1)
     assert unbound_loads(named) == {"s0_bound"}
     imported = "def f(p):\n    from .bounds import s0_bound\n    return s0_bound(p)\n"
     assert unbound_loads(imported) == {"s0_bound"}
@@ -128,16 +128,16 @@ def test_unbound_loads_flags_outside_names():
 
 @pytest.mark.parametrize("name", ["_OBJECTIVE_SOURCE", "_DIRECTIONS_SOURCE"])
 def test_rendered_text_loads_only_its_own_names(name):
-    assert unbound_loads(getattr(optimize, name)) == set()
+    assert unbound_loads(getattr(oracle, name)) == set()
 
 
 @pytest.mark.parametrize("function", ["_objective_factory", "_directions"])
 def test_rendered_functions_see_only_cos_sin_sqrt(function):
-    assert set(getattr(optimize, function).__globals__) == {"__builtins__", "cos", "sin", "sqrt", function}
+    assert set(getattr(oracle, function).__globals__) == {"__builtins__", "cos", "sin", "sqrt", function}
 
 
 def _moves():
-    problem = optimize._Problem(OptimizeSpec(singlet(), StrengthQuad(0.9, 0.6, 0.8, 0.5)))
+    problem = oracle._Problem(OptimizeSpec(singlet(), StrengthQuad(0.9, 0.6, 0.8, 0.5)))
     return problem.make_objective()[1]
 
 
@@ -149,5 +149,5 @@ def test_traceback_shows_the_rendered_line():
     with pytest.raises(IndexError) as info:
         _moves()[0]([0.0])
     text = "".join(traceback.format_exception(info.value))
-    assert 'File "<bellbound.optimize _objective_factory>", line ' in text
+    assert 'File "<bellbound.oracle _objective_factory>", line ' in text
     assert ", in move_a\n    w1 = p[1]\n" in text

@@ -46,8 +46,11 @@ _UNIT_TOL = 1e-6
 
 def _unit3(v, name: str) -> np.ndarray:
     arr = np.asarray(v, dtype=float)
-    if arr.shape != (3,) or not np.all(np.isfinite(arr)):
-        raise InvalidInputError(f"{name} must be a finite 3-vector")
+    # nan, inf and components above 1e150 (|v|^2 overflows, and numpy warns, near 1e154) fail here.
+    if arr.shape != (3,) or not all(abs(c) <= 1e150 for c in arr.tolist()):
+        if arr.shape != (3,) or not np.all(np.isfinite(arr)):
+            raise InvalidInputError(f"{name} must be a finite 3-vector")
+        raise InvalidInputError(f"{name} must be a unit vector (|{name}| > 1e+150)")
     norm = float(np.sqrt(arr @ arr))
     if abs(norm - 1.0) > _UNIT_TOL:
         raise InvalidInputError(f"{name} must be a unit vector (|{name}| = {norm:.6g})")

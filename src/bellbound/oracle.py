@@ -14,16 +14,18 @@ parameterizing each side as one rotation applied to reference directions
 with the requested opening angle, so constraint violations cannot leak
 into the search.
 
-The search moves one parameter at a time, so the objective is cached per
-parameter block (A's rotation, B's rotation, theta, phi, the biases), and
-each block has one flat closure: a move is one Python call that computes
-the block's rotation columns or half-angle, its side's vectors and the
-final CHSH combination inline, in the order of operations of a full
-evaluation, so both give the same value bit for bit. Unbiased problems
-skip the bias terms. No decomposition of T or other closed-form shortcut
-enters the objective. The closures are rendered at import from one
-template per expression into ``_OBJECTIVE_SOURCE``, which tracebacks and
-``inspect`` read as the file ``<bellbound.oracle _objective_factory>``.
+The search moves one parameter at a time, and its whole step-halving loop
+is one closure per problem, ``refine``, whose state is its fast locals:
+the rotation columns, half-angles and vectors of each parameter block
+(A's rotation, B's rotation, theta, phi, the biases). A move recomputes
+only its block, its side's vectors and the final CHSH combination, into
+temporaries that an accepted move assigns to the point's names, in the
+order of operations of a full evaluation, so both give the same value bit
+for bit. Unbiased problems skip the bias terms. No decomposition of T or
+other closed-form shortcut enters the objective. ``refine``'s factory is
+rendered at import from one template per expression into
+``_OBJECTIVE_SOURCE``, which tracebacks and ``inspect`` read as the file
+``<bellbound.oracle _objective_factory>``.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from __future__ import annotations
 import itertools
 import linecache
 import math
+import re
 import textwrap
 from dataclasses import dataclass, replace
 
@@ -96,11 +99,12 @@ class OptimizeResult:
 
 
 # ---------------------------------------------------------------------------
-# The objective's expression templates, inlined into one flat closure per
-# block: a closure is called millions of times per audit. A side's fields:
-# l (a or b), rotation columns r*, the half-angle's cos and sin c and s,
-# the places in p of the rotation (w) and angle, directions d and dp, and
-# v, the vectors that enter the combination (x, x' on A; T y, T y' on B).
+# The search's expression templates, rendered into one closure per problem
+# that runs the whole coordinate search on its fast locals: an audit spends
+# nearly all its time there. A side's fields: l (a or b), rotation columns
+# r*, the half-angle's cos and sin c and s, directions d and dp, the local
+# terms lt and ltp (a.x, a.x' on A; b.y, b.y' on B), B's vectors T y and
+# T y' (ty, tp), and the places in p of the rotation (w) and angle.
 
 # First two columns of the rotation for an axis-angle vector; the third
 # column never multiplies anything (reference dirs have z = 0).
@@ -145,145 +149,214 @@ _DIRECTIONS = """\
 """
 
 _T_Y = """\
-ty0 = t00 * y0 + t01 * y1 + t02 * y2
-ty1 = t10 * y0 + t11 * y1 + t12 * y2
-ty2 = t20 * y0 + t21 * y1 + t22 * y2
-tp0 = t00 * yp0 + t01 * yp1 + t02 * yp2
-tp1 = t10 * yp0 + t11 * yp1 + t12 * yp2
-tp2 = t20 * yp0 + t21 * yp1 + t22 * yp2
+{ty}0 = t00 * {d}0 + t01 * {d}1 + t02 * {d}2
+{ty}1 = t10 * {d}0 + t11 * {d}1 + t12 * {d}2
+{ty}2 = t20 * {d}0 + t21 * {d}1 + t22 * {d}2
+{tp}0 = t00 * {d}p0 + t01 * {d}p1 + t02 * {d}p2
+{tp}1 = t10 * {d}p0 + t11 * {d}p1 + t12 * {d}p2
+{tp}2 = t20 * {d}p0 + t21 * {d}p1 + t22 * {d}p2
 """
 
-# The bias terms (chsh.bias_combination and the local terms) are rendered
-# into every closure that needs them: a call would cost a sizeable share
-# of a move.
+# Every Bloch-vector term carries a bias factor, so only biased problems
+# with a nonzero Bloch vector need the local terms.
+_LOCAL_TERMS = """\
+if local_terms:
+    {lt} = {l}0 * {d}0 + {l}1 * {d}1 + {l}2 * {d}2
+    {lt}p = {l}0 * {d}p0 + {l}1 * {d}p1 + {l}2 * {d}p2
+else:
+    {lt} = {lt}p = 0.0
+"""
+
+# The direction part of CHSH, in chsh's order of operations, from A's
+# directions x, x' and B's vectors T y, T y'.
+_COMBINATION = """\
+{g} = (
+    sx_sy * ({x}0 * {ty}0 + {x}1 * {ty}1 + {x}2 * {ty}2)
+    + sx_syp * ({x}0 * {tp}0 + {x}1 * {tp}1 + {x}2 * {tp}2)
+    + sxp_sy * ({x}p0 * {ty}0 + {x}p1 * {ty}1 + {x}p2 * {ty}2)
+    - sxp_syp * ({x}p0 * {tp}0 + {x}p1 * {tp}1 + {x}p2 * {tp}2)
+)
+"""
+
+# chsh.bias_combination and the local terms, added to the direction part g.
 _BIAS_TERMS = """\
 if bx != 0.0 or bxp != 0.0 or by != 0.0 or byp != 0.0:
     g += bx * by + bx * byp + bxp * by - bxp * byp
     if local_terms:
-        g += b_y * sy * (bx + bxp)
-        g += b_yp * syp * (bx - bxp)
-        g += a_x * sx * (by + byp)
-        g += a_xp * sxp * (by - byp)
+        g += {b_y} * sy * (bx + bxp)
+        g += {b_y}p * syp * (bx - bxp)
+        g += {a_x} * sx * (by + byp)
+        g += {a_x}p * sxp * (by - byp)
 """
 
-# A side's move recomputes its block (rotation or half-angle), its vectors,
-# the combination (in chsh's operation order) and its local terms a.x, a.x'
-# or b.y, b.y', and leaves the side's new values in ``new`` for commit.
-_SIDE_MOVE = """\
-def move_{name}(p):
-    nonlocal new, moved
-{body}\
-    g = (
-        sx_sy * (x0 * ty0 + x1 * ty1 + x2 * ty2)
-        + sx_syp * (x0 * tp0 + x1 * tp1 + x2 * tp2)
-        + sxp_sy * (xp0 * ty0 + xp1 * ty1 + xp2 * ty2)
-        - sxp_syp * (xp0 * tp0 + xp1 * tp1 + xp2 * tp2)
-    )
-    if local_terms:
-        {l}_{d} = {l}0 * {d}0 + {l}1 * {d}1 + {l}2 * {d}2
-        {l}_{d}p = {l}0 * {d}p0 + {l}1 * {d}p1 + {l}2 * {d}p2
-    else:
-        {l}_{d} = {l}_{d}p = 0.0
-    new = ({r}00, {r}10, {r}20, {r}01, {r}11, {r}21, {c}, {s}, {v}, {l}_{d}, {l}_{d}p, g)
-    moved = side_{l}
-    if biased:
-        bx, bxp, by, byp = (p[nb], p[nb + 1], p[nb + 2], p[nb + 3]) if free_bias else fixed_bias
-{bias_terms}\
-    return abs(g)
+# The objective |S| at the candidate point, from its direction part {g}.
+_VALUE = (
+    "if biased:\n    g = {g}\n"
+    + textwrap.indent(_BIAS_TERMS, "    ")
+    + "    val = abs(g)\nelse:\n    val = abs({g})\n"
+)
+
+# One coordinate group's step of the search: for each coordinate, a step up,
+# else a step down; an accepted step walks on with doubling stride. The
+# candidate is in p[i] while {evaluate} computes its value ``val`` into
+# n_-prefixed names, and {accept} makes those the point's. An accepted step
+# leaves pos != base, and then the other sign is not tried.
+_SEARCH = """\
+for i in {coords}:
+    lo_i = lo[i]
+    hi_i = hi[i]
+    base = p[i]
+    for delta in (step, -step):
+        cand = base + delta
+        if cand > hi_i:
+            cand = hi_i
+        elif cand < lo_i:
+            cand = lo_i
+        if cand == base:
+            continue
+        pos = base
+        while True:
+            p[i] = cand
+{evaluate}\
+            evals += 1
+            if not val > best:
+                break
+{accept}\
+            gain += val - best
+            best = val
+            pos = cand
+            if evals >= budget:
+                break
+            delta *= 2.0
+            cand = pos + delta
+            if cand > hi_i:
+                cand = hi_i
+            elif cand < lo_i:
+                cand = lo_i
+            if cand == pos:
+                break
+        p[i] = pos
+        if pos != base:
+            break
 """
 
-# The cached point lives in the factory's cells, named per side, and in
-# g_dir, the direction part of the combination, which a bias move reuses.
-# A closure holds the names it recomputes in locals. Biases are read from p.
+# ``refine`` is the greedy per-coordinate ascent with step halving that every
+# start runs. The step is halved once a sweep's total gain falls below the
+# quadratic scale step^2 / 4, which stops unproductive zigzagging along
+# curved ridges, or after 12 sweeps at one step. Its first evaluation
+# computes B's block, then A's; a move recomputes only its group's block and
+# what depends on it, in the order of operations of that first evaluation,
+# so both give the same value bit for bit.
 _FACTORY = """\
-def _objective_factory(t, bloch, strengths, theta0, phi0, free_angles, free_bias, fixed_bias, biased, local_terms, nb):
-    (t00, t01, t02), (t10, t11, t12), (t20, t21, t22) = t
-    a0, a1, a2, b0, b1, b2 = bloch
-    sx, sxp, sy, syp = strengths
-    sx_sy, sx_syp, sxp_sy, sxp_syp = sx * sy, sx * syp, sxp * sy, sxp * syp
-    side_a, side_b = 1, 2
-{start_angles}\
-    ar00 = ar10 = ar20 = ar01 = ar11 = ar21 = 0.0
-    br00 = br10 = br20 = br01 = br11 = br21 = 0.0
-    x0 = x1 = x2 = xp0 = xp1 = xp2 = a_x = a_xp = 0.0
-    ty0 = ty1 = ty2 = tp0 = tp1 = tp2 = b_y = b_yp = 0.0
-    g_dir = 0.0
-    new = ()
-    moved = 0
+def _objective_factory(t, bloch, strengths, theta0, phi0, free_angles, free_bias, fixed_bias, biased, local_terms, nb, lo, hi, budget):
+    def refine(p, tol, step):
+        (t00, t01, t02), (t10, t11, t12), (t20, t21, t22) = t
+        a0, a1, a2, b0, b1, b2 = bloch
+        sx, sxp, sy, syp = strengths
+        sx_sy, sx_syp, sxp_sy, sxp_syp = sx * sy, sx * syp, sxp * sy, sxp * syp
+        theta, phi = (p[6], p[7]) if free_angles else (theta0, phi0)
+        bx, bxp, by, byp = (p[nb], p[nb + 1], p[nb + 2], p[nb + 3]) if free_bias else fixed_bias
+{start}\
+        best = val
+        evals = 1
+        sweeps_at_level = 0
+        while step > tol and evals < budget:
+            gain = 0.0
+            sweeps_at_level += 1
+{search_a}\
+{search_b}\
+            if free_angles:
+{search_theta}\
+{search_phi}\
+            if free_bias:
+{search_bias}\
+                bx, bxp, by, byp = p[nb], p[nb + 1], p[nb + 2], p[nb + 3]
+            if gain <= 0.25 * step * step or sweeps_at_level >= 12:
+                step *= 0.5
+                sweeps_at_level = 0
+        return best, p, evals, step <= tol
 
-{move_a}
-{move_theta}
-{move_b}
-{move_phi}
-    def move_bias(p):
-        nonlocal moved
-        moved = 0
-        g = g_dir
-        bx = p[nb]
-        bxp = p[nb + 1]
-        by = p[nb + 2]
-        byp = p[nb + 3]
-{bias_terms}\
-        return abs(g)
-
-    def commit():
-        nonlocal ar00, ar10, ar20, ar01, ar11, ar21, cth, sth, x0, x1, x2, xp0, xp1, xp2, a_x, a_xp
-        nonlocal br00, br10, br20, br01, br11, br21, cph, sph, ty0, ty1, ty2, tp0, tp1, tp2, b_y, b_yp
-        nonlocal g_dir
-        if moved == side_a:
-            ar00, ar10, ar20, ar01, ar11, ar21, cth, sth, x0, x1, x2, xp0, xp1, xp2, a_x, a_xp, g_dir = new
-        elif moved == side_b:
-            br00, br10, br20, br01, br11, br21, cph, sph, ty0, ty1, ty2, tp0, tp1, tp2, b_y, b_yp, g_dir = new
-
-    def value(p):
-        nonlocal cth, sth, cph, sph
-        if free_angles:
-{free_half_angles}\
-        move_b(p)
-        commit()
-        g = move_a(p)
-        commit()
-        return g
-
-    moves = (move_a,) * 3 + (move_b,) * 3
-    if free_angles:
-        moves += (move_theta, move_phi)
-    if free_bias:
-        moves += (move_bias,) * 4
-    return value, moves, commit
+    return refine
 """
 
-_SIDE_A = dict(l="a", r="ar", c="cth", s="sth", d="x", w=(0, 1, 2), angle="p[6]", v="x0, x1, x2, xp0, xp1, xp2")
-_SIDE_B = dict(l="b", r="br", c="cph", s="sph", d="y", w=(3, 4, 5), angle="p[7]", v="ty0, ty1, ty2, tp0, tp1, tp2")
+_SIDE_A = dict(l="a", r="ar", c="cth", s="sth", d="x", lt="a_x", w=(0, 1, 2), angle="p[6]")
+_SIDE_B = dict(l="b", r="br", c="cph", s="sph", d="y", lt="b_y", ty="ty", tp="tp", w=(3, 4, 5), angle="p[7]")
+
+
+def _indent(text: str, depth: int) -> str:
+    return textwrap.indent(text, "    " * depth)
 
 
 def _fill(template: str, fields: dict, depth: int, **more) -> str:
     """``template`` filled in from ``fields`` and ``more``, indented by ``depth`` levels."""
-    return textwrap.indent(template.format_map(dict(fields, **more)), "    " * depth)
+    return _indent(template.format_map(dict(fields, **more)), depth)
 
 
-def _side_move(name: str, side: dict, block: str) -> str:
-    body = _fill(block + _DIRECTIONS + (_T_Y if side is _SIDE_B else ""), side, 1)
-    return _fill(_SIDE_MOVE, side, 1, name=name, body=body, bias_terms=_fill(_BIAS_TERMS, {}, 2))
+def _block(side: dict, block: str) -> str:
+    """``block`` (rotation or half-angle) of ``side``, then the side's vectors and local terms."""
+    return _fill(block + _DIRECTIONS + (_T_Y if "ty" in side else "") + _LOCAL_TERMS, side, 0)
+
+
+def _value(a: dict, b: dict, g: str) -> str:
+    """The combination of A's and B's names into direction part ``g``, then the value ``val``."""
+    names = dict(x=a["d"], ty=b["ty"], tp=b["tp"], a_x=a["lt"], b_y=b["lt"], g=g)
+    return _fill(_COMBINATION + _VALUE, names, 0)
+
+
+def _side_search(side: dict, block: str, coords: str) -> str:
+    """The search of ``side``'s ``block``, whose candidates get n_-prefixed names (B's y stay temporaries)."""
+    keys = ["r"] if block is _ROTATION else ["c", "s"]
+    keys += ["lt"] + (["ty", "tp"] if side is _SIDE_B else ["d"])
+    cand = dict(side, **{k: "n_" + side[k] for k in keys})
+    a, b = (cand, _SIDE_B) if side is _SIDE_A else (_SIDE_A, cand)
+    return _search(coords, _block(cand, block) + _value(a, b, "n_g_dir"))
+
+
+def _search(coords: str, evaluate: str) -> str:
+    """One coordinate group's search; an accepted candidate assigns each n_-prefixed name to its plain name."""
+    accept = "".join(f"{name} = n_{name}\n" for name in dict.fromkeys(re.findall(r"\bn_(\w+)", evaluate)))
+    return _SEARCH.format(coords=coords, evaluate=_indent(evaluate, 3), accept=_indent(accept, 3))
+
+
+_RENDERED_LINES: dict[str, tuple] = {}
 
 
 def _render(name: str, source: str):
-    """Compile ``source`` under a pseudo-filename that ``linecache`` serves; return its function ``name``."""
+    """Compile ``source`` under a pseudo-filename that ``linecache`` serves; return its function ``name``.
+
+    The ``linecache`` entry is kept in ``_RENDERED_LINES`` too, so that
+    ``_Problem.make_refine`` can put it back after ``linecache.clearcache()``.
+    """
     filename = f"<bellbound.oracle {name}>"
-    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    entry = (len(source), None, source.splitlines(True), filename)
+    linecache.cache[filename] = _RENDERED_LINES[filename] = entry
     namespace = {"cos": math.cos, "sin": math.sin, "sqrt": math.sqrt}
     exec(compile(source, filename, "exec"), namespace)
     return namespace[name]
 
 
 _OBJECTIVE_SOURCE = _FACTORY.format(
-    start_angles=_fill(_HALF_ANGLE, _SIDE_A, 1, angle="theta0") + _fill(_HALF_ANGLE, _SIDE_B, 1, angle="phi0"),
-    move_a=_side_move("a", _SIDE_A, _ROTATION),
-    move_theta=_side_move("theta", _SIDE_A, _HALF_ANGLE),
-    move_b=_side_move("b", _SIDE_B, _ROTATION),
-    move_phi=_side_move("phi", _SIDE_B, _HALF_ANGLE),
-    bias_terms=_fill(_BIAS_TERMS, {}, 2),
-    free_half_angles=_fill(_HALF_ANGLE, _SIDE_A, 3) + _fill(_HALF_ANGLE, _SIDE_B, 3),
+    start=_indent(
+        _fill(_HALF_ANGLE, _SIDE_A, 0, angle="theta")
+        + _fill(_HALF_ANGLE, _SIDE_B, 0, angle="phi")
+        + _block(_SIDE_B, _ROTATION)
+        + _block(_SIDE_A, _ROTATION)
+        + _value(_SIDE_A, _SIDE_B, "g_dir"),
+        2,
+    ),
+    search_a=_indent(_side_search(_SIDE_A, _ROTATION, "(0, 1, 2)"), 3),
+    search_b=_indent(_side_search(_SIDE_B, _ROTATION, "(3, 4, 5)"), 3),
+    search_theta=_indent(_side_search(_SIDE_A, _HALF_ANGLE, "(6,)"), 4),
+    search_phi=_indent(_side_search(_SIDE_B, _HALF_ANGLE, "(7,)"), 4),
+    # A bias move reads its biases from p and reuses the direction part g_dir.
+    search_bias=_indent(
+        _search(
+            "(nb, nb + 1, nb + 2, nb + 3)",
+            "bx = p[nb]\nbxp = p[nb + 1]\nby = p[nb + 2]\nbyp = p[nb + 3]\n"
+            + _fill(_VALUE, {}, 0, g="g_dir", a_x="a_x", b_y="b_y"),
+        ),
+        4,
+    ),
 )
 _objective_factory = _render("_objective_factory", _OBJECTIVE_SOURCE)
 
@@ -298,7 +371,7 @@ _directions = _render("_directions", _DIRECTIONS_SOURCE)
 
 
 class _Problem:
-    """Search parameters of one maximization and the CHSH objective over them.
+    """Search parameters of one maximization and the CHSH search over them.
 
     ``p[0:3]`` and ``p[3:6]`` are the axis-angle vectors of A's and B's
     frames, then theta and phi when the angles are free, then the four
@@ -335,26 +408,20 @@ class _Problem:
         self.lo = lo
         self.hi = hi
 
-    def make_objective(self):
-        """The objective |S(p)| as ``(value, moves, commit)``.
-
-        ``value(p)`` evaluates every block at ``p`` and caches the results.
-        ``moves[i](p)`` is the value when ``p`` differs from the cached point
-        in coordinate ``i`` only: it recomputes that coordinate's block and
-        what depends on it. ``commit()`` makes the last move's point the
-        cached one. Every route ends in the same expression on the same
-        intermediates, so a moved value equals a fresh ``value(p)`` bit for
-        bit.
-        """
+    def make_refine(self):
+        """``refine(p, tol, step)``: the search from ``p`` until its step falls to ``tol`` or
+        ``_EVAL_BUDGET`` evaluations are spent. It returns ``(best value, p, evaluations,
+        converged)`` and leaves the best point in ``p``."""
+        # Put the rendered source back if linecache.clearcache() dropped it.
+        for filename, entry in _RENDERED_LINES.items():
+            linecache.cache.setdefault(filename, entry)
         state = self.spec.state
         bloch = [float(c) for c in (*state.a, *state.b)]
-        # Every Bloch-vector term carries a bias factor, so the local terms
-        # matter only in biased problems.
         biased = self.free_bias or any(v != 0.0 for v in self.fixed_bias)
         local_terms = biased and any(c != 0.0 for c in bloch)
         return _objective_factory(
             np.asarray(state.t, dtype=float).tolist(), bloch, self.strengths, self.theta0, self.phi0, self.free_angles,
-            self.free_bias, self.fixed_bias, biased, local_terms, self.dim - 4,
+            self.free_bias, self.fixed_bias, biased, local_terms, self.dim - 4, self.lo, self.hi, _EVAL_BUDGET,
         )
 
     def scenario(self, p, biases=None) -> Scenario:
@@ -395,74 +462,6 @@ class _Problem:
         return p
 
 
-def _coordinate_refine(objective, lo, hi, p: list[float], tol: float, step0: float = _START_STEP):
-    """Greedy per-coordinate ascent with step halving; deterministic.
-
-    Successful moves walk onward with doubling stride; the step is halved
-    once a sweep's total gain falls below the quadratic scale step^2 / 4,
-    which stops unproductive zigzagging along curved ridges. Each trial
-    moves one coordinate, so only that coordinate's block is recomputed;
-    an accepted move is committed to the objective's cache.
-    """
-    value, moves, commit = objective
-    budget = _EVAL_BUDGET
-    best = value(p)
-    evals = 1
-    step = step0
-    n = len(p)
-    sweeps_at_level = 0
-    while step > tol and evals < budget:
-        gain = 0.0
-        sweeps_at_level += 1
-        for i in range(n):
-            move = moves[i]
-            lo_i = lo[i]
-            hi_i = hi[i]
-            base = p[i]
-            for delta in (step, -step):
-                cand = base + delta
-                if cand > hi_i:
-                    cand = hi_i
-                elif cand < lo_i:
-                    cand = lo_i
-                if cand == base:
-                    continue
-                p[i] = cand
-                val = move(p)
-                evals += 1
-                if val > best:
-                    commit()
-                    gain += val - best
-                    best = val
-                    stride = delta
-                    while evals < budget:
-                        stride *= 2.0
-                        nxt = p[i] + stride
-                        if nxt > hi_i:
-                            nxt = hi_i
-                        elif nxt < lo_i:
-                            nxt = lo_i
-                        if nxt == p[i]:
-                            break
-                        prev = p[i]
-                        p[i] = nxt
-                        val = move(p)
-                        evals += 1
-                        if val > best:
-                            commit()
-                            gain += val - best
-                            best = val
-                        else:
-                            p[i] = prev
-                            break
-                    break
-                p[i] = base
-        if gain <= 0.25 * step * step or sweeps_at_level >= 12:
-            step *= 0.5
-            sweeps_at_level = 0
-    return best, p, evals, step <= tol
-
-
 # Random restarts refine at this coarse parameter tolerance and the winner
 # is polished at full precision only when it beats the incumbent (warm
 # starts always run at full precision). A non-winning coarse candidate can
@@ -474,16 +473,14 @@ _REFINE_TOL = 1e-8
 
 def _run_starts(problem: _Problem, spec: OptimizeSpec):
     rng = np.random.default_rng(spec.seed)
-    objective = problem.make_objective()
-    lo = problem.lo
-    hi = problem.hi
+    refine = problem.make_refine()
     best_val = -math.inf
     best_p = None
     total_evals = 0
     converged = True
     for scenario in spec.warm_starts:
         start = problem.params_from_scenario(scenario)
-        val, p, evals, conv = _coordinate_refine(objective, lo, hi, start, _REFINE_TOL)
+        val, p, evals, conv = refine(start, _REFINE_TOL, _START_STEP)
         total_evals += evals
         converged = converged and conv
         if val > best_val:
@@ -491,11 +488,10 @@ def _run_starts(problem: _Problem, spec: OptimizeSpec):
             best_p = list(p)
     for _ in range(spec.restarts):
         start = problem.random_params(rng)
-        val, p, evals, conv = _coordinate_refine(objective, lo, hi, start, _COARSE_TOL)
+        val, p, evals, conv = refine(start, _COARSE_TOL, _START_STEP)
         total_evals += evals
         if val > best_val:
-            step0 = 4.0 * _COARSE_TOL
-            val, p, evals, conv = _coordinate_refine(objective, lo, hi, p, _REFINE_TOL, step0=step0)
+            val, p, evals, conv = refine(p, _REFINE_TOL, 4.0 * _COARSE_TOL)
             total_evals += evals
         converged = converged and conv
         if val > best_val:

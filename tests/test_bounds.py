@@ -18,6 +18,7 @@ from bellbound import (
     horodecki,
     j_max,
     maximize_chsh,
+    random_rotation,
     random_state,
     s0_bound,
     s0_tilde,
@@ -641,6 +642,40 @@ def test_thm3_sound_with_b_strengths_nearly_equal(stream, kind):
             q = StrengthQuad(s_a, s_a, sy, sy - gap if seed % 2 == 0 else sy + gap)
             oracle = maximize_chsh(OptimizeSpec(state, q, None, "fixed-zero", restarts=3, seed=seed)).best_value
             assert oracle <= thm3_bound(state, q).value + 1e-9
+
+
+def _rotated_tstate(rng, s2):
+    # Correlation singular values s1 > s2 >= s3 = s2 / 2, on random frames.
+    s1 = float(rng.uniform(0.3, 0.95))
+    t = random_rotation(rng) @ np.diag([-s1, -s2, -0.5 * s2]) @ random_rotation(rng).T
+    return state_from_fano(np.zeros(3), np.zeros(3), t)
+
+
+SMALL_S2 = (1e-6, 1e-9, 1e-13, 0.0)
+
+
+@pytest.mark.parametrize("s2", SMALL_S2)
+def test_thm1_sound_at_small_s2(s2):
+    # The audits draw s2 away from 0; here the second singular value is tiny
+    # or 0, and the oracle runs without the construction's warm start.
+    rng = np.random.default_rng((41, SMALL_S2.index(s2)))
+    for seed in range(3):
+        state = _rotated_tstate(rng, s2)
+        q = StrengthQuad(*rng.uniform(0.0, 1.0, 4))
+        theta, phi = (float(v) for v in rng.uniform(0.0, math.pi, 2))
+        oracle = maximize_chsh(OptimizeSpec(state, q, (theta, phi), "fixed-zero", restarts=6, seed=seed)).best_value
+        assert oracle <= s0_bound(state, q, theta, phi).value + 1e-9
+
+
+@pytest.mark.parametrize("s2", SMALL_S2)
+def test_thm3_sound_at_small_s2(s2):
+    rng = np.random.default_rng((43, SMALL_S2.index(s2)))
+    for seed in range(3):
+        state = _rotated_tstate(rng, s2)
+        s_a, sy = (float(v) for v in rng.uniform(0.5, 1.0, 2))
+        q = StrengthQuad(s_a, s_a, sy, float(rng.uniform(0.0, sy - 0.1)))
+        oracle = maximize_chsh(OptimizeSpec(state, q, None, "fixed-zero", restarts=6, seed=seed)).best_value
+        assert oracle <= thm3_bound(state, q).value + 1e-9
 
 
 def test_thm4_requires_equal_singular_values():

@@ -663,6 +663,19 @@ def test_compat_malformed_input_exits_2(tmp_path, capsys, doc):
     assert code == 2 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("command", ["compat", "bound"])
+def test_huge_direction_component_exits_2_with_one_error_line(tmp_path, capsys, command):
+    # |direction|^2 overflows to inf, which the unit-vector check rejects; no
+    # overflow RuntimeWarning may come first (the suite makes it an error).
+    huge = {"bias": 0.0, "strength": 1.0, "direction": [1e200, 0, 0]}
+    unit = {"bias": 0.0, "strength": 1.0, "direction": [0, 1, 0]}
+    pair = {"x": huge, "xp": unit}
+    doc = pair if command == "compat" else {"state": {"kind": "singlet"}, "scenario": {**pair, "y": unit, "yp": unit}}
+    code, out, err = _run(capsys, [command, "--input", _write(tmp_path, "huge.json", doc)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: direction must be a unit vector") and err.count("\n") == 1
+
+
 def _call_in_process(argv, output=None):
     """Exit code, stdout, stderr and the ``--output`` file of one ``main`` call."""
     out, err = io.StringIO(), io.StringIO()

@@ -162,6 +162,52 @@ def test_oracle_outputs_pinned():
     assert got == expected
 
 
+# Per trial of each audit that searches, trials 0-2 at seeds 0 (first) and 1:
+# the oracle value as float.hex, the evaluations and the convergence flag,
+# recorded like the pins above. Any change to the search's steps moves them.
+_AUDIT_PINS = {
+    "thm1": (
+        [("0x1.baab30f1e1c56p-2", 8218, True), ("0x1.bed3779224317p-1", 10021, True), ("0x1.77f05af80376cp-4", 5308, True)],
+        [("0x1.30ac303983767p-1", 5322, True), ("0x1.dc104c1ef9ee7p-5", 8908, True), ("0x1.e90347bd775fep-2", 9155, True)],
+    ),
+    "thm2": (
+        [("0x1.2f87f81815202p+0", 8234, True), ("0x1.4a62a939bcadap+0", 10099, True), ("0x1.b13280ac8c471p+0", 5323, True)],
+        [("0x1.183d2e6326c27p+0", 5338, True), ("0x1.1d83c80bb6b48p+0", 7087, True), ("0x1.06cf2903e2dd3p+0", 9184, True)],
+    ),
+    "thm3": (
+        [("0x1.36b6f02c6c2b9p-1", 7358, True), ("0x1.f5cb5fe0c9db2p-1", 12591, True), ("0x1.37320403570b3p+0", 8774, True)],
+        [("0x1.0ac341255d684p+0", 10819, True), ("0x1.d51e07f104a24p+0", 8707, True), ("0x1.5e9dea000e6dfp-1", 7703, True)],
+    ),
+    "thm4": (
+        [("0x1.5ccf8f92238a7p+0", 3312, True), ("0x1.56ce4a5381fc9p-1", 6470, True), ("0x1.c57565aca8101p-1", 3068, True)],
+        [("0x1.f304346714f18p-1", 2857, True), ("0x1.866d931f67608p-1", 4821, True), ("0x1.6ed13ed97a682p+0", 3829, True)],
+    ),
+    "cor1": (
+        [("0x1.d40d22330f658p-4", 3295, True), ("0x1.3b5626b36c82ap-1", 6965, True), ("0x1.114e5875f94bfp-9", 3853, True)],
+        [("0x1.6d8597703cc98p-1", 3447, True), ("0x1.b5c8acf8d0c19p-4", 3551, True), ("0x1.a7f2302a484fap-5", 2679, True)],
+    ),
+    "cor4": (
+        [("0x1.5507124bbb0e2p-1", 3311, True), ("0x1.206d8dc45893ep-1", 3479, True), ("0x1.7ffd05d2d442ap-1", 3869, True)],
+        [("0x1.b0adab2093730p-1", 3463, True), ("0x1.568701529c08cp+0", 4332, True), ("0x1.f520a606338e6p-1", 2695, True)],
+    ),
+    "horodecki-upper": (
+        [("0x1.4a1164ffc9ab4p+0", 6255, True), ("0x1.4b093022e555ep+0", 23363, True), ("0x1.fdeaf3f97a5b6p+0", 37291, True)],
+        [("0x1.23c87d10e7088p+0", 7160, True), ("0x1.9c9461bde1654p+0", 6390, True), ("0x1.e063ffc454c4bp+0", 9120, True)],
+    ),
+    "zero-strength": (
+        [("0x1.a3cb75f1e6c7cp+0", 3282, True), ("0x1.b1f7e373d70ddp+0", 14050, True), ("0x1.fdea48a34ffb8p+0", 7749, True)],
+        [("0x1.44ec34648cbb2p+0", 4572, True), ("0x1.a57737c35a3c8p+0", 4795, True), ("0x1.e2511bcad6d4cp+0", 20048, True)],
+    ),
+}
+
+
+@pytest.mark.parametrize("criterion", list(_AUDIT_PINS))
+@pytest.mark.parametrize("seed", [0, 1])
+def test_searched_audits_pinned(criterion, seed):
+    rows = audit_bound(criterion, trials=3, seed=seed).rows
+    assert [(r.oracle.hex(), r.evaluations, r.converged) for r in rows] == _AUDIT_PINS[criterion][seed]
+
+
 def test_monotone_in_restarts():
     state = random_state(12, "tstate")
     q = StrengthQuad(0.9, 0.8, 0.7, 0.6)
@@ -351,10 +397,11 @@ def test_audit_samplers_raise_when_out_of_draws(monkeypatch):
 @pytest.mark.parametrize("kind", ["tstate", "general"])
 @pytest.mark.parametrize("angles", [None, (1.1, 2.3)])
 @pytest.mark.parametrize("biases", ["fixed-zero", "fixed-values", "free-extremal", "free-continuous"])
-def test_objective_moves_match_full_evaluation(kind, angles, biases):
-    # A random walk of accepted and rejected single-coordinate moves: every
-    # moved value must equal a fresh full evaluation at the same point bit
-    # for bit, and the exact CHSH value of the point's scenario.
+def test_objective_moves_match_full_evaluation(kind, angles, biases, monkeypatch):
+    # The search cut short after every few evaluations: the value that its
+    # moves have reached must equal a fresh full evaluation at the point it
+    # returns (a refine that runs no sweep) bit for bit, and the exact CHSH
+    # value of the point's scenario.
     rng = np.random.default_rng(14)
     state = random_state(rng, kind)
     q = StrengthQuad(0.9, 0.6, 0.8, 0.5)
@@ -367,24 +414,20 @@ def test_objective_moves_match_full_evaluation(kind, angles, biases):
         spec = replace(spec, biases="fixed-values", bias_values=extremal_bias_patterns(q)[5])
     problem = oracle._Problem(spec)
     assert problem.dim == 6 + (2 if angles is None else 0) + (4 if biases == "free-continuous" else 0)
-    value, moves, commit = problem.make_objective()
-    p = problem.random_params(rng)
-    value(p)
-    accepted = 0
-    for _ in range(400):
-        i = int(rng.integers(problem.dim))
-        old = p[i]
-        p[i] = min(max(old + float(rng.normal(0.0, 0.7)), problem.lo[i]), problem.hi[i])
-        moved = moves[i](p)
-        assert moved == problem.make_objective()[0](p)
-        assert abs(moved - abs(chsh_signed(problem.scenario(p), state))) < 1e-12
-        if rng.random() < 0.5:
-            commit()
-            accepted += 1
-        else:
-            p[i] = old
-    assert 100 < accepted < 300
-    assert value(p) == problem.make_objective()[0](p)
+    start = problem.random_params(rng)
+    values, moved = set(), set()
+    for budget in range(2, 300, 3):
+        monkeypatch.setattr(oracle, "_EVAL_BUDGET", budget)
+        best, p, evals, _ = problem.make_refine()(list(start), 1e-8, 0.8)
+        assert evals >= budget
+        monkeypatch.setattr(oracle, "_EVAL_BUDGET", 1)
+        assert problem.make_refine()(list(p), 1e-8, 0.8) == (best, p, 1, False)
+        assert abs(best - abs(chsh_signed(problem.scenario(p), state))) < 1e-12
+        values.add(best)
+        moved.update(i for i in range(problem.dim) if p[i] != start[i])
+    # Accepted moves in every coordinate, checked at many points along the way.
+    assert moved == set(range(problem.dim))
+    assert len(values) > 10
 
 
 def test_audit_rows_report_evaluations_and_convergence():

@@ -11,16 +11,18 @@ and so never ``bounds``, ``construct``, ``optimize`` or ``cli``. A name
 imported from the package itself (``from bellbound import s0_bound``)
 counts as an import of ``__init__``, which imports all but ``cli``.
 
-The objective's closures are not in ``oracle.py`` as code: they are
-rendered from text templates at import into ``oracle._OBJECTIVE_SOURCE``
-(and the scenario's directions into ``oracle._DIRECTIONS_SOURCE``). That
-text may load only the names it binds itself and ``cos``, ``sin``,
-``sqrt`` and ``abs``, and it runs in a namespace that holds nothing else,
-so it cannot reach the closed forms either.
+The search's closure ``refine`` is not in ``oracle.py`` as code: its
+factory is rendered from text templates at import into
+``oracle._OBJECTIVE_SOURCE`` (and the scenario's directions into
+``oracle._DIRECTIONS_SOURCE``). That text may load only the names it
+binds itself and ``cos``, ``sin``, ``sqrt`` and ``abs``, and it runs in a
+namespace that holds nothing else, so it cannot reach the closed forms
+either.
 """
 
 import ast
 import inspect
+import linecache
 import traceback
 from pathlib import Path
 
@@ -119,7 +121,7 @@ def unbound_loads(source: str) -> set[str]:
 
 
 def test_unbound_loads_flags_outside_names():
-    named = oracle._OBJECTIVE_SOURCE.replace("return abs(g)", "return s0_bound(g)", 1)
+    named = oracle._OBJECTIVE_SOURCE.replace("val = abs(g)", "val = s0_bound(g)", 1)
     assert unbound_loads(named) == {"s0_bound"}
     imported = "def f(p):\n    from .bounds import s0_bound\n    return s0_bound(p)\n"
     assert unbound_loads(imported) == {"s0_bound"}
@@ -136,18 +138,31 @@ def test_rendered_functions_see_only_cos_sin_sqrt(function):
     assert set(getattr(oracle, function).__globals__) == {"__builtins__", "cos", "sin", "sqrt", function}
 
 
-def _moves():
-    problem = oracle._Problem(OptimizeSpec(singlet(), StrengthQuad(0.9, 0.6, 0.8, 0.5)))
-    return problem.make_objective()[1]
+def _refine():
+    problem = oracle._Problem(OptimizeSpec(singlet(), StrengthQuad(0.9, 0.6, 0.8, 0.5), fixed_angles=(1.1, 2.3)))
+    return problem.make_refine()
 
 
 def test_rendered_closures_have_source():
-    assert inspect.getsource(_moves()[0]).lstrip().startswith("def move_a(p):")
+    assert inspect.getsource(_refine()).lstrip().startswith("def refine(p, tol, step):")
+
+
+def _traceback_of_short_p(refine) -> str:
+    # p is too short: B's block, the first thing refine evaluates, reads p[4].
+    with pytest.raises(IndexError) as info:
+        refine([0.0] * 4, 1e-8, 0.8)
+    return "".join(traceback.format_exception(info.value))
 
 
 def test_traceback_shows_the_rendered_line():
-    with pytest.raises(IndexError) as info:
-        _moves()[0]([0.0])
-    text = "".join(traceback.format_exception(info.value))
+    text = _traceback_of_short_p(_refine())
     assert 'File "<bellbound.oracle _objective_factory>", line ' in text
-    assert ", in move_a\n    w1 = p[1]\n" in text
+    assert ", in refine\n    w1 = p[4]\n" in text
+
+
+def test_rendered_source_survives_a_cleared_linecache():
+    linecache.clearcache()
+    refine = _refine()
+    assert inspect.getsource(refine).lstrip().startswith("def refine(p, tol, step):")
+    assert ", in refine\n    w1 = p[4]\n" in _traceback_of_short_p(refine)
+    assert inspect.getsource(oracle._directions).startswith("def _directions(p, theta, phi):")

@@ -29,21 +29,6 @@ EQUAL_STRENGTH_TOL = 1e-12
 # s1(T) and s2(T) this close count as equal, as thm4 needs.
 EQUAL_SINGULAR_VALUE_TOL = 1e-8
 
-_CRITERIA = (
-    "horodecki",
-    "thm1",
-    "thm2",
-    "cor1",
-    "cor2",
-    "cor3",
-    "cor4",
-    "cor6",
-    "thm3",
-    "thm4",
-    "sgen",
-)
-
-
 @dataclass(frozen=True)
 class WBundle:
     """The 2x2 strength/angle matrix with the sum and difference of its
@@ -69,8 +54,6 @@ class BoundReport:
     notes: str = ""
 
     def __post_init__(self):
-        if self.criterion_id not in _CRITERIA:
-            raise InvalidInputError(f"unknown criterion_id {self.criterion_id!r}")
         # Strict comparison by design: near-threshold margins stay visible
         # in `value` instead of being absorbed by a tolerance.
         object.__setattr__(self, "violated", self.value > 2.0)
@@ -320,6 +303,11 @@ def strength_thresholds(radius_r: float) -> tuple[float, float]:
     return (1.0 / math.sqrt(radius_r), 2.0 / (1.0 + radius_r))
 
 
+def equal_sides(q: StrengthQuad) -> tuple[bool, bool]:
+    """Whether sx = sxp and whether sy = syp, each to ``EQUAL_STRENGTH_TOL``."""
+    return abs(q.sx - q.sxp) <= EQUAL_STRENGTH_TOL, abs(q.sy - q.syp) <= EQUAL_STRENGTH_TOL
+
+
 def thm3_bound(state: FanoState, q: StrengthQuad) -> BoundReport:
     """Tight bound for equal strengths s_a on one side, angles in the input's labels.
 
@@ -332,9 +320,10 @@ def thm3_bound(state: FanoState, q: StrengthQuad) -> BoundReport:
     exchanging y and y' is the same as negating x', so theta -> pi - theta.
     """
     sx, sxp, sy, syp = (float(s) for s in q.as_tuple())
-    if abs(sx - sxp) <= EQUAL_STRENGTH_TOL:
+    equal_a, equal_b = equal_sides(q)
+    if equal_a:
         exchanged, s_a, first, second = False, sx, sy, syp
-    elif abs(sy - syp) <= EQUAL_STRENGTH_TOL:
+    elif equal_b:
         exchanged, s_a, first, second = True, sy, sx, sxp
     else:
         raise DomainError("no side has equal strengths")

@@ -318,8 +318,7 @@ def cmd_bound(args) -> int:
     s1, s2, s3 = correlation_singular_values(state)
     is_tstate = state.is_tstate()
     not_tstate = None if is_tstate else "not a T-state"
-    equal_a = abs(q.sx - q.sxp) <= B.EQUAL_STRENGTH_TOL
-    equal_b = abs(q.sy - q.syp) <= B.EQUAL_STRENGTH_TOL
+    equal_a, equal_b = B.equal_sides(q)
     thm4 = B.thm4_bound(state, q) if abs(s1 - s2) <= B.EQUAL_SINGULAR_VALUE_TOL else None
     thm3 = B.thm3_bound(state, q) if equal_a or equal_b else None
     # thm3's only note is that it exchanged the sides.
@@ -397,6 +396,9 @@ def cmd_achieve(args) -> int:
         "scenario": config.scenario.to_dict(),
         "angles": {"theta": config.scenario.theta, "phi": config.scenario.phi},
     }
+    if any(doc.biases or ()):
+        # Every recipe builds its own biases; the document's are not used.
+        payload["biases_ignored"] = True
     _emit_json(payload, args.output)
     return EXIT_OK
 

@@ -16,11 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chsh import bias_combination, chsh_signed
+from .chsh import chsh_signed
 from .errors import ConstructionError, DomainError, InvalidInputError
 from .linalg import complete_frame, svd
 from .model import FanoState, Scenario, StrengthQuad, check_angle, scenario_from_directions, sig12
-from .bounds import EQUAL_STRENGTH_TOL, cor1_bound, cor4_bound, s0_bound, st_bound, thm3_bound, thm4_bound, w_bundle
+from .bounds import cor1_bound, cor4_bound, equal_sides, s0_bound, st_bound, thm3_bound, thm4_bound, w_bundle
 
 _ATTAIN_TOL = 1e-6
 
@@ -97,7 +97,8 @@ def achieving_biases(q: StrengthQuad) -> tuple[float, float, float, float]:
     """Extremal biases (|bias| = 1 - strength) attaining the bias-only maximum.
 
     The Y bias is positive; the remaining signs follow from the strength
-    ordering on each side.
+    ordering on each side, so their canonical combination, rx|ry + β'ryp| +
+    rxp|ry - β'ryp| with β' the sign of the y' bias, is never negative.
     """
     rx = 1.0 - q.sx
     rxp = 1.0 - q.sxp
@@ -127,10 +128,7 @@ def _appendix_a(state: FanoState, q: StrengthQuad, theta, phi, biased: bool) -> 
         if chsh_signed(scenario, state) < 0.0:
             dirs[2] = -dirs[2]
             dirs[3] = -dirs[3]
-        biases = achieving_biases(q)
-        if bias_combination(*biases) < 0.0:
-            biases = tuple(-b for b in biases)
-        scenario = scenario_from_directions(q, tuple(dirs), biases)
+        scenario = scenario_from_directions(q, tuple(dirs), achieving_biases(q))
     attained = abs(chsh_signed(scenario, state))
     config = AchievingConfig(
         scenario=scenario, target_bound=target, attained_chsh=attained, recipe_id="appendixA"
@@ -177,14 +175,15 @@ def thm3_achieving(state: FanoState, q: StrengthQuad) -> AchievingConfig:
     back. With zero correlations the bound is 0, which every unbiased
     scenario attains: the reference frames at the report's angles.
     """
-    if abs(q.sx - q.sxp) > EQUAL_STRENGTH_TOL and abs(q.sy - q.syp) > EQUAL_STRENGTH_TOL:
+    equal_a, equal_b = equal_sides(q)
+    if not (equal_a or equal_b):
         raise DomainError("criterion thm3 requires equal strengths on one side (sx = sxp or sy = syp)")
     report = thm3_bound(state, q)
     fac = state.t_svd
     s1, s2 = float(fac.s[0]), float(fac.s[1])
     if s1 <= 1e-12:
         dirs = reference_frames(*report.optimal_angles)
-    elif abs(q.sx - q.sxp) <= EQUAL_STRENGTH_TOL:
+    elif equal_a:
         dirs = _thm3_directions(state.t, fac.u, s1, s2, q.sy, q.syp)
     else:
         # T^T's left singular vectors are T's right ones.
@@ -206,22 +205,19 @@ ACHIEVABLE = ("thm1", "thm2", "cor1", "cor4", "thm3", "thm4")
 
 def achieve(criterion: str, state: FanoState, q: StrengthQuad, angles=None) -> AchievingConfig:
     """Scenario attaining a criterion's bound, for thm1 and thm2 at ``angles`` (theta, phi)."""
-    if criterion in ("thm1", "thm2"):
-        if angles is None:
-            raise InvalidInputError(f"criterion {criterion} needs angles{{theta, phi}} in the input")
-    elif criterion in ("cor1", "cor4"):
-        if abs(q.sx - q.sxp) > EQUAL_STRENGTH_TOL or abs(q.sy - q.syp) > EQUAL_STRENGTH_TOL:
+    if criterion == "thm3":
+        return thm3_achieving(state, q)
+    if criterion in ("cor1", "cor4"):
+        if not all(equal_sides(q)):
             raise DomainError(f"criterion {criterion} requires equal strengths on each side")
         angles = (cor1_bound if criterion == "cor1" else cor4_bound)(state, q.sx, q.sy).optimal_angles
-    elif criterion == "thm3":
-        return thm3_achieving(state, q)
     elif criterion == "thm4":
         angles = thm4_bound(state, q).optimal_angles
-    else:
-        raise InvalidInputError(
-            f"criterion {criterion!r} has no achieving construction "
-            "(choose thm1, thm2, cor1, cor4, thm3 or thm4)"
-        )
+    elif criterion not in ACHIEVABLE:
+        choices = f"{', '.join(ACHIEVABLE[:-1])} or {ACHIEVABLE[-1]}"
+        raise InvalidInputError(f"criterion {criterion!r} has no achieving construction (choose {choices})")
+    elif angles is None:
+        raise InvalidInputError(f"criterion {criterion} needs angles{{theta, phi}} in the input")
     # The biased T-state bounds add the bias recipe to the directions.
     recipe = achieving_scenario_tstate if criterion in ("thm2", "cor4") else achieving_directions
     return recipe(state, q, *angles)

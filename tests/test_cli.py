@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from bellbound import StrengthQuad, bounds, cli, construct
+from bellbound import DomainError, StrengthQuad, bounds, cli, construct
 from bellbound.model import correlation_singular_values, random_rotation, random_state
 from bellbound.cli import main
 from bellbound.construct import ACHIEVABLE
@@ -189,6 +189,74 @@ def test_biases_at_their_limit_are_accepted(tmp_path, capsys):
     path = _write(tmp_path, "in.json", doc)
     assert _run(capsys, ["bound", "--input", path])[0] == 0
     assert _run(capsys, ["achieve", "--criterion", "thm1", "--input", path])[0] == 0
+
+
+_SCENARIO = {
+    "x": {"bias": 0.0, "strength": 0.9, "direction": [1, 0, 0]},
+    "xp": {"bias": 0.0, "strength": 0.8, "direction": [0, 1, 0]},
+    "y": {"bias": 0.0, "strength": 0.7, "direction": [0.6, 0.8, 0]},
+    "yp": {"bias": 0.0, "strength": 0.6, "direction": [0.8, -0.6, 0]},
+}
+
+
+@pytest.mark.parametrize(
+    "extra, ignored",
+    [
+        ({"biases": [0.1, -0.2, 0.3, -0.4], "angles": {"theta": 1.0, "phi": 2.0}}, True),
+        ({"angles": {"theta": 1.0, "phi": 2.0}}, False),
+        ({"biases": [0, 0, 0, 0], "angles": {"theta": 1.0, "phi": 2.0}}, False),
+        ({"scenario": dict(_SCENARIO, y=dict(_SCENARIO["y"], bias=-0.3))}, True),
+        ({"scenario": _SCENARIO}, False),
+    ],
+    ids=["biases", "no-biases", "zero-biases", "scenario-biases", "scenario-unbiased"],
+)
+def test_achieve_says_when_it_ignores_the_biases(tmp_path, capsys, extra, ignored):
+    # A scenario carries its own strengths.
+    doc = dict({"state": _T_DOC["state"]} if "scenario" in extra else _T_DOC, **extra)
+    code, out, _ = _run(capsys, ["achieve", "--criterion", "thm1", "--input", _write(tmp_path, "in.json", doc)])
+    assert code == 0
+    achieved = json.loads(out)
+    assert achieved.get("biases_ignored") is (True if ignored else None)
+    assert all(o["bias"] == 0.0 for o in achieved["scenario"].values())
+
+
+def _equal_strength_boundary() -> tuple[tuple[float, float], tuple[float, float]]:
+    """Two strength pairs: the widest float gap within EQUAL_STRENGTH_TOL, and the next float wider."""
+    sx = 0.6
+    sxp = sx + bounds.EQUAL_STRENGTH_TOL
+    while abs(sx - sxp) > bounds.EQUAL_STRENGTH_TOL:
+        sxp = math.nextafter(sxp, 0.0)
+    while abs(sx - math.nextafter(sxp, 1.0)) <= bounds.EQUAL_STRENGTH_TOL:
+        sxp = math.nextafter(sxp, 1.0)
+    return (sx, sxp), (sx, math.nextafter(sxp, 1.0))
+
+
+@pytest.mark.parametrize("within", [True, False], ids=["within-tol", "next-float-above"])
+@pytest.mark.parametrize("side", ["a", "b", "both"])
+def test_equal_strength_rule_agrees_across_bound_and_achieve(tmp_path, capsys, within, side):
+    pair = _equal_strength_boundary()[0 if within else 1]
+    assert (abs(pair[0] - pair[1]) <= bounds.EQUAL_STRENGTH_TOL) is within
+    strengths = {"a": [*pair, 0.9, 0.5], "b": [0.9, 0.5, *pair], "both": [*pair, *pair]}[side]
+    doc = {"state": {"kind": "werner", "w": 0.8}, "strengths": strengths}
+    parsed = cli.ScenarioFile(doc)
+    state, q = parsed.state, parsed.strengths
+    equal = bounds.equal_sides(q)
+    assert equal == {"a": (within, False), "b": (False, within), "both": (within, within)}[side]
+    code, out, _ = _run(capsys, ["bound", "--input", _write(tmp_path, "in.json", doc)])
+    assert code == 0
+    report = json.loads(out)
+    checks = (
+        (any(equal), "thm3", lambda: bounds.thm3_bound(state, q)),
+        (any(equal), "thm3", lambda: construct.thm3_achieving(state, q)),
+        (all(equal), "cor1", lambda: construct.achieve("cor1", state, q)),
+    )
+    for applies, criterion_id, call in checks:
+        assert _criterion(report, criterion_id)["applicable"] is applies
+        if applies:
+            call()
+        else:
+            with pytest.raises(DomainError):
+                call()
 
 
 def test_achieve_thm3(tmp_path, capsys):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from bellbound import (
+    InvalidInputError,
     StrengthQuad,
     achieving_biases,
     achieving_directions,
@@ -111,6 +112,23 @@ def test_achieving_biases_respect_constraint():
         q = StrengthQuad(*rng.uniform(0, 1, 4))
         for bias, strength in zip(achieving_biases(q), q.as_tuple()):
             assert abs(abs(bias) - (1 - strength)) < 1e-15
+
+
+def test_achieving_biases_combination_is_never_negative():
+    # rx|ry + b'ryp| + rxp|ry - b'ryp| in exact arithmetic, and rounding keeps
+    # the float sum at or above 0, so the biased recipe takes it as it is.
+    rng = np.random.default_rng(66)
+    quads = [rng.uniform(0, 1, 4).tolist() for _ in range(5000)]
+    quads += itertools.product((0.0, 0.5, 1.0), repeat=4)
+    for q in quads:
+        assert bias_combination(*achieving_biases(StrengthQuad(*q))) >= 0.0, q
+
+
+def test_achieve_without_a_construction_names_the_achievable_criteria():
+    message = "criterion 'cor2' has no achieving construction (choose thm1, thm2, cor1, cor4, thm3 or thm4)"
+    with pytest.raises(InvalidInputError) as info:
+        achieve("cor2", singlet(), StrengthQuad(1, 1, 1, 1), (PI2, PI2))
+    assert str(info.value) == message
 
 
 def test_achieving_scenario_tstate_examples():

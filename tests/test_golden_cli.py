@@ -2,9 +2,10 @@
 
 Numbers must match within 1e-12 and everything else exactly. For
 ``achieve`` the target bound, the attained CHSH value, the angles, each
-observable's strength and bias, and the labels are compared, but not the
-directions: with degenerate correlation singular values, different sign
-and rotation choices for the directions are equally valid. For ``verify``
+observable's strength and bias, the labels and the ``biases_ignored`` flag
+are compared, but not the directions: with degenerate correlation singular
+values, different sign and rotation choices for the directions are equally
+valid. For ``verify``
 the bounds must match within 1e-12, the oracle values and everything
 derived from them within 1e-9 (the oracle is a numerical search), and the
 pass/fail verdicts exactly; summary keys added after recording are not
@@ -15,6 +16,7 @@ import csv
 import io
 import json
 import pathlib
+import re
 
 import pytest
 
@@ -22,6 +24,7 @@ from bellbound.cli import main
 from bellbound.optimize import AUDIT_CRITERIA
 
 CORPUS = json.loads((pathlib.Path(__file__).parent / "golden" / "cli_corpus.json").read_text())
+README = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
 NUM_TOL = 1e-12
 ORACLE_TOL = 1e-9
 
@@ -105,8 +108,8 @@ def test_matches_golden(cmd, corpus_dir, capsys):
         for name, observable in want["scenario"].items():
             for key in ("strength", "bias"):
                 _assert_match(got["scenario"][name][key], observable[key], f"{name}.{key}")
-        for key in ("criterion", "recipe", "violated"):
-            assert got[key] == want[key]
+        for key in ("criterion", "recipe", "violated", "biases_ignored"):
+            assert got.get(key) == want.get(key), key
     elif cmd["kind"] == "verify":
         _assert_verify_match(out, err, cmd)
     else:
@@ -125,3 +128,17 @@ def test_corpus_covers_every_family_and_input():
     compat = {case for kind, case in kinds if kind == "compat"}
     assert not bound & compat and bound | compat == set(CORPUS["inputs"])
     assert {case for kind, case in kinds if kind == "verify"} == set(AUDIT_CRITERIA)
+
+
+def test_readme_lists_the_criteria_that_bound_prints_and_verify_audits():
+    printed = {
+        entry["criterion_id"]
+        for cmd in CORPUS["commands"]
+        if cmd["kind"] == "bound"
+        for entry in json.loads(cmd["stdout"])["criteria"]
+    }
+    listed = re.search(r"\* `bound` emits JSON with one entry per criterion\s*\(([^)]*)\)", README).group(1)
+    bound_ids = re.findall(r"`([^`]+)`", listed)
+    assert len(bound_ids) == len(set(bound_ids)) and set(bound_ids) == printed
+    verify_ids = re.search(r"Criteria:\s*`([^`]*)`", README).group(1).split()
+    assert verify_ids == list(AUDIT_CRITERIA)

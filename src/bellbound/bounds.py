@@ -268,17 +268,9 @@ def cor4_value(s_a, s_b, radius_r):
 
 
 def cor2_sufficient(state: FanoState, q: StrengthQuad) -> BoundReport:
-    """Right-angle bound, a strengths-only sufficient condition for violation."""
-    sx, sxp, sy, syp = q.as_tuple()
-    i_plus = math.hypot(sx * sy + sxp * syp, sx * syp + sxp * sy)
-    i_minus = math.hypot(sx * sy - sxp * syp, sx * syp - sxp * sy)
-    s1, s2, _ = correlation_singular_values(state)
-    value = 0.5 * (i_plus + i_minus) * s1 + 0.5 * (i_plus - i_minus) * s2
-    return BoundReport(
-        value=value,
-        criterion_id="cor2",
-        optimal_angles=(0.5 * math.pi, 0.5 * math.pi),
-    )
+    """Right-angle bound, a strengths-only sufficient condition for violation: thm1 at theta = phi = pi/2."""
+    angles = (0.5 * math.pi, 0.5 * math.pi)
+    return BoundReport(value=s0_bound(state, q, *angles).value, criterion_id="cor2", optimal_angles=angles)
 
 
 def cor4_bound(state: FanoState, s_a, s_b) -> BoundReport:
@@ -306,6 +298,11 @@ def strength_thresholds(radius_r: float) -> tuple[float, float]:
 def equal_sides(q: StrengthQuad) -> tuple[bool, bool]:
     """Whether sx = sxp and whether sy = syp, each to ``EQUAL_STRENGTH_TOL``."""
     return abs(q.sx - q.sxp) <= EQUAL_STRENGTH_TOL, abs(q.sy - q.syp) <= EQUAL_STRENGTH_TOL
+
+
+def equal_singular_values(s1: float, s2: float) -> bool:
+    """Whether s1(T) = s2(T) to ``EQUAL_SINGULAR_VALUE_TOL``, as thm4 needs."""
+    return abs(s1 - s2) <= EQUAL_SINGULAR_VALUE_TOL
 
 
 def thm3_bound(state: FanoState, q: StrengthQuad) -> BoundReport:
@@ -362,7 +359,7 @@ def thm4_bound(state: FanoState, q: StrengthQuad) -> BoundReport:
     the biased form adds ``j_max`` of the strengths.
     """
     s1, s2, _ = correlation_singular_values(state)
-    if abs(s1 - s2) > EQUAL_SINGULAR_VALUE_TOL:
+    if not equal_singular_values(s1, s2):
         tol = np.format_float_scientific(EQUAL_SINGULAR_VALUE_TOL, trim="-", exp_digits=1)
         raise DomainError(f"requires s1(T) = s2(T) within {tol}, got s1 = {sig12(s1)}, s2 = {sig12(s2)}")
     sx, sxp, sy, syp = q.as_tuple()

@@ -319,7 +319,7 @@ def cmd_bound(args) -> int:
     is_tstate = state.is_tstate()
     not_tstate = None if is_tstate else "not a T-state"
     equal_a, equal_b = B.equal_sides(q)
-    thm4 = B.thm4_bound(state, q) if abs(s1 - s2) <= B.EQUAL_SINGULAR_VALUE_TOL else None
+    thm4 = B.thm4_bound(state, q) if B.equal_singular_values(s1, s2) else None
     thm3 = B.thm3_bound(state, q) if equal_a or equal_b else None
     # thm3's only note is that it exchanged the sides.
     thm3_extra = {} if thm3 is None or thm3.notes else {"b_side_swapped": q.sy < q.syp}

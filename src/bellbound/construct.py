@@ -6,19 +6,21 @@ from reference directions in the standard basis, one orthogonal transform
 per side rotates the measurement directions so the trace pairing of the
 two matrices becomes the sum of products of their singular values. Bias
 patterns that attain the bias-only maximum are chosen by a sign recipe.
-``achieve`` maps each tight criterion to its angles and recipe.
+This one recipe attains every tight criterion: thm3, cor1, cor4 and thm4
+are thm1 (or, with the bias recipe, thm2) at their bounds' optimal angles,
+and ``achieve`` maps each criterion to those angles.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .chsh import chsh_signed
 from .errors import ConstructionError, DomainError, InvalidInputError
-from .linalg import complete_frame, svd
+from .linalg import svd
 from .model import FanoState, Scenario, StrengthQuad, check_angle, scenario_from_directions, sig12
 from .bounds import cor1_bound, cor4_bound, equal_sides, s0_bound, st_bound, thm3_bound, thm4_bound, w_bundle
 
@@ -136,67 +138,18 @@ def _appendix_a(state: FanoState, q: StrengthQuad, theta, phi, biased: bool) -> 
     return _check_attainment(config, theta, phi)
 
 
-def _thm3_directions(t: np.ndarray, left: np.ndarray, s1: float, s2: float, first: float, second: float):
-    """Directions (x, x', y, y') attaining thm3 with equal strengths on the side of t's rows.
-
-    ``left`` holds t's left singular vectors as columns, s1 >= s2 are its
-    top singular values and (first, second) the other side's strengths.
-    """
-    x1 = left[:, 0]
-    x2 = left[:, 1]
-    ty1 = t.T @ x1
-    y = ty1 / float(np.sqrt(ty1 @ ty1))
-    ty2 = t.T @ x2
-    norm2 = float(np.sqrt(ty2 @ ty2))
-    if norm2 > 1e-12:
-        yp = ty2 / norm2
-    else:
-        # Rank-one correlations leave y' free; any unit vector orthogonal
-        # to y attains the (lo-independent) bound.
-        yp = complete_frame(y).e2
-    half = math.atan2(min(first, second) * s2, max(first, second) * s1)
-    x = math.cos(half) * x1 + math.sin(half) * x2
-    xp = math.cos(half) * x1 - math.sin(half) * x2
-    return (x, -xp, yp, y) if first < second else (x, xp, y, yp)
-
-
 def thm3_achieving(state: FanoState, q: StrengthQuad) -> AchievingConfig:
     """Scenario attaining the equal-strengths-on-one-side bound, in the input's labels.
 
-    Side A if sx = sxp, else side B, as ``thm3_bound`` picks it. On side A,
-    with hi >= lo the B strengths, the stronger B observable follows the
-    image of the top correlation eigenvector under T^T and the weaker one
-    that of the second; the A pair straddles those eigenvectors at the
-    half-angle fixed by tan(theta/2) = lo s2 / (hi s1). phi comes out
-    orthogonal. For sy < syp, exchanging y and y' is the same as negating
-    x', so theta -> pi - theta and the CHSH value is unchanged. On side B
-    the parties are exchanged (a <-> b, T -> T^T, strengths (sy, syp, sx,
-    sxp)), the side-A directions are built and the observables exchanged
-    back. With zero correlations the bound is 0, which every unbiased
-    scenario attains: the reference frames at the report's angles.
+    thm3 is the thm1 bound at its best angles, so the frame alignment at
+    ``thm3_bound``'s optimal angles attains it; that report alone knows
+    thm3's side choice and relabelling.
     """
-    equal_a, equal_b = equal_sides(q)
-    if not (equal_a or equal_b):
+    if not any(equal_sides(q)):
         raise DomainError("criterion thm3 requires equal strengths on one side (sx = sxp or sy = syp)")
     report = thm3_bound(state, q)
-    fac = state.t_svd
-    s1, s2 = float(fac.s[0]), float(fac.s[1])
-    if s1 <= 1e-12:
-        dirs = reference_frames(*report.optimal_angles)
-    elif equal_a:
-        dirs = _thm3_directions(state.t, fac.u, s1, s2, q.sy, q.syp)
-    else:
-        # T^T's left singular vectors are T's right ones.
-        y, yp, x, xp = _thm3_directions(state.t.T, fac.v, s1, s2, q.sx, q.sxp)
-        dirs = (x, xp, y, yp)
-    scenario = scenario_from_directions(q, dirs)
-    attained = abs(chsh_signed(scenario, state))
-    config = AchievingConfig(
-        scenario=scenario,
-        target_bound=report.value,
-        attained_chsh=attained,
-        recipe_id="thm3",
-    )
+    aligned = achieving_directions(state, q, *report.optimal_angles)
+    config = replace(aligned, target_bound=report.value, recipe_id="thm3")
     return _check_attainment(config, *report.optimal_angles)
 
 

@@ -544,13 +544,8 @@ def _maximize_extremal(spec: OptimizeSpec) -> OptimizeResult:
         unbiased = replace(spec, biases="fixed-zero", bias_values=None)
         problem = _Problem(unbiased)
         best_val, best_p, evals, converged = _run_starts(problem, unbiased)
-        best_biases = (0.0, 0.0, 0.0, 0.0)
-        best_j = 0.0
-        for biases in extremal_bias_patterns(spec.strengths):
-            j = bias_combination(*biases)
-            if j > best_j:
-                best_j = j
-                best_biases = biases
+        # The first pattern of the largest bias term; it is never negative.
+        best_biases = max(extremal_bias_patterns(spec.strengths), key=lambda biases: bias_combination(*biases))
         evals += 16
         scenario = problem.scenario(best_p, biases=best_biases)
         if chsh_signed(problem.scenario(best_p), spec.state) < 0.0:

@@ -451,11 +451,20 @@ def test_cor2_examples():
 
 
 def test_cor2_matches_right_angle_bound():
+    # cor2 is thm1 at right angles; the paper also writes it with its own sum
+    # and difference of W's singular values.
     rng = np.random.default_rng(20)
     for trial in range(200):
         state = random_state(rng, "tstate" if trial % 2 else "general")
         q = _random_quad(rng)
-        assert abs(cor2_sufficient(state, q).value - s0_bound(state, q, PI2, PI2).value) < 1e-10
+        sx, sxp, sy, syp = q.as_tuple()
+        i_plus = math.hypot(sx * sy + sxp * syp, sx * syp + sxp * sy)
+        i_minus = math.hypot(sx * sy - sxp * syp, sx * syp - sxp * sy)
+        s1, s2, _ = correlation_singular_values(state)
+        paper = 0.5 * (i_plus + i_minus) * s1 + 0.5 * (i_plus - i_minus) * s2
+        value = cor2_sufficient(state, q).value
+        assert value == s0_bound(state, q, PI2, PI2).value
+        assert abs(value - paper) < 1e-12
 
 
 def test_cor4_examples():

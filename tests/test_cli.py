@@ -259,6 +259,35 @@ def test_equal_strength_rule_agrees_across_bound_and_achieve(tmp_path, capsys, w
                 call()
 
 
+def _equal_singular_value_boundary():
+    """Second singular values of T just within and the next float just beyond the thm4 rule, with s1 = 0.6."""
+    s1 = 0.6
+    s2 = s1 - bounds.EQUAL_SINGULAR_VALUE_TOL
+    while s1 - s2 > bounds.EQUAL_SINGULAR_VALUE_TOL:
+        s2 = math.nextafter(s2, 1.0)
+    while s1 - math.nextafter(s2, 0.0) <= bounds.EQUAL_SINGULAR_VALUE_TOL:
+        s2 = math.nextafter(s2, 0.0)
+    return s2, math.nextafter(s2, 0.0)
+
+
+@pytest.mark.parametrize("within", [True, False], ids=["within-tol", "next-float-below"])
+def test_equal_singular_value_rule_agrees_across_bound_and_thm4(tmp_path, capsys, within):
+    s2 = _equal_singular_value_boundary()[0 if within else 1]
+    doc = {"state": {"kind": "bell_diagonal", "t": [0.6, -s2, 0.3]}, "strengths": [0.9, 0.5, 0.7, 0.6]}
+    parsed = cli.ScenarioFile(doc)
+    state, q = parsed.state, parsed.strengths
+    assert correlation_singular_values(state)[:2] == (0.6, s2)
+    assert bounds.equal_singular_values(0.6, s2) is within
+    code, out, _ = _run(capsys, ["bound", "--input", _write(tmp_path, "in.json", doc)])
+    assert code == 0
+    assert _criterion(json.loads(out), "thm4")["applicable"] is within
+    if within:
+        bounds.thm4_bound(state, q)
+    else:
+        with pytest.raises(DomainError, match="requires s1"):
+            bounds.thm4_bound(state, q)
+
+
 def test_achieve_thm3(tmp_path, capsys):
     path = _write(tmp_path, "in.json", _singlet_doc(strengths=[1, 1, 1, 0.5], angles=None))
     code, out, _ = _run(capsys, ["achieve", "--input", path, "--criterion", "thm3"])

@@ -10,6 +10,7 @@ from bellbound import (
     achieving_biases,
     achieving_directions,
     achieving_scenario_tstate,
+    bell_diagonal,
     bias_combination,
     cor1_bound,
     correlation_singular_values,
@@ -24,6 +25,7 @@ from bellbound import (
     thm3_achieving,
     thm3_bound,
     w_bundle,
+    werner,
 )
 from bellbound import construct
 from bellbound.construct import _ATTAIN_TOL, achieve
@@ -200,6 +202,29 @@ def test_thm3_achieving_rank_one_state():
     # Degenerate y' direction with a live syp arm still attains the bound.
     config = thm3_achieving(prod, StrengthQuad(1.0, 1.0, 1.0, 0.7))
     assert abs(config.attained_chsh - config.target_bound) < 1e-9
+
+
+_THM3_CORNER_STATES = {
+    "zero": werner(0.0),
+    "rank-one": product_state([0, 0, 1.0], [1.0, 0, 0]),
+    "rank-one-tstate": bell_diagonal(0.6, 0.0, 0.0),
+    "s1-equals-s2": werner(0.8),
+}
+
+
+@pytest.mark.parametrize("state_kind", list(_THM3_CORNER_STATES))
+@pytest.mark.parametrize("other", [(1.0, 0.0), (0.0, 1.0), (0.7, 0.3), (0.3, 0.7), (1.0, 1.0), (0.0, 0.0), (0.5, 0.5)])
+@pytest.mark.parametrize("s_a", [0.0, 1.0, 0.6])
+@pytest.mark.parametrize("side", ["a", "b"])
+def test_thm3_achieving_corners(side, s_a, other, state_kind):
+    state = _THM3_CORNER_STATES[state_kind]
+    q = StrengthQuad(s_a, s_a, *other) if side == "a" else StrengthQuad(*other, s_a, s_a)
+    config = thm3_achieving(state, q)
+    target = thm3_bound(state, q).value
+    assert config.recipe_id == "thm3"
+    assert config.target_bound == target
+    assert config.attained_chsh >= target - 1e-12
+    assert config.scenario.strengths == q
 
 
 def test_trace_pairing_bounded_by_singular_products():

@@ -25,6 +25,7 @@ from bellbound import (
     s0_bound,
     singlet,
     st_bound,
+    werner,
 )
 from bellbound import optimize, oracle
 from bellbound.optimize import sample_thm3_trial, worker_count
@@ -107,6 +108,16 @@ def test_free_extremal_general_states_pinned():
         assert result.converged
 
 
+def test_free_extremal_tstate_biases_extremal_without_bias_gain():
+    # Projective A observables leave every sign pattern a zero bias term;
+    # the biases are still extremal, and the value is the unbiased search's.
+    q = StrengthQuad(1.0, 1.0, 0.5, 0.3)
+    spec = OptimizeSpec(werner(0.8), q, None, "free-extremal", restarts=2, seed=0)
+    result = maximize_chsh(spec)
+    assert [abs(b) for b in result.best_scenario.biases] == [1.0 - s for s in q.as_tuple()]
+    assert result.best_value == maximize_chsh(replace(spec, biases="fixed-zero")).best_value
+
+
 def _pinned_specs():
     # Every bias mode, free and fixed angles, T-states and general states.
     rng = np.random.default_rng(4049)
@@ -175,8 +186,8 @@ _AUDIT_PINS = {
         [("0x1.183d2e6326c27p+0", 5338, True), ("0x1.1d83c80bb6b48p+0", 7087, True), ("0x1.06cf2903e2dd3p+0", 9184, True)],
     ),
     "thm3": (
-        [("0x1.36b6f02c6c2b9p-1", 7358, True), ("0x1.f5cb5fe0c9db2p-1", 12591, True), ("0x1.37320403570b3p+0", 8774, True)],
-        [("0x1.0ac341255d684p+0", 10819, True), ("0x1.d51e07f104a24p+0", 8707, True), ("0x1.5e9dea000e6dfp-1", 7703, True)],
+        [("0x1.36b6f02c6c2bap-1", 7358, True), ("0x1.f5cb5fe0c9db5p-1", 12607, True), ("0x1.37320403570b4p+0", 8790, True)],
+        [("0x1.0ac341255d683p+0", 10818, True), ("0x1.d51e07f104a26p+0", 8706, True), ("0x1.5e9dea000e6dfp-1", 7703, True)],
     ),
     "thm4": (
         [("0x1.5ccf8f92238a7p+0", 3312, True), ("0x1.56ce4a5381fc9p-1", 6470, True), ("0x1.c57565aca8101p-1", 3068, True)],

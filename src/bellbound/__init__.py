@@ -29,7 +29,6 @@ from .model import (
     bell_diagonal,
     correlation_singular_values,
     make_observable,
-    product_state,
     random_observable,
     random_rotation,
     random_state,

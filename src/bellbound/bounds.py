@@ -408,7 +408,8 @@ def compat_busch(x: Observable, xp: Observable) -> bool:
     """
     if abs(x.bias) >= 1e-12 or abs(xp.bias) >= 1e-12:
         raise DomainError("both observables must be unbiased; use compat_full instead")
-    lhs = _busch_lhs(x, xp)
+    norm_sum, norm_diff = _busch_norms(x, xp)
+    lhs = norm_sum + norm_diff
     verdict = lhs <= 2.0 + COMPAT_SLACK
     # Division-free sine form: S S' sin(theta) <= sqrt((1 - S^2)(1 - S'^2)).
     cross = np.cross(x.direction, xp.direction)
@@ -423,10 +424,11 @@ def compat_busch(x: Observable, xp: Observable) -> bool:
     return verdict
 
 
-def _busch_lhs(x: Observable, xp: Observable) -> float:
+def _busch_norms(x: Observable, xp: Observable) -> tuple[float, float]:
+    """|S x + S' x'| and |S x - S' x'|."""
     v_sum = x.strength * x.direction + xp.strength * xp.direction
     v_diff = x.strength * x.direction - xp.strength * xp.direction
-    return float(np.sqrt(v_sum @ v_sum) + np.sqrt(v_diff @ v_diff))
+    return float(np.sqrt(v_sum @ v_sum)), float(np.sqrt(v_diff @ v_diff))
 
 
 def compat_necessary(x: Observable, xp: Observable) -> bool:
@@ -435,11 +437,8 @@ def compat_necessary(x: Observable, xp: Observable) -> bool:
     max(|S x + S' x'|, |B + B'|) + max(|S x - S' x'|, |B - B'|) <= 2.
     Reduces to the unbiased condition when both biases vanish.
     """
-    v_sum = x.strength * x.direction + xp.strength * xp.direction
-    v_diff = x.strength * x.direction - xp.strength * xp.direction
-    lhs = max(float(np.sqrt(v_sum @ v_sum)), abs(x.bias + xp.bias)) + max(
-        float(np.sqrt(v_diff @ v_diff)), abs(x.bias - xp.bias)
-    )
+    norm_sum, norm_diff = _busch_norms(x, xp)
+    lhs = max(norm_sum, abs(x.bias + xp.bias)) + max(norm_diff, abs(x.bias - xp.bias))
     return lhs <= 2.0 + COMPAT_SLACK
 
 

@@ -62,28 +62,11 @@ EXIT_AUDIT = 5
 _MAX_STEPS = 10**6
 
 
-def _fmt12(value):
-    """Round every float in a JSON-like structure to 12 significant digits."""
-    if isinstance(value, bool) or value is None:
-        return value
-    if isinstance(value, (float, np.floating)):
-        return float(sig12(value))
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, dict):
-        return {k: _fmt12(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_fmt12(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_fmt12(v) for v in value.tolist()]
-    return value
-
-
 _JSON_SPECIAL = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _float_text(value) -> str:
-    """The JSON token of ``value`` rounded by ``sig12``, as ``json.dumps`` writes it."""
+def _float_text(value: float) -> str:
+    """The JSON token of ``value`` rounded by ``sig12``, as the standard library's ``json`` encoder writes it."""
     text = sig12(value)
     if "." in text and "e" not in text:
         # A fixed-point decimal of at most 12 digits is already the
@@ -92,34 +75,13 @@ def _float_text(value) -> str:
     return _JSON_SPECIAL.get(text) or repr(float(text))
 
 
-# The exact types of nearly every payload value, dispatched on without isinstance.
-_JSON_EXACT = frozenset((float, str, dict, list, tuple, type(None), bool, int))
-
-
-def _json_kind(value) -> type:
-    """The exact type ``_json_parts`` writes ``value`` as: for numpy scalars and arrays, and subclasses."""
-    if isinstance(value, str):
-        return str
-    if isinstance(value, bool):
-        return bool
-    if isinstance(value, (float, np.floating)):
-        return float
-    if isinstance(value, (int, np.integer)):
-        return int
-    if isinstance(value, dict):
-        return dict
-    if isinstance(value, (list, tuple)):
-        return list
-    if isinstance(value, np.ndarray):
-        return np.ndarray
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
 def _json_parts(value, out: list, newline: str) -> None:
-    """Append the text of ``value`` to ``out``; containers open on ``newline``."""
+    """Append the text of ``value`` to ``out``; containers open on ``newline``, or stay on one line if it is empty.
+
+    Only the exact built-in types a payload holds are written; any other
+    type, numpy scalars and float subclasses included, raises ``TypeError``.
+    """
     kind = type(value)
-    if kind not in _JSON_EXACT:
-        kind = _json_kind(value)
     if kind is float:
         out.append(_float_text(value))
     elif kind is str:
@@ -128,22 +90,25 @@ def _json_parts(value, out: list, newline: str) -> None:
         if not value:
             out.append("{}")
             return
-        inner = newline + "  "
-        out.append("{")
+        inner = newline and newline + "  "
+        comma = "," + (inner or " ")
+        out.append("{" + inner)
         for k, key in enumerate(sorted(value)):
             if not isinstance(key, str):
                 raise TypeError(f"JSON keys must be str, not {type(key).__name__}")
-            out.append(("," if k else "") + inner + encode_basestring_ascii(key) + ": ")
+            out.append((comma if k else "") + encode_basestring_ascii(key) + ": ")
             _json_parts(value[key], out, inner)
         out.append(newline + "}")
     elif kind is list or kind is tuple:
         if not value:
             out.append("[]")
             return
-        inner = newline + "  "
-        out.append("[")
+        inner = newline and newline + "  "
+        comma = "," + (inner or " ")
+        out.append("[" + inner)
         for k, item in enumerate(value):
-            out.append(("," if k else "") + inner)
+            if k:
+                out.append(comma)
             _json_parts(item, out, inner)
         out.append(newline + "]")
     elif value is None:
@@ -151,18 +116,19 @@ def _json_parts(value, out: list, newline: str) -> None:
     elif kind is bool:
         out.append("true" if value else "false")
     elif kind is int:
-        out.append(repr(int(value)))
+        out.append(repr(value))
     else:
-        _json_parts(list(value.tolist()), out, newline)
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
-def _json_text(payload) -> str:
-    """``json.dumps(_fmt12(payload), indent=2, sort_keys=True)``, written in one pass.
+def _json_text(payload, newline: str = "\n") -> str:
+    """The standard library's ``dumps(payload, indent=2, sort_keys=True)``, every float rounded by ``sig12``, in one pass.
 
-    Keys must be strings, which every payload's keys are.
+    With ``newline=""`` the text is on one line, as ``dumps(..., sort_keys=True)``
+    writes it. Keys must be strings, which every payload's keys are.
     """
     out: list[str] = []
-    _json_parts(payload, out, "\n")
+    _json_parts(payload, out, newline)
     return "".join(out)
 
 
@@ -434,7 +400,7 @@ def cmd_verify(args) -> int:
     }
     if report.tightness_claimed:
         summary["worst_undershoot_trial"] = report.worst_undershoot_trial
-    print(json.dumps(_fmt12(summary), sort_keys=True), file=sys.stderr)
+    print(_json_text(summary, ""), file=sys.stderr)
     if not report.passed:
         print(
             "audit FAILED; reproduce failing trials with --seed "
@@ -564,7 +530,7 @@ def cmd_scan(args) -> int:
         raise InvalidInputError(f"unknown sweep family {args.family!r}")
     _emit_csv(header, rows, args.output)
     if summary:
-        print(json.dumps(_fmt12(summary), sort_keys=True), file=sys.stderr)
+        print(_json_text(summary, ""), file=sys.stderr)
     return EXIT_OK
 
 
@@ -578,13 +544,16 @@ def cmd_compat(args) -> int:
         raise InvalidInputError("compat input needs observables under keys 'x' and 'xp'")
     x = observable_from_dict(data["x"], "x")
     xp = observable_from_dict(data["xp"], "xp")
-    unbiased = abs(x.bias) < 1e-12 and abs(xp.bias) < 1e-12
+    try:
+        busch = B.compat_busch(x, xp)
+    except DomainError:
+        busch = None
     payload = {
         "x": x.to_dict(),
         "xp": xp.to_dict(),
         "relative_angle": math.acos(max(-1.0, min(1.0, float(x.direction @ xp.direction)))),
-        "busch": B.compat_busch(x, xp) if unbiased else None,
-        "busch_applicable": unbiased,
+        "busch": busch,
+        "busch_applicable": busch is not None,
         "necessary": B.compat_necessary(x, xp),
         "full": B.compat_full(x, xp),
         "max_reversibility": {
@@ -592,7 +561,7 @@ def cmd_compat(args) -> int:
             "xp": B.max_reversibility(xp),
         },
     }
-    if not unbiased:
+    if busch is None:
         payload["busch_note"] = "only defined for unbiased observables; see 'necessary' and 'full'"
     _emit_json(payload, args.output)
     return EXIT_OK

@@ -14,7 +14,7 @@ and ``achieve`` maps each criterion to those angles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -117,10 +117,14 @@ def achieving_scenario_tstate(state: FanoState, q: StrengthQuad, theta: float, p
     return _appendix_a(state, q, theta, phi, biased=True)
 
 
-def _appendix_a(state: FanoState, q: StrengthQuad, theta, phi, biased: bool) -> AchievingConfig:
-    """The aligned unbiased scenario, with the bias recipe added if ``biased``."""
+def _appendix_a(
+    state: FanoState, q: StrengthQuad, theta, phi, biased: bool, target=None, recipe_id: str = "appendixA"
+) -> AchievingConfig:
+    """The aligned unbiased scenario, with the bias recipe added if ``biased``, checked against ``target``:
+    by default the thm1 (or, if ``biased``, thm2) bound at (theta, phi)."""
     theta, phi = float(theta), float(phi)
-    target = (st_bound if biased else s0_bound)(state, q, theta, phi).value
+    if target is None:
+        target = (st_bound if biased else s0_bound)(state, q, theta, phi).value
     refs = reference_frames(theta, phi)
     o1, o2 = optimal_transforms(state, q, theta, phi)
     scenario = scenario_from_directions(q, (o1 @ refs[0], o1 @ refs[1], o2 @ refs[2], o2 @ refs[3]))
@@ -132,9 +136,7 @@ def _appendix_a(state: FanoState, q: StrengthQuad, theta, phi, biased: bool) -> 
             dirs[3] = -dirs[3]
         scenario = scenario_from_directions(q, tuple(dirs), achieving_biases(q))
     attained = abs(chsh_signed(scenario, state))
-    config = AchievingConfig(
-        scenario=scenario, target_bound=target, attained_chsh=attained, recipe_id="appendixA"
-    )
+    config = AchievingConfig(scenario=scenario, target_bound=target, attained_chsh=attained, recipe_id=recipe_id)
     return _check_attainment(config, theta, phi)
 
 
@@ -148,9 +150,7 @@ def thm3_achieving(state: FanoState, q: StrengthQuad) -> AchievingConfig:
     if not any(equal_sides(q)):
         raise DomainError("criterion thm3 requires equal strengths on one side (sx = sxp or sy = syp)")
     report = thm3_bound(state, q)
-    aligned = achieving_directions(state, q, *report.optimal_angles)
-    config = replace(aligned, target_bound=report.value, recipe_id="thm3")
-    return _check_attainment(config, *report.optimal_angles)
+    return _appendix_a(state, q, *report.optimal_angles, biased=False, target=report.value, recipe_id="thm3")
 
 
 ACHIEVABLE = ("thm1", "thm2", "cor1", "cor4", "thm3", "thm4")

@@ -366,13 +366,6 @@ def bell_diagonal(t1: float, t2: float, t3: float) -> FanoState:
     return state_from_fano(np.zeros(3), np.zeros(3), np.diag([float(t1), float(t2), float(t3)]))
 
 
-def product_state(a, b) -> FanoState:
-    """Product of two single-qubit states with Bloch vectors a and b."""
-    va = np.asarray(a, dtype=float)
-    vb = np.asarray(b, dtype=float)
-    return state_from_fano(va, vb, np.outer(va, vb))
-
-
 # ---------------------------------------------------------------------------
 # Seeded random generators (explicit seed state, no global RNG)
 

@@ -517,9 +517,7 @@ def test_thm3_weak_arm_limit():
     report = thm3_bound(state, StrengthQuad(1.0, 1.0, 1.0, 0.0))
     assert abs(report.value - 2 * 0.95) < 1e-12
     # Rank-one correlations with a vanishing arm never violate.
-    from bellbound import product_state
-
-    prod = product_state([0, 0, 1.0], [1.0, 0, 0])
+    prod = state_from_fano([0, 0, 1.0], [1.0, 0, 0], np.outer([0, 0, 1.0], [1.0, 0, 0]))
     assert thm3_bound(prod, StrengthQuad(1.0, 1.0, 1.0, 0.0)).value <= 2.0 + 1e-12
 
 

@@ -700,6 +700,23 @@ def test_compat_biased_pair(tmp_path, capsys):
     assert isinstance(verdicts["necessary"], bool) and isinstance(verdicts["full"], bool)
 
 
+@pytest.mark.parametrize("key", ["x", "xp"])
+@pytest.mark.parametrize("bias, applicable", [(1e-12, False), (-1e-12, False), (0.99e-12, True), (-0.99e-12, True)])
+def test_compat_busch_applies_below_its_bias_threshold(tmp_path, capsys, key, bias, applicable):
+    # compat_busch's DomainError rule alone decides whether 'busch' is given.
+    doc = {"x": {"bias": 0, "strength": 0.6, "direction": [1, 0, 0]},
+           "xp": {"bias": 0, "strength": 0.7, "direction": [0, 1, 0]}}
+    doc[key]["bias"] = bias
+    code, out, _ = _run(capsys, ["compat", "--input", _write(tmp_path, "pair.json", doc)])
+    assert code == 0
+    verdicts = json.loads(out)
+    assert verdicts["busch_applicable"] is applicable
+    if applicable:
+        assert isinstance(verdicts["busch"], bool) and "busch_note" not in verdicts
+    else:
+        assert verdicts["busch"] is None and "busch_note" in verdicts
+
+
 def test_console_entry_point(tmp_path):
     doc = _singlet_doc()
     path = tmp_path / "in.json"

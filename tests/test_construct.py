@@ -16,12 +16,12 @@ from bellbound import (
     correlation_singular_values,
     frame_from_pair,
     j_max,
-    product_state,
     random_state,
     reference_frames,
     s0_bound,
     singlet,
     st_bound,
+    state_from_fano,
     thm3_achieving,
     thm3_bound,
     w_bundle,
@@ -195,7 +195,7 @@ def test_thm3_achieving_side_b_attains_thm3_bound():
 
 
 def test_thm3_achieving_rank_one_state():
-    prod = product_state([0, 0, 1.0], [1.0, 0, 0])
+    prod = state_from_fano([0, 0, 1.0], [1.0, 0, 0], np.outer([0, 0, 1.0], [1.0, 0, 0]))
     config = thm3_achieving(prod, StrengthQuad(1.0, 1.0, 1.0, 0.0))
     assert abs(config.attained_chsh - 2.0) < 1e-9
     assert config.attained_chsh <= 2.0 + 1e-9
@@ -206,7 +206,7 @@ def test_thm3_achieving_rank_one_state():
 
 _THM3_CORNER_STATES = {
     "zero": werner(0.0),
-    "rank-one": product_state([0, 0, 1.0], [1.0, 0, 0]),
+    "rank-one": state_from_fano([0, 0, 1.0], [1.0, 0, 0], np.outer([0, 0, 1.0], [1.0, 0, 0])),
     "rank-one-tstate": bell_diagonal(0.6, 0.0, 0.0),
     "s1-equals-s2": werner(0.8),
 }
@@ -308,7 +308,7 @@ def test_tstate_construction_evaluates_one_bound_and_one_check(monkeypatch):
         original = getattr(construct, name)
         monkeypatch.setattr(construct, name, lambda *args: calls.append(name) or original(*args))
 
-    for name in ("st_bound", "s0_bound", "_check_attainment", "chsh_signed"):
+    for name in ("st_bound", "s0_bound", "thm3_bound", "_check_attainment", "chsh_signed"):
         counted(name)
     state, q, angles = _pinned_case(5)
     construct.achieving_scenario_tstate(state, q, *angles)
@@ -316,3 +316,7 @@ def test_tstate_construction_evaluates_one_bound_and_one_check(monkeypatch):
     calls.clear()
     construct.achieving_directions(state, q, *angles)
     assert sorted(calls) == ["_check_attainment", "chsh_signed", "s0_bound"]
+    calls.clear()
+    # thm3 is checked once, against its own bound; no thm1 bound is evaluated.
+    construct.thm3_achieving(state, StrengthQuad(q.sx, q.sxp, q.sy, q.sy))
+    assert sorted(calls) == ["_check_attainment", "chsh_signed", "thm3_bound"]

@@ -13,7 +13,6 @@ from bellbound import (
     hermitian_eigenvalues_4,
     horodecki,
     make_observable,
-    product_state,
     random_observable,
     random_rotation,
     random_state,
@@ -64,7 +63,7 @@ def test_identity_correlations_unphysical():
 
 def test_correlation_singular_values_examples():
     assert np.allclose(correlation_singular_values(singlet()), [1.0, 1.0, 1.0], atol=1e-14)
-    prod = product_state([0.0, 0.0, 1.0], [1.0, 0.0, 0.0])
+    prod = state_from_fano([0.0, 0.0, 1.0], [1.0, 0.0, 0.0], np.outer([0.0, 0.0, 1.0], [1.0, 0.0, 0.0]))
     assert np.allclose(correlation_singular_values(prod), [1.0, 0.0, 0.0], atol=1e-14)
     w = werner(0.37)
     assert np.allclose(correlation_singular_values(w), [0.37] * 3, atol=1e-14)
@@ -150,7 +149,7 @@ def test_pure_product_states_rank_one():
         a /= np.linalg.norm(a)
         b = rng.normal(size=3)
         b /= np.linalg.norm(b)
-        s = correlation_singular_values(product_state(a, b))
+        s = correlation_singular_values(state_from_fano(a, b, np.outer(a, b)))
         assert abs(s[0] - 1.0) < 1e-10 and abs(s[1]) < 1e-10 and abs(s[2]) < 1e-10
 
 

@@ -1,11 +1,15 @@
 """The CLI's JSON and CSV writers against the standard-library encoders, byte for byte.
 
-``cli._json_text`` must write exactly what
-``json.dumps(cli._fmt12(value), indent=2, sort_keys=True)`` writes, and
-``cli._emit_csv`` exactly what ``csv.writer(lineterminator="\\n")`` writes
-for the same header and rows. The payloads come from the golden-corpus
-commands; the edge values are the ones the float, string and container
-rules each have to get right.
+With every float rounded by ``model.sig12``, ``cli._json_text`` must write
+exactly what ``json.dumps(value, indent=2, sort_keys=True)`` writes, and
+on one line (``newline=""``) what ``json.dumps(value, sort_keys=True)``
+writes; ``cli._emit_csv`` must write exactly what
+``csv.writer(lineterminator="\\n")`` writes for the same header and rows.
+The documents come from the golden-corpus commands, the one-line summaries
+from every ``verify`` criterion and ``scan`` family; the edge values are
+the ones the float, string and container rules each have to get right.
+The writer takes only the plain types payloads hold: numpy scalars and
+arrays raise ``TypeError``.
 """
 
 import csv
@@ -18,13 +22,34 @@ import numpy as np
 import pytest
 
 from bellbound import cli
+from bellbound.model import sig12
 from bellbound.optimize import AUDIT_CRITERIA
 
 CORPUS = json.loads((pathlib.Path(__file__).parent / "golden" / "cli_corpus.json").read_text())
 
 
+def _rounded(value):
+    """``value`` with every float rounded to 12 significant digits by ``sig12``."""
+    if type(value) is float:
+        return float(sig12(value))
+    if type(value) is dict:
+        return {k: _rounded(v) for k, v in value.items()}
+    if type(value) in (list, tuple):
+        return [_rounded(v) for v in value]
+    return value
+
+
 def _reference_json(value) -> str:
-    return json.dumps(cli._fmt12(value), indent=2, sort_keys=True)
+    return json.dumps(_rounded(value), indent=2, sort_keys=True)
+
+
+def _reference_line(value) -> str:
+    return json.dumps(_rounded(value), sort_keys=True)
+
+
+def _assert_both_forms(value):
+    assert cli._json_text(value) == _reference_json(value)
+    assert cli._json_text(value, "") == _reference_line(value)
 
 
 def _reference_csv(header, rows) -> str:
@@ -116,13 +141,12 @@ def _random_floats(count):
 
 @pytest.mark.parametrize("value", EDGE_FLOATS, ids=repr)
 def test_json_writer_edge_floats(value):
-    assert cli._json_text(value) == _reference_json(value)
-    assert cli._json_text([value, np.float64(value)]) == _reference_json([value, np.float64(value)])
+    _assert_both_forms(value)
+    _assert_both_forms([value, {"x": value}])
 
 
 def test_json_writer_fixed_point_shortcut_on_random_floats():
-    values = _random_floats(2000)
-    assert cli._json_text(values) == _reference_json(values)
+    _assert_both_forms(_random_floats(2000))
 
 
 @pytest.mark.parametrize(
@@ -134,14 +158,9 @@ def test_json_writer_fixed_point_shortcut_on_random_floats():
         {"a": {}, "b": [], "c": [[], [{}]], "d": ({"e": (1, 2.5)},)},
         {"z": 1, "a": 2, "m": {"y": True, "b": False, "n": None}},
         (1, 2.0, "three", None, True),
-        np.int64(7),
-        np.float64(0.30000000000000004),
-        np.float32(0.1),
-        [np.int64(-3), np.float64(2.0), np.array([1.5, 2.0, np.nan])],
-        np.array([[1, 2], [3, 4]]),
-        np.array([[0.1, -0.0], [np.inf, 1e-300]]),
-        np.array([], dtype=float),
-        np.array([True, False]),
+        # Summary shapes: an empty and a non-empty not_converged list, a None trial.
+        {"not_converged": [], "worst_overshoot_trial": None, "max_overshoot": 0.0},
+        {"not_converged": [3, 17], "worst_overshoot_trial": 17, "evaluations": 28755},
         "café → ü",
         'quote " backslash \\ newline \n tab \t bell \x07 nul \x00 del \x7f',
         {"naïve key": " ", "\x01": "😀"},
@@ -155,7 +174,7 @@ def test_json_writer_fixed_point_shortcut_on_random_floats():
     ids=lambda v: type(v).__name__,
 )
 def test_json_writer_matches_json_dumps_on_edge_values(value):
-    assert cli._json_text(value) == _reference_json(value)
+    _assert_both_forms(value)
 
 
 @pytest.mark.parametrize(
@@ -163,22 +182,79 @@ def test_json_writer_matches_json_dumps_on_edge_values(value):
     [{1, 2}, object(), b"bytes", 1j, np.bool_(True), {"a": [frozenset()]}, np.array(0.5)],
     ids=lambda v: type(v).__name__,
 )
-def test_json_writer_rejects_what_json_dumps_rejects(value):
+@pytest.mark.parametrize("newline", ["\n", ""], ids=["indented", "one-line"])
+def test_json_writer_rejects_what_json_dumps_rejects(value, newline):
     with pytest.raises(TypeError):
         _reference_json(value)
     with pytest.raises(TypeError):
-        cli._json_text(value)
+        cli._json_text(value, newline)
 
 
-def test_json_writer_takes_only_string_keys():
+class _Float(float):
+    pass
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        np.float64(0.30000000000000004),
+        np.float32(0.1),
+        np.int64(7),
+        [np.int64(-3), 2.0],
+        {"value": np.float64(2.0)},
+        np.array([[0.1, -0.0], [np.inf, 1e-300]]),
+        np.array([], dtype=float),
+        _Float(1.5),
+    ],
+    ids=lambda v: type(v).__name__,
+)
+@pytest.mark.parametrize("newline", ["\n", ""], ids=["indented", "one-line"])
+def test_json_writer_rejects_numpy_values_and_float_subclasses(value, newline):
+    # Payloads hold plain floats, ints and bools only; anything else is a bug upstream.
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        cli._json_text(value, newline)
+
+
+@pytest.mark.parametrize("newline", ["\n", ""], ids=["indented", "one-line"])
+def test_json_writer_takes_only_string_keys(newline):
     with pytest.raises(TypeError, match="keys must be str"):
-        cli._json_text({1: 2.0})
+        cli._json_text({1: 2.0}, newline)
 
 
 # The corpus holds one scan per family (tests/test_golden_cli.py checks this).
 CSV_COMMANDS = [c["argv"] for c in CORPUS["commands"] if c["kind"] == "scan"] + [
     ["verify", "--criterion", criterion, "--trials", "3", "--seed", "0"] for criterion in sorted(AUDIT_CRITERIA)
 ]
+
+
+# A strength sweep on a T-state whose radius is below 1 has no crossings to report.
+SUMMARY_COMMANDS = CSV_COMMANDS + [
+    ["scan", "--family", "strength-sweep", "--start", "0", "--stop", "1", "--steps", "5",
+     "--input", "rotated-tstate-no-angles.json"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv", SUMMARY_COMMANDS, ids=lambda a: a[2] + ("-input" if "--input" in a else "")
+)
+def test_summary_line_matches_json_dumps(argv, corpus_dir, monkeypatch, capsys):
+    payloads = []
+    write = cli._json_text
+
+    def spy(payload, newline="\n"):
+        payloads.append((payload, newline))
+        return write(payload, newline)
+
+    monkeypatch.setattr(cli, "_json_text", spy)
+    assert cli.main(argv) == 0
+    err = capsys.readouterr().err
+    if argv[2] == "angle-sweep":
+        # The angle sweep has no summary.
+        assert (payloads, err) == ([], "")
+        return
+    ((summary, newline),) = payloads
+    assert newline == ""
+    assert err == _reference_line(summary) + "\n"
 
 
 @pytest.mark.parametrize("argv", CSV_COMMANDS, ids=lambda a: a[2])

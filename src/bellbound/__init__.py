@@ -12,7 +12,6 @@ from .errors import (
     UnphysicalStateError,
 )
 from .linalg import (
-    Frame3,
     SvdFactors,
     complete_frame,
     frame_from_pair,

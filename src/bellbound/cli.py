@@ -38,6 +38,7 @@ from .model import (
     bell_diagonal,
     check_angle,
     check_bias,
+    check_count,
     check_strength,
     check_werner_weight,
     number_from_json,
@@ -499,8 +500,7 @@ def angle_sweep(state: FanoState, q: StrengthQuad, start: float, stop: float, st
 
 
 def cmd_scan(args) -> int:
-    if args.steps < 2:
-        raise InvalidInputError("steps must be >= 2")
+    check_count(args.steps, "steps", 2)
     if args.steps > _MAX_STEPS:
         raise InvalidInputError(f"steps must be <= {_MAX_STEPS}, got {args.steps}")
     if not (math.isfinite(args.start) and math.isfinite(args.stop) and args.start < args.stop):

@@ -25,19 +25,6 @@ class SvdFactors:
     v: np.ndarray
 
 
-@dataclass(frozen=True)
-class Frame3:
-    """Right-handed orthonormal triple of 3-vectors (e3 = e1 x e2)."""
-
-    e1: np.ndarray
-    e2: np.ndarray
-    e3: np.ndarray
-
-    def as_matrix(self) -> np.ndarray:
-        """Matrix with the frame vectors as columns."""
-        return np.column_stack([self.e1, self.e2, self.e3])
-
-
 _SQUARE_SIZES = (2, 3, 4)
 
 
@@ -91,9 +78,10 @@ def hermitian_eigenvalues_4(h) -> np.ndarray:
     return np.linalg.eigvalsh(0.5 * (a + a.conj().T))[::-1].copy()
 
 
-def complete_frame(e1) -> Frame3:
+def complete_frame(e1) -> np.ndarray:
     """Extend a unit vector to a right-handed orthonormal frame.
 
+    Returns the 3x3 matrix whose columns are e1, e2 and e3 = e1 x e2.
     e2 comes from orthogonalizing the standard basis vector with the
     smallest |component| along e1, which makes the completion
     deterministic.
@@ -112,11 +100,11 @@ def complete_frame(e1) -> Frame3:
     v2 = ortho / float(np.sqrt(ortho @ ortho))
     v3 = np.cross(v1, v2)
     v3 = v3 / float(np.sqrt(v3 @ v3))
-    return Frame3(e1=v1, e2=v2, e3=v3)
+    return np.column_stack([v1, v2, v3])
 
 
-def frame_from_pair(u, v) -> Frame3:
-    """Right-handed frame (sum, difference, cross) of a unit-vector pair.
+def frame_from_pair(u, v) -> np.ndarray:
+    """Right-handed frame (sum, difference, cross) of a unit-vector pair, as matrix columns.
 
     For parallel or antipodal pairs the undefined axis is completed
     deterministically; the completion leaves every angle-dependent bound
@@ -133,16 +121,15 @@ def frame_from_pair(u, v) -> Frame3:
         ortho = diff - (diff @ e1) * e1
         e2 = ortho / float(np.sqrt(ortho @ ortho))
         e3 = np.cross(e1, e2)
-        return Frame3(e1=e1, e2=e2, e3=e3 / float(np.sqrt(e3 @ e3)))
+        return np.column_stack([e1, e2, e3 / float(np.sqrt(e3 @ e3))])
     if norm_diff <= 1e-8:
         # Parallel pair: sum axis is the common direction.
         return complete_frame(vu / float(np.sqrt(vu @ vu)))
     # Antipodal pair: difference axis is defined, sum axis is free.
     e2 = diff / norm_diff
-    helper = complete_frame(e2)
-    e1 = helper.e2
+    e1 = complete_frame(e2)[:, 1]
     e3 = np.cross(e1, e2)
-    return Frame3(e1=e1, e2=e2, e3=e3 / float(np.sqrt(e3 @ e3)))
+    return np.column_stack([e1, e2, e3 / float(np.sqrt(e3 @ e3))])
 
 
 def matrix_to_axis_angle(rot) -> np.ndarray:

@@ -9,6 +9,7 @@ matrix is derived on demand, never stored.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -91,6 +92,15 @@ def check_bias(bias, strength: float) -> float:
     if strength + abs(bias) > 1.0 + 1e-12:
         raise ConstraintError(f"strength + |bias| = {strength + abs(bias):.6g} exceeds 1")
     return bias
+
+
+def check_count(value, name: str, low: int) -> int:
+    """An integer (a bool is none) of at least ``low``, as an int."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise InvalidInputError(f"{name} must be >= {low}, got {value}")
+    return int(value)
 
 
 def check_werner_weight(w, name: str):

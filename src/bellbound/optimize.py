@@ -36,6 +36,7 @@ from .errors import InternalConsistencyError, InvalidInputError
 from .model import (
     Scenario,
     StrengthQuad,
+    check_count,
     correlation_singular_values,
     random_observable,
     random_rotation,
@@ -333,22 +334,17 @@ def audit_bound(
         raise InvalidInputError(
             f"unknown audit criterion {criterion_id!r}; known: {sorted(_AUDIT_REGISTRY)}"
         )
-    if trials < 1:
-        raise InvalidInputError("trials must be >= 1")
+    cfg = _AUDIT_REGISTRY[criterion_id]
+    trials = check_count(trials, "trials", 1)
     if trials > _MAX_TRIALS:
         raise InvalidInputError(f"trials must be <= {_MAX_TRIALS}, got {trials}")
-    if seed < 0:
-        raise InvalidInputError(f"seed must be >= 0, got {seed}")
-    if restarts is not None and restarts < 1:
-        raise InvalidInputError("restarts must be >= 1")
-    if threads < 1:
-        raise InvalidInputError(f"threads must be >= 1, got {threads}")
+    seed = check_count(seed, "seed", 0)
+    restarts = cfg.restarts if restarts is None else check_count(restarts, "restarts", 1)
+    threads = check_count(threads, "threads", 1)
     if tolerance is not None and not (math.isfinite(tolerance) and tolerance >= 0.0):
         raise InvalidInputError(f"tolerance must be finite and >= 0, got {tolerance}")
-    cfg = _AUDIT_REGISTRY[criterion_id]
     undershoot_tol = cfg.undershoot_tol if tolerance is None else float(tolerance)
-    n_restarts = cfg.restarts if restarts is None else int(restarts)
-    jobs = [(criterion_id, int(seed), trial, n_restarts) for trial in range(trials)]
+    jobs = [(criterion_id, seed, trial, restarts) for trial in range(trials)]
     workers = worker_count(threads, trials, _usable_cpus())
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -360,7 +356,7 @@ def audit_bound(
     return AuditReport(
         criterion_id=criterion_id,
         trials=trials,
-        seed=int(seed),
+        seed=seed,
         overshoot_tol=cfg.overshoot_tol,
         undershoot_tol=undershoot_tol,
         tightness_claimed=cfg.tightness_claimed,

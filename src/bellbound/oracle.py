@@ -47,6 +47,8 @@ from .model import (
     Scenario,
     StrengthQuad,
     check_angle,
+    check_bias,
+    check_count,
     make_observable,
     scenario_from_directions,
 )
@@ -76,15 +78,10 @@ class OptimizeSpec:
         if self.biases == "fixed-values":
             if self.bias_values is None or len(self.bias_values) != 4:
                 raise InvalidInputError("fixed-values mode needs four bias values")
-            for b, s in zip(self.bias_values, self.strengths.as_tuple()):
-                if not math.isfinite(b):
-                    raise InvalidInputError(f"bias values must be finite, got {b}")
-                if abs(b) > 1.0 - s + 1e-12:
-                    raise InvalidInputError("bias values violate strength + |bias| <= 1")
-        if self.restarts < 1:
-            raise InvalidInputError("restarts must be >= 1")
-        if self.seed < 0:
-            raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
+            biases = tuple(check_bias(b, s) for b, s in zip(self.bias_values, self.strengths.as_tuple()))
+            object.__setattr__(self, "bias_values", biases)
+        object.__setattr__(self, "restarts", check_count(self.restarts, "restarts", 1))
+        object.__setattr__(self, "seed", check_count(self.seed, "seed", 0))
         if self.fixed_angles is not None:
             th, ph = self.fixed_angles
             object.__setattr__(self, "fixed_angles", (check_angle(th, "fixed theta"), check_angle(ph, "fixed phi")))
@@ -385,28 +382,15 @@ class _Problem:
         # samplers draw them) costs several times more in the hot loop.
         self.strengths = tuple(float(v) for v in spec.strengths.as_tuple())
         self.free_angles = spec.fixed_angles is None
-        if spec.fixed_angles is not None:
-            self.theta0, self.phi0 = float(spec.fixed_angles[0]), float(spec.fixed_angles[1])
-        else:
-            self.theta0 = self.phi0 = 0.5 * math.pi
+        self.theta0, self.phi0 = (0.5 * math.pi,) * 2 if self.free_angles else tuple(map(float, spec.fixed_angles))
         self.free_bias = spec.biases == "free-continuous"
-        if spec.biases == "fixed-values":
-            self.fixed_bias = tuple(float(b) for b in spec.bias_values)
-        else:
-            self.fixed_bias = (0.0, 0.0, 0.0, 0.0)
-        self.dim = 6 + (2 if self.free_angles else 0) + (4 if self.free_bias else 0)
-        lo = [-math.inf] * 6
-        hi = [math.inf] * 6
-        if self.free_angles:
-            lo += [0.0, 0.0]
-            hi += [math.pi, math.pi]
-        if self.free_bias:
-            for s in self.strengths:
-                room = max(0.0, 1.0 - s)
-                lo.append(-room)
-                hi.append(room)
-        self.lo = lo
-        self.hi = hi
+        # OptimizeSpec has made fixed bias values Python floats.
+        self.fixed_bias = spec.bias_values if spec.biases == "fixed-values" else (0.0, 0.0, 0.0, 0.0)
+        # Each free bias b ranges over |b| <= 1 - strength, its room.
+        self.rooms = [max(0.0, 1.0 - s) for s in self.strengths] if self.free_bias else []
+        self.lo = [-math.inf] * 6 + ([0.0, 0.0] if self.free_angles else []) + [-room for room in self.rooms]
+        self.hi = [math.inf] * 6 + ([math.pi, math.pi] if self.free_angles else []) + self.rooms
+        self.dim = len(self.lo)
 
     def make_refine(self):
         """``refine(p, tol, step)``: the search from ``p`` until its step falls to ``tol`` or
@@ -425,22 +409,14 @@ class _Problem:
         )
 
     def scenario(self, p, biases=None) -> Scenario:
-        if self.free_angles:
-            theta, phi = p[6], p[7]
-        else:
-            theta, phi = self.theta0, self.phi0
+        theta, phi = (p[6], p[7]) if self.free_angles else (self.theta0, self.phi0)
         if biases is None:
-            if self.free_bias:
-                biases = tuple(p[self.dim - 4 :])
-            else:
-                biases = self.fixed_bias
+            biases = tuple(p[self.dim - 4 :]) if self.free_bias else self.fixed_bias
         return scenario_from_directions(self.spec.strengths, _directions(p, theta, phi), biases)
 
     def params_from_scenario(self, scenario: Scenario) -> list[float]:
-        frame_a = frame_from_pair(scenario.x.direction, scenario.xp.direction)
-        frame_b = frame_from_pair(scenario.y.direction, scenario.yp.direction)
-        p = list(matrix_to_axis_angle(frame_a.as_matrix()))
-        p += list(matrix_to_axis_angle(frame_b.as_matrix()))
+        p = list(matrix_to_axis_angle(frame_from_pair(scenario.x.direction, scenario.xp.direction)))
+        p += list(matrix_to_axis_angle(frame_from_pair(scenario.y.direction, scenario.yp.direction)))
         if self.free_angles:
             p += [scenario.theta, scenario.phi]
         if self.free_bias:
@@ -455,42 +431,36 @@ class _Problem:
             p += (axis * rng.uniform(0.0, math.pi)).tolist()
         if self.free_angles:
             p += rng.uniform(0.0, math.pi, size=2).tolist()
-        if self.free_bias:
-            for s in self.strengths:
-                room = max(0.0, 1.0 - s)
-                p.append(float(rng.uniform(-room, room)) if room > 0.0 else 0.0)
+        p += [float(rng.uniform(-room, room)) if room > 0.0 else 0.0 for room in self.rooms]
         return p
 
 
-# Random restarts refine at this coarse parameter tolerance and the winner
-# is polished at full precision only when it beats the incumbent (warm
-# starts always run at full precision). A non-winning coarse candidate can
-# trail its own local optimum by at most O(coarse^2) in value, so nothing
-# meaningful is lost by not polishing it.
+# Warm starts refine at full precision. Random restarts refine at a coarse
+# parameter tolerance, and one is polished at full precision only when it
+# beats the incumbent. A non-winning coarse candidate can trail its own local
+# optimum by at most O(coarse^2) in value, so nothing meaningful is lost by
+# not polishing it.
 _COARSE_TOL = 1e-4
 _REFINE_TOL = 1e-8
 
 
-def _run_starts(problem: _Problem, spec: OptimizeSpec):
+def _run_starts(problem: _Problem):
+    """The best of the spec's warm starts, then of its ``restarts`` random starts, each drawn as it runs."""
+    spec = problem.spec
     rng = np.random.default_rng(spec.seed)
     refine = problem.make_refine()
+    starts = itertools.chain(
+        ((problem.params_from_scenario(scenario), _REFINE_TOL) for scenario in spec.warm_starts),
+        ((problem.random_params(rng), _COARSE_TOL) for _ in range(spec.restarts)),
+    )
     best_val = -math.inf
     best_p = None
     total_evals = 0
     converged = True
-    for scenario in spec.warm_starts:
-        start = problem.params_from_scenario(scenario)
-        val, p, evals, conv = refine(start, _REFINE_TOL, _START_STEP)
+    for start, tol in starts:
+        val, p, evals, conv = refine(start, tol, _START_STEP)
         total_evals += evals
-        converged = converged and conv
-        if val > best_val:
-            best_val = val
-            best_p = list(p)
-    for _ in range(spec.restarts):
-        start = problem.random_params(rng)
-        val, p, evals, conv = refine(start, _COARSE_TOL, _START_STEP)
-        total_evals += evals
-        if val > best_val:
+        if tol == _COARSE_TOL and val > best_val:
             val, p, evals, conv = refine(p, _REFINE_TOL, 4.0 * _COARSE_TOL)
             total_evals += evals
         converged = converged and conv
@@ -510,9 +480,8 @@ def maximize_chsh(spec: OptimizeSpec) -> OptimizeResult:
     if spec.biases == "free-extremal":
         return _maximize_extremal(spec)
     problem = _Problem(spec)
-    best_val, best_p, evals, converged = _run_starts(problem, spec)
-    scenario = problem.scenario(best_p)
-    return _finalize(spec, scenario, evals, converged)
+    best_val, best_p, evals, converged = _run_starts(problem)
+    return _finalize(spec, problem.scenario(best_p), evals, converged)
 
 
 def _finalize(spec: OptimizeSpec, scenario: Scenario, evals: int, converged: bool) -> OptimizeResult:
@@ -543,7 +512,7 @@ def _maximize_extremal(spec: OptimizeSpec) -> OptimizeResult:
     if spec.state.is_tstate():
         unbiased = replace(spec, biases="fixed-zero", bias_values=None)
         problem = _Problem(unbiased)
-        best_val, best_p, evals, converged = _run_starts(problem, unbiased)
+        best_val, best_p, evals, converged = _run_starts(problem)
         # The first pattern of the largest bias term; it is never negative.
         best_biases = max(extremal_bias_patterns(spec.strengths), key=lambda biases: bias_combination(*biases))
         evals += 16
@@ -562,7 +531,7 @@ def _maximize_extremal(spec: OptimizeSpec) -> OptimizeResult:
     for biases in extremal_bias_patterns(spec.strengths):
         fixed = replace(spec, biases="fixed-values", bias_values=biases)
         problem = _Problem(fixed)
-        val, p, evals, conv = _run_starts(problem, fixed)
+        val, p, evals, conv = _run_starts(problem)
         total_evals += evals
         converged = converged and conv
         if best_result is None or val > best_result[0]:

@@ -899,6 +899,14 @@ def test_scan_steps_above_the_limit_exit_2(steps):
     assert (code, out, err) == (2, "", f"error: steps must be <= 1000000, got {steps}\n")
 
 
+@pytest.mark.parametrize("steps", ["1", "0", "-3"])
+def test_scan_steps_below_two_exit_2(steps):
+    code, out, err, _ = _call_in_process(
+        ["scan", "--family", "werner-sweep", "--start", "0", "--stop", "1", "--steps", steps]
+    )
+    assert (code, out, err) == (2, "", f"error: steps must be >= 2, got {steps}\n")
+
+
 def test_verify_trials_above_the_limit_exit_2_before_any_trial(monkeypatch):
     import concurrent.futures
 

@@ -241,7 +241,7 @@ def test_trace_pairing_bounded_by_singular_products():
         frame_a = frame_from_pair(_unit(rng), _unit(rng))
         frame_b = frame_from_pair(_unit(rng), _unit(rng))
         # T expressed between the two frames: M_jk = e_j^T T f_k.
-        m = frame_a.as_matrix().T @ state.t @ frame_b.as_matrix()
+        m = frame_a.T @ state.t @ frame_b
         pairing = abs(np.sum(w_embedded * m))
         bound = s0_bound(state, q, theta, phi).value
         assert pairing <= bound + 1e-9

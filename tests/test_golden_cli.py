@@ -63,14 +63,6 @@ def _json_lines(text: str) -> list:
     return [json.loads(line) for line in text.splitlines() if line.strip()]
 
 
-@pytest.fixture
-def corpus_dir(tmp_path, monkeypatch):
-    for name, doc in CORPUS["inputs"].items():
-        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
-    monkeypatch.chdir(tmp_path)
-    return tmp_path
-
-
 def _run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()

@@ -6,6 +6,7 @@ import pytest
 from bellbound import (
     InvalidInputError,
     complete_frame,
+    frame_from_pair,
     hermitian_eigenvalues_4,
     matrix_to_axis_angle,
     random_rotation,
@@ -158,17 +159,16 @@ def _unit(rng):
 
 def test_complete_frame_default_rule():
     f = complete_frame(np.array([0.0, 0.0, 1.0]))
-    assert np.allclose(f.e2, [1.0, 0.0, 0.0], atol=1e-15)
-    assert np.allclose(f.e3, [0.0, 1.0, 0.0], atol=1e-15)
+    assert np.allclose(f[:, 1], [1.0, 0.0, 0.0], atol=1e-15)
+    assert np.allclose(f[:, 2], [0.0, 1.0, 0.0], atol=1e-15)
 
 
 def test_complete_frame_random_orthonormal():
     rng = np.random.default_rng(4)
     for _ in range(200):
         f = complete_frame(_unit(rng))
-        mat = f.as_matrix()
-        assert np.max(np.abs(mat.T @ mat - np.eye(3))) < 1e-12
-        assert np.max(np.abs(np.cross(f.e1, f.e2) - f.e3)) < 1e-12
+        assert np.max(np.abs(f.T @ f - np.eye(3))) < 1e-12
+        assert np.max(np.abs(np.cross(f[:, 0], f[:, 1]) - f[:, 2])) < 1e-12
 
 
 def test_complete_frame_rejects_zero():
@@ -176,6 +176,20 @@ def test_complete_frame_rejects_zero():
         complete_frame(np.zeros(3))
     with pytest.raises(InvalidInputError):
         complete_frame(np.array([0.5, 0.0, 0.0]))
+
+
+def test_frame_from_pair_is_a_rotation_on_every_branch():
+    # Columns: the unit sum and difference of the pair and their cross
+    # product; a parallel or antipodal pair completes its undefined axis.
+    rng = np.random.default_rng(8)
+    u = _unit(rng)
+    for v in (_unit(rng), u, -u):
+        f = frame_from_pair(u, v)
+        assert f.shape == (3, 3)
+        assert np.max(np.abs(f.T @ f - np.eye(3))) < 1e-12
+        assert abs(np.linalg.det(f) - 1.0) < 1e-12
+    assert np.allclose(frame_from_pair(u, u)[:, 0], u, atol=1e-15)
+    assert np.allclose(frame_from_pair(u, -u)[:, 1], u, atol=1e-15)
 
 
 def _rodrigues(w):

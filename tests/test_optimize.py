@@ -8,6 +8,7 @@ import pytest
 
 from bellbound import (
     AUDIT_CRITERIA,
+    ConstraintError,
     InternalConsistencyError,
     InvalidInputError,
     OptimizeSpec,
@@ -20,6 +21,7 @@ from bellbound import (
     exhaustive_bias_max,
     extremal_bias_patterns,
     j_max,
+    make_observable,
     maximize_chsh,
     random_state,
     s0_bound,
@@ -230,6 +232,61 @@ def test_monotone_in_restarts():
         assert hi >= lo - 1e-12
 
 
+def _log_starts(monkeypatch) -> list:
+    """The list that logs ("draw", start) per random start drawn and ("refine", tol) per refine run."""
+    events = []
+    draw = oracle._Problem.random_params
+    make_refine = oracle._Problem.make_refine
+
+    def logged_draw(self, rng):
+        p = draw(self, rng)
+        events.append(("draw", tuple(p)))
+        return p
+
+    def logged_make_refine(self):
+        refine = make_refine(self)
+
+        def logged_refine(p, tol, step):
+            events.append(("refine", tol))
+            return refine(p, tol, step)
+
+        return logged_refine
+
+    monkeypatch.setattr(oracle._Problem, "random_params", logged_draw)
+    monkeypatch.setattr(oracle._Problem, "make_refine", logged_make_refine)
+    return events
+
+
+@pytest.mark.parametrize("biases", ["fixed-zero", "free-continuous"])
+@pytest.mark.parametrize("warm_count", [0, 2])
+def test_start_stream(biases, warm_count, monkeypatch):
+    # Warm starts run first at full precision. Then each random start is
+    # drawn only when it runs and is refined coarsely, then polished when it
+    # leads; the draws of restarts=k are the first k of restarts=k + 1.
+    state = random_state(21, "general")
+    q = StrengthQuad(0.9, 0.8, 0.7, 0.6)
+    angles = (1.1, 2.0) if biases == "fixed-zero" else None
+    warm = (achieving_directions(state, q, 1.1, 2.0).scenario,) * warm_count
+    events = _log_starts(monkeypatch)
+    draws = []
+    for restarts in (1, 2, 3, 4):
+        events.clear()
+        maximize_chsh(OptimizeSpec(state, q, angles, biases, restarts=restarts, seed=7, warm_starts=warm))
+        assert events[:warm_count] == [("refine", oracle._REFINE_TOL)] * warm_count
+        stream = events[warm_count:]
+        polished = []
+        while stream:
+            assert stream[0][0] == "draw" and stream[1] == ("refine", oracle._COARSE_TOL)
+            polished.append(stream[2:3] == [("refine", oracle._REFINE_TOL)])
+            stream = stream[2 + polished[-1] :]
+        assert len(polished) == restarts
+        # With no warm start, the first random start leads and is polished.
+        assert polished[0] or warm_count
+        draws.append([start for kind, start in events if kind == "draw"])
+    for shorter, longer in zip(draws, draws[1:]):
+        assert shorter == longer[: len(shorter)]
+
+
 def test_warm_start_attains_bound():
     rng = np.random.default_rng(6)
     for trial in range(20):
@@ -256,18 +313,47 @@ def test_fixed_bias_values_respected():
     )
     result = maximize_chsh(spec)
     assert result.best_scenario.biases == (0.5, -0.5, 0.25, 0.0)
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(ConstraintError, match=r"strength \+ \|bias\| = 1.4 exceeds 1"):
         OptimizeSpec(state=state, strengths=q, biases="fixed-values", bias_values=(0.9, 0, 0, 0))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_fixed_bias_values_must_be_finite(bad):
-    # NaN passes every |bias| <= 1 - strength comparison, so it is tested for first.
+    # NaN passes every strength + |bias| <= 1 comparison, so it is tested for first.
     for k in range(4):
         values = [0.0, 0.0, 0.0, 0.0]
         values[k] = bad
-        with pytest.raises(InvalidInputError, match="bias values must be finite"):
+        with pytest.raises(InvalidInputError, match=r"bias must lie in \[-1, 1\], got"):
             OptimizeSpec(state=singlet(), strengths=StrengthQuad(0.5, 0.5, 0.5, 0.5), biases="fixed-values", bias_values=tuple(values))
+
+
+def test_fixed_bias_values_follow_the_observable_rule():
+    # strength + |bias| is 1 + 1.0e-12 here: make_observable accepts the
+    # observable, so the search must accept it as a fixed bias too.
+    s, b = 0.6369616873214543, 0.3630383126795457
+    make_observable(b, s, [1.0, 0.0, 0.0])
+    q = StrengthQuad(s, 0.5, 0.5, 0.5)
+    spec = OptimizeSpec(state=singlet(), strengths=q, biases="fixed-values", bias_values=(b, 0.0, 0.0, 0.0), restarts=1)
+    assert maximize_chsh(spec).best_scenario.biases == (b, 0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("field", ["restarts", "seed"])
+@pytest.mark.parametrize("value", [2.5, 1.0, "2", True, None])
+def test_spec_counts_must_be_integers(field, value):
+    with pytest.raises(InvalidInputError, match=f"{field} must be an integer"):
+        OptimizeSpec(state=singlet(), strengths=StrengthQuad(1, 1, 1, 1), **{field: value})
+    spec = OptimizeSpec(state=singlet(), strengths=StrengthQuad(1, 1, 1, 1), **{field: np.int64(2)})
+    assert type(getattr(spec, field)) is int
+
+
+@pytest.mark.parametrize("field", ["trials", "seed", "restarts", "threads"])
+@pytest.mark.parametrize("value", [1.5, 2.0, True])
+def test_audit_counts_must_be_integers(field, value, monkeypatch):
+    # Rejected before any trial runs or any worker process starts.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)
+    monkeypatch.setattr(optimize, "_audit_one", None)
+    with pytest.raises(InvalidInputError, match=f"{field} must be an integer"):
+        audit_bound("thm1", **{"trials": 2, field: value})
 
 
 def test_spec_validation():

@@ -60,14 +60,6 @@ def _reference_csv(header, rows) -> str:
     return buf.getvalue()
 
 
-@pytest.fixture
-def corpus_dir(tmp_path, monkeypatch):
-    for name, doc in CORPUS["inputs"].items():
-        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
-    monkeypatch.chdir(tmp_path)
-    return tmp_path
-
-
 def _captured(monkeypatch, capsys, name, argv):
     """Run ``argv`` and return what it handed to ``cli.<name>`` and its stdout."""
     calls = []

@@ -11,7 +11,7 @@ internal-consistency error is raised.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from types import ModuleType
 
 import numpy as np
@@ -217,18 +217,22 @@ def j_max(q: StrengthQuad) -> float:
     )
 
 
+def with_bias_term(report: BoundReport, q: StrengthQuad, **changes) -> BoundReport:
+    """``report`` with ``j_max(q)`` added to its value, and ``changes`` (such as a new
+    ``criterion_id``) applied: an unbiased bound's biased form on a T-state."""
+    return replace(report, value=report.value + j_max(q), **changes)
+
+
 def st_bound(state: FanoState, q: StrengthQuad, theta: float, phi: float) -> BoundReport:
     """Tight CHSH bound for arbitrary (possibly biased) observables on a T-state."""
     _require_tstate(state, "thm2")
-    base = s0_bound(state, q, theta, phi)
-    return BoundReport(value=base.value + j_max(q), criterion_id="thm2")
+    return with_bias_term(s0_bound(state, q, theta, phi), q, criterion_id="thm2")
 
 
 def st_tilde(state: FanoState, q: StrengthQuad, theta: float, phi: float) -> BoundReport:
     """Relabeling-maximized T-state bound (add the bias term to the tilde bound)."""
     _require_tstate(state, "cor6")
-    base = s0_tilde(state, q, theta, phi)
-    return BoundReport(value=base.value + j_max(q), criterion_id="cor6")
+    return with_bias_term(s0_tilde(state, q, theta, phi), q, criterion_id="cor6")
 
 
 def _equal_angle_choice(s1: float, s2: float) -> tuple[float, float]:

@@ -15,7 +15,6 @@ import functools
 import json
 import math
 import sys
-from dataclasses import replace
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -64,16 +63,9 @@ _MAX_STEPS = 10**6
 
 
 _JSON_SPECIAL = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _float_text(value: float) -> str:
-    """The JSON token of ``value`` rounded by ``sig12``, as the standard library's ``json`` encoder writes it."""
-    text = sig12(value)
-    if "." in text and "e" not in text:
-        # A fixed-point decimal of at most 12 digits is already the
-        # shortest repr of the float it names.
-        return text
-    return _JSON_SPECIAL.get(text) or repr(float(text))
+# The written form of each object key, ``"key": ``. Keys are the
+# program's own field names, so this stays a few dozen entries.
+_KEY_TEXT: dict[str, str] = {}
 
 
 def _json_parts(value, out: list, newline: str) -> None:
@@ -81,10 +73,15 @@ def _json_parts(value, out: list, newline: str) -> None:
 
     Only the exact built-in types a payload holds are written; any other
     type, numpy scalars and float subclasses included, raises ``TypeError``.
+    A float is rounded by ``sig12`` and written as the standard library's
+    ``json`` encoder writes the rounded float.
     """
     kind = type(value)
     if kind is float:
-        out.append(_float_text(value))
+        text = sig12(value)
+        # A fixed-point decimal of at most 12 digits is already the
+        # shortest repr of the float it names.
+        out.append(text if "." in text and "e" not in text else _JSON_SPECIAL.get(text) or repr(float(text)))
     elif kind is str:
         out.append(encode_basestring_ascii(value))
     elif kind is dict:
@@ -95,9 +92,13 @@ def _json_parts(value, out: list, newline: str) -> None:
         comma = "," + (inner or " ")
         out.append("{" + inner)
         for k, key in enumerate(sorted(value)):
-            if not isinstance(key, str):
-                raise TypeError(f"JSON keys must be str, not {type(key).__name__}")
-            out.append((comma if k else "") + encode_basestring_ascii(key) + ": ")
+            # No int, float, bool or None key equals a str, so such a key always misses.
+            text = _KEY_TEXT.get(key)
+            if text is None:
+                if not isinstance(key, str):
+                    raise TypeError(f"JSON keys must be str, not {type(key).__name__}")
+                text = _KEY_TEXT[key] = encode_basestring_ascii(key) + ": "
+            out.append((comma if k else "") + text)
             _json_parts(value[key], out, inner)
         out.append(newline + "}")
     elif kind is list or kind is tuple:
@@ -303,22 +304,23 @@ def cmd_bound(args) -> int:
         "angle_source": angle_source,
     }
     unequal = None if equal_a and equal_b else "strengths are not equal on each side"
+    # thm2 and cor6 are the biased forms of thm1 and cor3, so each of these is evaluated once.
+    thm1 = None if no_angles else B.s0_bound(state, q, *angles)
+    cor3 = None if no_angles else B.s0_tilde(state, q, *angles)
     entries = [
         _report_entry(B.BoundReport(value=B.horodecki(state), criterion_id="horodecki")),
         _report_entry(B.cor2_sufficient(state, q)),
-        _entry("thm1", no_angles, lambda: B.s0_bound(state, q, *angles), **at_angles),
-        _entry("cor3", no_angles, lambda: B.s0_tilde(state, q, *angles), **at_angles),
-        _entry("thm2", not_tstate or no_angles, lambda: B.st_bound(state, q, *angles), **at_angles),
-        _entry("cor6", not_tstate or no_angles, lambda: B.st_tilde(state, q, *angles), **at_angles),
+        _entry("thm1", no_angles, lambda: thm1, **at_angles),
+        _entry("cor3", no_angles, lambda: cor3, **at_angles),
+        _entry("thm2", not_tstate or no_angles, lambda: B.with_bias_term(thm1, q, criterion_id="thm2"), **at_angles),
+        _entry("cor6", not_tstate or no_angles, lambda: B.with_bias_term(cor3, q, criterion_id="cor6"), **at_angles),
         _entry("cor1", unequal, lambda: B.cor1_bound(state, q.sx, q.sy)),
         _entry("cor4", unequal or not_tstate, lambda: B.cor4_bound(state, q.sx, q.sy)),
         _entry("thm3", None if thm3 else "no side has equal strengths", lambda: thm3, **thm3_extra),
         _entry("thm4", None if thm4 else f"s1(T) != s2(T) ({s1:.6g} vs {s2:.6g})", lambda: thm4),
     ]
     if thm4 is not None and is_tstate:
-        # On a T-state, thm4's biased form adds j_max to the same value.
-        biased = replace(thm4, value=thm4.value + B.j_max(q))
-        entries.append(_report_entry(biased, criterion_variant="thm4+bias"))
+        entries.append(_report_entry(B.with_bias_term(thm4, q), criterion_variant="thm4+bias"))
     payload = {
         "input": args.input,
         "state": state.to_dict(),

@@ -50,8 +50,9 @@ def svd(m) -> SvdFactors:
     """
     a = _as_square(m)
     u, s, vt = np.linalg.svd(a)
-    # A unit column's largest-magnitude entry is never 0, so no sign is 0.
-    signs = np.sign(u[np.abs(u).argmax(axis=0), np.arange(a.shape[0])])
+    # ``max`` keeps the first of equal magnitudes, as ``argmax`` does. A unit
+    # column's largest-magnitude entry is never 0, so every sign is +-1.
+    signs = np.array([1.0 if max(col, key=abs) > 0.0 else -1.0 for col in u.T.tolist()])
     # LAPACK returns -0.0 for the zero singular values of a matrix of -0.0
     # entries (Werner w = 0); adding 0.0 makes them +0.0.
     return SvdFactors(u=u * signs, s=s + 0.0, v=vt.T * signs)

@@ -90,7 +90,7 @@ def check_bias(bias, strength: float) -> float:
     """The bias checked and clamped to [-1, 1] by the rule of ``check_angle``, with strength + |bias| <= 1."""
     bias = _clamped(bias, "bias", -1.0, 1.0, "[-1, 1]")
     if strength + abs(bias) > 1.0 + 1e-12:
-        raise ConstraintError(f"strength + |bias| = {strength + abs(bias):.6g} exceeds 1")
+        raise ConstraintError(f"strength + |bias| = {float(strength + abs(bias))!r} exceeds 1")
     return bias
 
 
@@ -131,7 +131,7 @@ class Observable:
         return {
             "bias": float(self.bias),
             "strength": float(self.strength),
-            "direction": [float(c) for c in self.direction],
+            "direction": self.direction.tolist(),
         }
 
 
@@ -225,9 +225,9 @@ class FanoState:
 
     def to_dict(self) -> dict:
         return {
-            "a": [float(c) for c in self.a],
-            "b": [float(c) for c in self.b],
-            "t": [[float(c) for c in row] for row in self.t],
+            "a": self.a.tolist(),
+            "b": self.b.tolist(),
+            "t": self.t.tolist(),
         }
 
 
@@ -273,8 +273,7 @@ def state_from_density(rho) -> FanoState:
 
 def correlation_singular_values(state: FanoState) -> tuple[float, float, float]:
     """Singular values of the spin correlation matrix, descending."""
-    s = state.t_svd.s
-    return (float(s[0]), float(s[1]), float(s[2]))
+    return tuple(state.t_svd.s.tolist())
 
 
 @dataclass(frozen=True, eq=False)

@@ -83,6 +83,28 @@ def test_bound_biased_window(tmp_path, capsys):
     assert thm2["violated"] and thm2["value"] > 2.02
 
 
+def test_bound_evaluates_each_closed_form_once(tmp_path, capsys, monkeypatch):
+    # A Werner state is a T-state with s1 = s2: thm2, cor6 and thm4+bias all apply.
+    calls = []
+
+    def counted(name):
+        original = getattr(bounds, name)
+        monkeypatch.setattr(bounds, name, lambda *args, **kwargs: calls.append(name) or original(*args, **kwargs))
+
+    for name in ("s0_bound", "s0_tilde", "with_bias_term"):
+        counted(name)
+    doc = {"state": {"kind": "werner", "w": 0.8}, "strengths": [0.9, 0.8, 0.7, 0.6], "angles": {"theta": 1.0, "phi": 2.0}}
+    code, out, _ = _run(capsys, ["bound", "--input", _write(tmp_path, "in.json", doc)])
+    assert code == 0
+    # cor2 and thm1 each evaluate thm1's closed form; thm2 and cor6 reuse thm1's and cor3's.
+    assert sorted(calls) == ["s0_bound", "s0_bound", "s0_tilde", "with_bias_term", "with_bias_term", "with_bias_term"]
+    report = json.loads(out)
+    jmax = bounds.j_max(StrengthQuad(0.9, 0.8, 0.7, 0.6))
+    for biased, unbiased in (("thm2", "thm1"), ("cor6", "cor3")):
+        assert abs(_criterion(report, biased)["value"] - _criterion(report, unbiased)["value"] - jmax) < 1e-9
+    assert [c.get("criterion_variant") for c in report["criteria"]].count("thm4+bias") == 1
+
+
 def test_bound_unphysical_state_exit_code(tmp_path, capsys):
     doc = {"state": {"kind": "fano", "a": [0, 0, 0], "b": [0, 0, 0],
                      "t": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]},

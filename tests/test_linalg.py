@@ -225,3 +225,36 @@ def test_svd_sign_convention():
             flipped = svd(-m)
             assert np.allclose(flipped.u, fac.u, atol=1e-12)
             assert np.allclose(flipped.v, -fac.v, atol=1e-12)
+
+
+def _reference_svd(m):
+    """``svd``'s factors with the sign rule taken by numpy indexing: the reference for its loop over Python floats."""
+    a = np.asarray(m, dtype=float)
+    u, s, vt = np.linalg.svd(a)
+    signs = np.sign(u[np.abs(u).argmax(axis=0), np.arange(a.shape[0])])
+    return u * signs, s + 0.0, vt.T * signs
+
+
+def _hex(arrays):
+    return [float(x).hex() for a in arrays for x in np.ravel(a).tolist()]
+
+
+_C45 = math.sqrt(0.5)
+# Matrices whose u has several entries of largest magnitude in a column,
+# some of opposite signs, so the pick among them decides the sign.
+TIED_MATRICES = [
+    np.array([[_C45, -_C45], [_C45, _C45]]),
+    np.array([[1.0, 1.0], [1.0, -1.0]]),
+    np.array([[_C45, -_C45, 0.0], [_C45, _C45, 0.0], [0.0, 0.0, 1.0]]),
+    0.5 * np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]], dtype=float),
+    np.eye(4)[[2, 0, 3, 1]],
+    np.zeros((3, 3)),
+]
+
+
+def test_svd_sign_rule_matches_numpy_reference_bit_for_bit():
+    rng = np.random.default_rng(2021)
+    cases = [rng.standard_normal((n, n)) for n in (2, 3, 4) for _ in range(100)] + TIED_MATRICES
+    for m in cases:
+        fac = svd(m)
+        assert _hex((fac.u, fac.s, fac.v)) == _hex(_reference_svd(m))

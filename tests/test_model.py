@@ -38,6 +38,12 @@ def test_make_observable_rejects_constraint_violation():
         make_observable(0.5, 0.6, [1.0, 0.0, 0.0])
 
 
+def test_constraint_violation_message_shows_the_excess():
+    # 12 significant digits would print this sum as 1, which does not exceed 1.
+    with pytest.raises(ConstraintError, match=r"strength \+ \|bias\| = 1\.000000000002 exceeds 1$"):
+        make_observable(0.5 + 2e-12, 0.5, [1.0, 0.0, 0.0])
+
+
 def test_make_observable_direction_normalization():
     almost = np.array([1.0 + 5e-7, 0.0, 0.0])
     obs = make_observable(0.0, 1.0, almost)

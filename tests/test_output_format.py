@@ -213,6 +213,23 @@ def test_json_writer_takes_only_string_keys(newline):
         cli._json_text({1: 2.0}, newline)
 
 
+@pytest.mark.parametrize("key", [1, True], ids=repr)
+@pytest.mark.parametrize("newline", ["\n", ""], ids=["indented", "one-line"])
+def test_json_writer_rejects_other_keys_after_caching_string_keys(key, newline):
+    # Keys already written are remembered; no other key type may pass as one of them.
+    cli._json_text({"1": 1.0, "True": 2.0, "value": 3.0}, newline)
+    with pytest.raises(TypeError, match="keys must be str"):
+        cli._json_text({key: 2.0}, newline)
+
+
+@pytest.mark.parametrize("newline", ["\n", ""], ids=["indented", "one-line"])
+def test_json_writer_writes_a_payload_the_same_twice(newline):
+    payload = {"criteria": [{"criterion_id": "thm1", "value": 2.5, "naïve key": {"\x01": None}}], "input": "in.json"}
+    reference = _reference_json(payload) if newline else _reference_line(payload)
+    assert cli._json_text(payload, newline) == reference
+    assert cli._json_text(payload, newline) == reference
+
+
 # The corpus holds one scan per family (tests/test_golden_cli.py checks this).
 CSV_COMMANDS = [c["argv"] for c in CORPUS["commands"] if c["kind"] == "scan"] + [
     ["verify", "--criterion", criterion, "--trials", "3", "--seed", "0"] for criterion in sorted(AUDIT_CRITERIA)

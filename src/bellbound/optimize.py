@@ -276,6 +276,9 @@ AUDIT_CRITERIA = tuple(_AUDIT_REGISTRY)
 
 # Most trials one audit runs; its job list is built in memory at once.
 _MAX_TRIALS = 10**6
+# Most random starts per trial: a restart costs about 2 ms, so this bounds a
+# trial's search at tens of seconds.
+_MAX_RESTARTS = 10**4
 
 
 def _audit_one(args) -> AuditRow:
@@ -340,6 +343,8 @@ def audit_bound(
         raise InvalidInputError(f"trials must be <= {_MAX_TRIALS}, got {trials}")
     seed = check_count(seed, "seed", 0)
     restarts = cfg.restarts if restarts is None else check_count(restarts, "restarts", 1)
+    if restarts > _MAX_RESTARTS:
+        raise InvalidInputError(f"restarts must be <= {_MAX_RESTARTS}, got {restarts}")
     threads = check_count(threads, "threads", 1)
     if tolerance is not None and not (math.isfinite(tolerance) and tolerance >= 0.0):
         raise InvalidInputError(f"tolerance must be finite and >= 0, got {tolerance}")

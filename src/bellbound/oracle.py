@@ -21,9 +21,13 @@ the rotation columns, half-angles and vectors of each parameter block
 only its block, its side's vectors and the final CHSH combination, into
 temporaries that an accepted move assigns to the point's names, in the
 order of operations of a full evaluation, so both give the same value bit
-for bit. Unbiased problems skip the bias terms. No decomposition of T or
-other closed-form shortcut enters the objective. ``refine``'s factory is
-rendered at import from one template per expression into
+for bit. Each product of a rotation entry with a half-angle's cosine or sine
+is formed once and shared by a side's two directions, and each half-angle is
+halved once. The rotation coordinates are unbounded, so their searches have
+no clamp; theta, phi and the biases clamp to their bounds. Unbiased problems
+skip the bias terms. No decomposition of T or other closed-form shortcut
+enters the objective. ``refine``'s factory is rendered at import from one
+template per expression into
 ``_OBJECTIVE_SOURCE``, which tracebacks and ``inspect`` read as the file
 ``<bellbound.oracle _objective_factory>``.
 """
@@ -132,17 +136,26 @@ else:
 """
 
 _HALF_ANGLE = """\
-{c} = cos(0.5 * {angle})
-{s} = sin(0.5 * {angle})
+half = 0.5 * {angle}
+{c} = cos(half)
+{s} = sin(half)
 """
 
+# The directions d = R (c, s, 0) and d' = R (c, -s, 0): each product of a
+# rotation entry and c or s is formed once and shared by d and d'.
 _DIRECTIONS = """\
-{d}0 = {r}00 * {c} + {r}01 * {s}
-{d}1 = {r}10 * {c} + {r}11 * {s}
-{d}2 = {r}20 * {c} + {r}21 * {s}
-{d}p0 = {r}00 * {c} - {r}01 * {s}
-{d}p1 = {r}10 * {c} - {r}11 * {s}
-{d}p2 = {r}20 * {c} - {r}21 * {s}
+rc0 = {r}00 * {c}
+rc1 = {r}10 * {c}
+rc2 = {r}20 * {c}
+rs0 = {r}01 * {s}
+rs1 = {r}11 * {s}
+rs2 = {r}21 * {s}
+{d}0 = rc0 + rs0
+{d}1 = rc1 + rs1
+{d}2 = rc2 + rs2
+{d}p0 = rc0 - rs0
+{d}p1 = rc1 - rs1
+{d}p2 = rc2 - rs2
 """
 
 _T_Y = """\
@@ -197,18 +210,18 @@ _VALUE = (
 # else a step down; an accepted step walks on with doubling stride. The
 # candidate is in p[i] while {evaluate} computes its value ``val`` into
 # n_-prefixed names, and {accept} makes those the point's. An accepted step
-# leaves pos != base, and then the other sign is not tried.
+# leaves pos != base, and then the other sign is not tried. A bounded group
+# reads its coordinate's bounds ({bounds}) and clamps each candidate to them
+# ({clamp}, {clamp_walk}); the rotation groups are unbounded and render these
+# fields empty. The equality guards stay in every group: a step can round
+# back to the point it left.
 _SEARCH = """\
 for i in {coords}:
-    lo_i = lo[i]
-    hi_i = hi[i]
+{bounds}\
     base = p[i]
     for delta in (step, -step):
         cand = base + delta
-        if cand > hi_i:
-            cand = hi_i
-        elif cand < lo_i:
-            cand = lo_i
+{clamp}\
         if cand == base:
             continue
         pos = base
@@ -226,10 +239,7 @@ for i in {coords}:
                 break
             delta *= 2.0
             cand = pos + delta
-            if cand > hi_i:
-                cand = hi_i
-            elif cand < lo_i:
-                cand = lo_i
+{clamp_walk}\
             if cand == pos:
                 break
         p[i] = pos
@@ -301,18 +311,39 @@ def _value(a: dict, b: dict, g: str) -> str:
 
 
 def _side_search(side: dict, block: str, coords: str) -> str:
-    """The search of ``side``'s ``block``, whose candidates get n_-prefixed names (B's y stay temporaries)."""
-    keys = ["r"] if block is _ROTATION else ["c", "s"]
+    """The search of ``side``'s ``block``, whose candidates get n_-prefixed names (B's y stay temporaries).
+
+    Rotation coordinates are unbounded, so only the half-angle searches clamp.
+    """
+    rotation = block is _ROTATION
+    keys = ["r"] if rotation else ["c", "s"]
     keys += ["lt"] + (["ty", "tp"] if side is _SIDE_B else ["d"])
     cand = dict(side, **{k: "n_" + side[k] for k in keys})
     a, b = (cand, _SIDE_B) if side is _SIDE_A else (_SIDE_A, cand)
-    return _search(coords, _block(cand, block) + _value(a, b, "n_g_dir"))
+    return _search(coords, _block(cand, block) + _value(a, b, "n_g_dir"), bounded=not rotation)
 
 
-def _search(coords: str, evaluate: str) -> str:
-    """One coordinate group's search; an accepted candidate assigns each n_-prefixed name to its plain name."""
+_CLAMP = """\
+if cand > hi_i:
+    cand = hi_i
+elif cand < lo_i:
+    cand = lo_i
+"""
+
+
+def _search(coords: str, evaluate: str, bounded: bool) -> str:
+    """One coordinate group's search, clamped to lo and hi if ``bounded``; an accepted candidate
+    assigns each n_-prefixed name to its plain name."""
     accept = "".join(f"{name} = n_{name}\n" for name in dict.fromkeys(re.findall(r"\bn_(\w+)", evaluate)))
-    return _SEARCH.format(coords=coords, evaluate=_indent(evaluate, 3), accept=_indent(accept, 3))
+    bounds, clamp = ("lo_i = lo[i]\nhi_i = hi[i]\n", _CLAMP) if bounded else ("", "")
+    return _SEARCH.format(
+        coords=coords,
+        bounds=_indent(bounds, 1),
+        clamp=_indent(clamp, 2),
+        clamp_walk=_indent(clamp, 3),
+        evaluate=_indent(evaluate, 3),
+        accept=_indent(accept, 3),
+    )
 
 
 _RENDERED_LINES: dict[str, tuple] = {}
@@ -351,6 +382,7 @@ _OBJECTIVE_SOURCE = _FACTORY.format(
             "(nb, nb + 1, nb + 2, nb + 3)",
             "bx = p[nb]\nbxp = p[nb + 1]\nby = p[nb + 2]\nbyp = p[nb + 3]\n"
             + _fill(_VALUE, {}, 0, g="g_dir", a_x="a_x", b_y="b_y"),
+            bounded=True,
         ),
         4,
     ),

@@ -943,6 +943,22 @@ def test_verify_trials_above_the_limit_exit_2_before_any_trial(monkeypatch):
     assert (code, out, err) == (2, "", "error: trials must be <= 1000000, got 1000001\n")
 
 
+@pytest.mark.parametrize("criterion", ["thm1", "jmax"])
+def test_verify_restarts_above_the_limit_exit_2_before_any_trial(monkeypatch, criterion):
+    import concurrent.futures
+
+    from bellbound import optimize
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the audit started")
+
+    monkeypatch.setattr(optimize, "_audit_one", fail)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", fail)
+    args = ["verify", "--criterion", criterion, "--trials", "1", "--restarts", str(10**9)]
+    code, out, err, _ = _call_in_process(args)
+    assert (code, out, err) == (2, "", "error: restarts must be <= 10000, got 1000000000\n")
+
+
 @pytest.mark.parametrize("value, shown", [("-1e-3", "-0.001"), ("-inf", "-inf")])
 def test_verify_negative_tolerance_parses_like_equals_form(value, shown):
     head = ["verify", "--criterion", "jmax", "--trials", "2"]

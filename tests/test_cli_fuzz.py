@@ -9,9 +9,10 @@ range edges, as non-finite values and as text that is not a number, with
 or without an input document; ``scan`` ends with 0, 2 or 3, and a
 success writes one line per step after the header. ``verify`` arguments
 are drawn around their limits (trials, seeds up to 1e30, tolerances that
-are not finite, negative or not numbers, restarts, threads below 1, an
-output path that cannot be written); ``verify`` ends with 0, 2 or 5 and
-starts no worker process.
+are not finite, negative or not numbers, restarts below 1 or above 10⁴,
+threads below 1, an output path that cannot be written); ``verify`` ends
+with 0, 2 or 5, and with 2 for restarts above 10⁴, and starts no worker
+process.
 """
 
 import concurrent.futures
@@ -226,12 +227,13 @@ verify_tolerance = st.none() | st.sampled_from(
     seed=verify_seed,
     tolerance=verify_tolerance,
     joined=st.booleans(),
-    restarts=st.integers(1, 2) | st.integers(-1, 2),
+    restarts=st.integers(1, 2) | st.integers(-1, 2) | st.sampled_from([10**4 + 1, 10**9]),
     threads=st.just(1) | st.integers(-2, 1),
     output=st.none() | st.sampled_from(["missing-directory", "directory"]),
 )
 @example(criterion="horodecki-upper", trials=2, seed=10**30, tolerance=None, joined=True, restarts=1, threads=1, output=None)
 @example(criterion="thm1", trials=3, seed=0, tolerance="0", joined=True, restarts=1, threads=1, output=None)
+@example(criterion="thm1", trials=1, seed=0, tolerance=None, joined=True, restarts=10**9, threads=1, output=None)
 def test_verify_argument_exit_codes(
     tmp_path, capsys, monkeypatch, criterion, trials, seed, tolerance, joined, restarts, threads, output
 ):
@@ -250,6 +252,8 @@ def test_verify_argument_exit_codes(
         cmd += ["--output", str(tmp_path)]
     code, out, err = _main(cmd, capsys)
     assert code in (0, 2, 5)
+    if restarts > 10**4:
+        assert code == 2
     if code == 2:
         assert out == "" and err.startswith("error: ")
     elif output is None:

@@ -18,12 +18,16 @@ factory is rendered from text templates at import into
 binds itself and ``cos``, ``sin``, ``sqrt`` and ``abs``, and it runs in a
 namespace that holds nothing else, so it cannot reach the closed forms
 either.
+
+The rendered text is also held to its own economy: a candidate point forms
+each product once, and the unbounded rotation searches never clamp.
 """
 
 import ast
 import inspect
 import linecache
 import traceback
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -166,3 +170,71 @@ def test_rendered_source_survives_a_cleared_linecache():
     assert inspect.getsource(refine).lstrip().startswith("def refine(p, tol, step):")
     assert ", in refine\n    w1 = p[4]\n" in _traceback_of_short_p(refine)
     assert inspect.getsource(oracle._directions).startswith("def _directions(p, theta, phi):")
+
+
+def repeated_products(nodes) -> dict[str, int]:
+    """Each product (``Mult``) that ``nodes`` form more than once, by ``ast.unparse`` text, with its count."""
+    texts = Counter(
+        ast.unparse(node)
+        for root in nodes
+        for node in ast.walk(root)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+    )
+    return {text: count for text, count in texts.items() if count > 1}
+
+
+def _objective_tree():
+    return ast.parse(oracle._OBJECTIVE_SOURCE)
+
+
+def _coordinate_loops(tree) -> dict[str, ast.For]:
+    """The search's ``for i in <coords>`` loops, by the text of their coordinates."""
+    return {
+        ast.unparse(node.iter): node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.For) and isinstance(node.target, ast.Name) and node.target.id == "i"
+    }
+
+
+def test_repeated_products_flags_a_product_formed_twice():
+    tree = ast.parse("x = r00 * c + r01 * s\nxp = r00 * c - r01 * s\nh = 0.5 * a\n")
+    assert repeated_products([tree]) == {"r00 * c": 2, "r01 * s": 2}
+
+
+def test_each_candidate_forms_each_product_once():
+    loops = [
+        node
+        for node in ast.walk(_objective_tree())
+        if isinstance(node, ast.While) and isinstance(node.test, ast.Constant) and node.test.value is True
+    ]
+    # A's rotation, B's rotation, theta, phi and the biases.
+    assert len(loops) == 5
+    for loop in loops:
+        assert repeated_products([loop]) == {}
+
+
+def test_each_side_of_the_directions_forms_each_product_once():
+    # Both sides reuse the rotation's scratch names, so each side is checked
+    # on its own: A's statements end with its last direction, xp2.
+    body = ast.parse(oracle._DIRECTIONS_SOURCE).body[0].body
+    last_a = next(
+        k for k, stmt in enumerate(body)
+        if isinstance(stmt, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "xp2" for t in stmt.targets)
+    )
+    for side in (body[: last_a + 1], body[last_a + 1 :]):
+        assert repeated_products(side) == {}
+
+
+BOUND_NAMES = {"lo", "hi", "lo_i", "hi_i"}
+
+
+def test_only_bounded_searches_clamp():
+    loops = _coordinate_loops(_objective_tree())
+    assert set(loops) == {"(0, 1, 2)", "(3, 4, 5)", "(6,)", "(7,)", "(nb, nb + 1, nb + 2, nb + 3)"}
+
+    def bound_names(loop):
+        return {node.id for node in ast.walk(loop) if isinstance(node, ast.Name) and node.id in BOUND_NAMES}
+
+    # Rotation coordinates are unbounded; the angles and biases keep their bounds.
+    for coords, loop in loops.items():
+        assert bound_names(loop) == (set() if coords in ("(0, 1, 2)", "(3, 4, 5)") else BOUND_NAMES), coords

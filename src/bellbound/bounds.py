@@ -187,10 +187,19 @@ def s0_bound(state: FanoState, q: StrengthQuad, theta, phi) -> BoundReport:
     Equals s1(T) s1(W) + s2(T) s2(W) for the strength/angle matrix W. Over
     arrays of angles the report's ``value`` and ``violated`` are arrays.
     """
+    return bound_and_w(state, q, theta, phi)[0]
+
+
+def bound_and_w(state: FanoState, q: StrengthQuad, theta, phi, biased: bool = False) -> tuple[BoundReport, WBundle]:
+    """The thm1 bound at (theta, phi), or if ``biased`` the thm2 bound (T-states only), and the
+    ``w_bundle`` it is computed from: the one place thm1's formula is written."""
+    if biased:
+        _require_tstate(state, "thm2")
     bundle = w_bundle(q, theta, phi)
     s1, s2, _ = correlation_singular_values(state)
     value = 0.5 * (s1 + s2) * bundle.i_plus + 0.5 * (s1 - s2) * bundle.i_minus
-    return BoundReport(value=value, criterion_id="thm1")
+    report = BoundReport(value=value, criterion_id="thm1")
+    return (with_bias_term(report, q, criterion_id="thm2") if biased else report), bundle
 
 
 def s0_tilde(state: FanoState, q: StrengthQuad, theta, phi) -> BoundReport:
@@ -225,8 +234,7 @@ def with_bias_term(report: BoundReport, q: StrengthQuad, **changes) -> BoundRepo
 
 def st_bound(state: FanoState, q: StrengthQuad, theta: float, phi: float) -> BoundReport:
     """Tight CHSH bound for arbitrary (possibly biased) observables on a T-state."""
-    _require_tstate(state, "thm2")
-    return with_bias_term(s0_bound(state, q, theta, phi), q, criterion_id="thm2")
+    return bound_and_w(state, q, theta, phi, biased=True)[0]
 
 
 def st_tilde(state: FanoState, q: StrengthQuad, theta: float, phi: float) -> BoundReport:

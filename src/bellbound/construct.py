@@ -22,7 +22,7 @@ from .chsh import chsh_signed
 from .errors import ConstructionError, DomainError, InvalidInputError
 from .linalg import svd
 from .model import FanoState, Scenario, StrengthQuad, check_angle, scenario_from_directions, sig12
-from .bounds import cor1_bound, cor4_bound, equal_sides, s0_bound, st_bound, thm3_bound, thm4_bound, w_bundle
+from .bounds import WBundle, bound_and_w, cor1_bound, cor4_bound, equal_sides, thm3_bound, thm4_bound, w_bundle
 
 _ATTAIN_TOL = 1e-6
 
@@ -60,15 +60,15 @@ def _embed_w(w: np.ndarray) -> np.ndarray:
     return out
 
 
-def optimal_transforms(state: FanoState, q: StrengthQuad, theta: float, phi: float) -> tuple[np.ndarray, np.ndarray]:
-    """Orthogonal transforms (one per side) aligning the singular frames.
+def optimal_transforms(state: FanoState, bundle: WBundle) -> tuple[np.ndarray, np.ndarray]:
+    """Orthogonal transforms (one per side) aligning the singular frames of T and of W, from ``bundle``.
 
     With the reference directions in the standard basis, applying the first
     transform to the A-side directions and the second to the B-side
     directions makes the direction part of the CHSH combination equal to
     s1(T) s1(W) + s2(T) s2(W).
     """
-    fac_w = svd(_embed_w(w_bundle(q, theta, phi).w))
+    fac_w = svd(_embed_w(bundle.w))
     fac_t = state.t_svd
     o1 = fac_t.u @ fac_w.u.T
     o2 = fac_t.v @ fac_w.v.T
@@ -123,10 +123,14 @@ def _appendix_a(
     """The aligned unbiased scenario, with the bias recipe added if ``biased``, checked against ``target``:
     by default the thm1 (or, if ``biased``, thm2) bound at (theta, phi)."""
     theta, phi = float(theta), float(phi)
+    # One W per construction: the target's, or W alone when the target is given.
     if target is None:
-        target = (st_bound if biased else s0_bound)(state, q, theta, phi).value
+        report, bundle = bound_and_w(state, q, theta, phi, biased)
+        target = report.value
+    else:
+        bundle = w_bundle(q, theta, phi)
     refs = reference_frames(theta, phi)
-    o1, o2 = optimal_transforms(state, q, theta, phi)
+    o1, o2 = optimal_transforms(state, bundle)
     scenario = scenario_from_directions(q, (o1 @ refs[0], o1 @ refs[1], o2 @ refs[2], o2 @ refs[3]))
     if biased:
         dirs = [o.direction for o in scenario.observables()]

@@ -26,10 +26,21 @@ is formed once and shared by a side's two directions, and each half-angle is
 halved once. The rotation coordinates are unbounded, so their searches have
 no clamp; theta, phi and the biases clamp to their bounds. Unbiased problems
 skip the bias terms. No decomposition of T or other closed-form shortcut
-enters the objective. ``refine``'s factory is rendered at import from one
-template per expression into
-``_OBJECTIVE_SOURCE``, which tracebacks and ``inspect`` read as the file
-``<bellbound.oracle _objective_factory>``.
+enters the objective.
+
+After a sweep that gained, from the second sweep at a step onward, a
+pattern step (R. Hooke and T. A. Jeeves, J. ACM 8, 212, 1961) moves along
+the sweep's net displacement m: from the sweep's end point by m, then by
+2m, 4m, ... from each point that improved, theta, phi and the biases
+clamped to their bounds and the rotations not. Each such point is one full
+evaluation, by the same rendered text as a start's, counted and held to the
+evaluation budget like a coordinate move. The last point that improved is
+kept: the first that does not is undone from copies of p and of the point's
+block values made before the move, with nothing recomputed.
+
+``refine``'s factory is rendered at import from one template per
+expression into ``_OBJECTIVE_SOURCE``, which tracebacks and ``inspect``
+read as the file ``<bellbound.oracle _objective_factory>``.
 """
 
 from __future__ import annotations
@@ -250,10 +261,21 @@ for i in {coords}:
 # ``refine`` is the greedy per-coordinate ascent with step halving that every
 # start runs. The step is halved once a sweep's total gain falls below the
 # quadratic scale step^2 / 4, which stops unproductive zigzagging along
-# curved ridges, or after 12 sweeps at one step. Its first evaluation
-# computes B's block, then A's; a move recomputes only its group's block and
-# what depends on it, in the order of operations of that first evaluation,
-# so both give the same value bit for bit.
+# curved ridges, or after 12 sweeps at one step. The full-point evaluation
+# ({point}) computes B's block, then A's; a coordinate move recomputes only
+# its group's block and what depends on it, in the order of operations of
+# the full evaluation, so both give the same value bit for bit.
+#
+# A sweep that gained, from the second sweep at a step onward, is followed
+# by a pattern step (Hooke and Jeeves, J. ACM 8, 212, 1961) along its net
+# displacement m ({displacement}). Each pattern point is one pass of the
+# outer loop: it keeps the point it leaves ({keep}: p, and the point's names
+# under k_-prefixed names), moves by stride * m ({pattern}; theta, phi and
+# the biases clamp to lo and hi, the rotations do not), and is one full
+# evaluation ({point}), counted and held to the budget like a coordinate
+# move. The stride starts at 1 and doubles while the points improve; the
+# first that does not is undone from the kept names ({restore}), with
+# nothing recomputed.
 _FACTORY = """\
 def _objective_factory(t, bloch, strengths, theta0, phi0, free_angles, free_bias, fixed_bias, biased, local_terms, nb, lo, hi, budget):
     def refine(p, tol, step):
@@ -261,26 +283,48 @@ def _objective_factory(t, bloch, strengths, theta0, phi0, free_angles, free_bias
         a0, a1, a2, b0, b1, b2 = bloch
         sx, sxp, sy, syp = strengths
         sx_sy, sx_syp, sxp_sy, sxp_syp = sx * sy, sx * syp, sxp * sy, sxp * syp
-        theta, phi = (p[6], p[7]) if free_angles else (theta0, phi0)
-        bx, bxp, by, byp = (p[nb], p[nb + 1], p[nb + 2], p[nb + 3]) if free_bias else fixed_bias
-{start}\
-        best = val
-        evals = 1
+        evals = 0
         sweeps_at_level = 0
-        while step > tol and evals < budget:
-            gain = 0.0
-            sweeps_at_level += 1
+        stride = 0.0
+        while evals < budget:
+            if stride:
+{keep}\
+{pattern}\
+            theta, phi = (p[6], p[7]) if free_angles else (theta0, phi0)
+            bx, bxp, by, byp = (p[nb], p[nb + 1], p[nb + 2], p[nb + 3]) if free_bias else fixed_bias
+{point}\
+            evals += 1
+            if not stride:
+                best = val
+            elif val > best:
+                best = val
+                stride *= 2.0
+                continue
+            else:
+{restore}\
+            stride = 0.0
+            while step > tol and evals < budget:
+                gain = 0.0
+                sweeps_at_level += 1
+                origin = p[:]
 {search_a}\
 {search_b}\
-            if free_angles:
+                if free_angles:
 {search_theta}\
 {search_phi}\
-            if free_bias:
+                if free_bias:
 {search_bias}\
-                bx, bxp, by, byp = p[nb], p[nb + 1], p[nb + 2], p[nb + 3]
-            if gain <= 0.25 * step * step or sweeps_at_level >= 12:
-                step *= 0.5
-                sweeps_at_level = 0
+                    bx, bxp, by, byp = p[nb], p[nb + 1], p[nb + 2], p[nb + 3]
+                pattern = gain > 0.0 and sweeps_at_level > 1
+                if gain <= 0.25 * step * step or sweeps_at_level >= 12:
+                    step *= 0.5
+                    sweeps_at_level = 0
+                if pattern:
+{displacement}\
+                    stride = 1.0
+                    break
+            else:
+                break
         return best, p, evals, step <= tol
 
     return refine
@@ -323,6 +367,11 @@ def _side_search(side: dict, block: str, coords: str) -> str:
     return _search(coords, _block(cand, block) + _value(a, b, "n_g_dir"), bounded=not rotation)
 
 
+_BOUNDS = """\
+lo_i = lo[{i}]
+hi_i = hi[{i}]
+"""
+
 _CLAMP = """\
 if cand > hi_i:
     cand = hi_i
@@ -331,11 +380,16 @@ elif cand < lo_i:
 """
 
 
+def _accepted(evaluate: str) -> list[str]:
+    """The plain names of the n_-prefixed names that ``evaluate`` computes, in order."""
+    return list(dict.fromkeys(re.findall(r"\bn_(\w+)", evaluate)))
+
+
 def _search(coords: str, evaluate: str, bounded: bool) -> str:
     """One coordinate group's search, clamped to lo and hi if ``bounded``; an accepted candidate
     assigns each n_-prefixed name to its plain name."""
-    accept = "".join(f"{name} = n_{name}\n" for name in dict.fromkeys(re.findall(r"\bn_(\w+)", evaluate)))
-    bounds, clamp = ("lo_i = lo[i]\nhi_i = hi[i]\n", _CLAMP) if bounded else ("", "")
+    accept = "".join(f"{name} = n_{name}\n" for name in _accepted(evaluate))
+    bounds, clamp = (_BOUNDS.format(i="i"), _CLAMP) if bounded else ("", "")
     return _SEARCH.format(
         coords=coords,
         bounds=_indent(bounds, 1),
@@ -344,6 +398,23 @@ def _search(coords: str, evaluate: str, bounded: bool) -> str:
         evaluate=_indent(evaluate, 3),
         accept=_indent(accept, 3),
     )
+
+
+# The pattern step's parts for one coordinate i with displacement m: the
+# sweep's net displacement, and the move by stride * m from the kept point,
+# clamped to i's bounds if it has any.
+_DISPLACEMENT = "{m} = p[{i}] - origin[{i}]\n"
+_MOVE = "p[{i}] += stride * {m}\n"
+_CLAMPED_MOVE = _BOUNDS + "cand = p[{i}] + stride * {m}\n" + _CLAMP + "p[{i}] = cand\n"
+
+
+def _per_coordinate(unbounded: str, bounded: str, depth: int) -> str:
+    """``unbounded`` for each rotation coordinate, then ``bounded`` for theta and phi and for
+    the biases under their flags, each filled in with the coordinate's place i in p and its m."""
+    rotations = "".join(unbounded.format(i=i, m=f"m{i}") for i in range(6))
+    angles = "".join(bounded.format(i=i, m=f"m{i}") for i in (6, 7))
+    biases = "".join(bounded.format(i=i, m=f"mb{k}") for k, i in enumerate(("nb", "nb + 1", "nb + 2", "nb + 3")))
+    return _indent(rotations + "if free_angles:\n" + _indent(angles, 1) + "if free_bias:\n" + _indent(biases, 1), depth)
 
 
 _RENDERED_LINES: dict[str, tuple] = {}
@@ -363,19 +434,19 @@ def _render(name: str, source: str):
     return namespace[name]
 
 
-_OBJECTIVE_SOURCE = _FACTORY.format(
-    start=_indent(
-        _fill(_HALF_ANGLE, _SIDE_A, 0, angle="theta")
-        + _fill(_HALF_ANGLE, _SIDE_B, 0, angle="phi")
-        + _block(_SIDE_B, _ROTATION)
-        + _block(_SIDE_A, _ROTATION)
-        + _value(_SIDE_A, _SIDE_B, "g_dir"),
-        2,
-    ),
-    search_a=_indent(_side_search(_SIDE_A, _ROTATION, "(0, 1, 2)"), 3),
-    search_b=_indent(_side_search(_SIDE_B, _ROTATION, "(3, 4, 5)"), 3),
-    search_theta=_indent(_side_search(_SIDE_A, _HALF_ANGLE, "(6,)"), 4),
-    search_phi=_indent(_side_search(_SIDE_B, _HALF_ANGLE, "(7,)"), 4),
+# The full-point evaluation: the start of ``refine`` and each pattern point.
+_POINT = (
+    _fill(_HALF_ANGLE, _SIDE_A, 0, angle="theta")
+    + _fill(_HALF_ANGLE, _SIDE_B, 0, angle="phi")
+    + _block(_SIDE_B, _ROTATION)
+    + _block(_SIDE_A, _ROTATION)
+    + _value(_SIDE_A, _SIDE_B, "g_dir")
+)
+_SEARCHES = dict(
+    search_a=_indent(_side_search(_SIDE_A, _ROTATION, "(0, 1, 2)"), 4),
+    search_b=_indent(_side_search(_SIDE_B, _ROTATION, "(3, 4, 5)"), 4),
+    search_theta=_indent(_side_search(_SIDE_A, _HALF_ANGLE, "(6,)"), 5),
+    search_phi=_indent(_side_search(_SIDE_B, _HALF_ANGLE, "(7,)"), 5),
     # A bias move reads its biases from p and reuses the direction part g_dir.
     search_bias=_indent(
         _search(
@@ -384,8 +455,19 @@ _OBJECTIVE_SOURCE = _FACTORY.format(
             + _fill(_VALUE, {}, 0, g="g_dir", a_x="a_x", b_y="b_y"),
             bounded=True,
         ),
-        4,
+        5,
     ),
+)
+# The point's names that a pattern step keeps: every name a search accepts, and the biases.
+_KEPT = [*dict.fromkeys(name for text in _SEARCHES.values() for name in _accepted(text)), "bx", "bxp", "by", "byp"]
+
+_OBJECTIVE_SOURCE = _FACTORY.format(
+    point=_indent(_POINT, 3),
+    keep=_indent("kept = p[:]\n" + "".join(f"k_{name} = {name}\n" for name in _KEPT), 4),
+    restore=_indent("p[:] = kept\n" + "".join(f"{name} = k_{name}\n" for name in _KEPT), 4),
+    displacement=_per_coordinate(_DISPLACEMENT, _DISPLACEMENT, 5),
+    pattern=_per_coordinate(_MOVE, _CLAMPED_MOVE, 4),
+    **_SEARCHES,
 )
 _objective_factory = _render("_objective_factory", _OBJECTIVE_SOURCE)
 

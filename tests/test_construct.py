@@ -27,7 +27,7 @@ from bellbound import (
     w_bundle,
     werner,
 )
-from bellbound import construct
+from bellbound import bounds, construct
 from bellbound.construct import _ATTAIN_TOL, achieve
 
 PI2 = math.pi / 2
@@ -308,15 +308,35 @@ def test_tstate_construction_evaluates_one_bound_and_one_check(monkeypatch):
         original = getattr(construct, name)
         monkeypatch.setattr(construct, name, lambda *args: calls.append(name) or original(*args))
 
-    for name in ("st_bound", "s0_bound", "thm3_bound", "_check_attainment", "chsh_signed"):
+    for name in ("bound_and_w", "thm3_bound", "_check_attainment", "chsh_signed"):
         counted(name)
     state, q, angles = _pinned_case(5)
     construct.achieving_scenario_tstate(state, q, *angles)
-    assert sorted(calls) == ["_check_attainment", "chsh_signed", "chsh_signed", "st_bound"]
+    assert sorted(calls) == ["_check_attainment", "bound_and_w", "chsh_signed", "chsh_signed"]
     calls.clear()
     construct.achieving_directions(state, q, *angles)
-    assert sorted(calls) == ["_check_attainment", "chsh_signed", "s0_bound"]
+    assert sorted(calls) == ["_check_attainment", "bound_and_w", "chsh_signed"]
     calls.clear()
     # thm3 is checked once, against its own bound; no thm1 bound is evaluated.
     construct.thm3_achieving(state, StrengthQuad(q.sx, q.sxp, q.sy, q.sy))
     assert sorted(calls) == ["_check_attainment", "chsh_signed", "thm3_bound"]
+
+
+@pytest.mark.parametrize("criterion", construct.ACHIEVABLE)
+def test_each_construction_builds_w_once(criterion, monkeypatch):
+    # W and its spectrum cross-check serve both the target and the frames.
+    calls = []
+    original = bounds.w_bundle
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(bounds, "w_bundle", counted)
+    monkeypatch.setattr(construct, "w_bundle", counted)
+    state, q, angles = _pinned_case(0)
+    if criterion == "thm4":
+        state = werner(0.9)
+    config = achieve(criterion, state, q, angles)
+    assert config.attained_chsh >= config.target_bound - _ATTAIN_TOL
+    assert len(calls) == 1

@@ -26,6 +26,7 @@ each product once, and the unbounded rotation searches never clamp.
 import ast
 import inspect
 import linecache
+import textwrap
 import traceback
 from collections import Counter
 from pathlib import Path
@@ -238,3 +239,78 @@ def test_only_bounded_searches_clamp():
     # Rotation coordinates are unbounded; the angles and biases keep their bounds.
     for coords, loop in loops.items():
         assert bound_names(loop) == (set() if coords in ("(0, 1, 2)", "(3, 4, 5)") else BOUND_NAMES), coords
+
+
+def _pattern_step(source: str) -> dict[str, list[ast.stmt]]:
+    """The pattern step's statements: the body of ``if stride:`` (keep the point, then move
+    it) and of ``if pattern:`` (the sweep's net displacement), by their test's name."""
+    return {
+        node.test.id: node.body
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.If) and isinstance(node.test, ast.Name) and node.test.id in ("stride", "pattern")
+    }
+
+
+def test_each_pattern_point_forms_each_product_once():
+    step = _pattern_step(oracle._OBJECTIVE_SOURCE)
+    assert set(step) == {"stride", "pattern"}
+    assert repeated_products(step["stride"] + step["pattern"]) == {}
+    # A move that forms a coordinate's stride * m twice is flagged.
+    planted = _pattern_step(oracle._OBJECTIVE_SOURCE.replace("p[6] = cand\n", "p[6] = p[6] + stride * m6\n", 1))
+    assert repeated_products(planted["stride"]) == {"stride * m6": 2}
+
+
+def pattern_moves(source: str) -> dict[str, tuple[set[str], int, set[str]]]:
+    """Per coordinate group of the pattern step's move (rotations, then the ``free_angles`` and
+    ``free_bias`` blocks): the places of p it stores, its clamps, and the bound names it uses."""
+    move = _pattern_step(source)["stride"]
+    flagged = [stmt for stmt in move if isinstance(stmt, ast.If) and isinstance(stmt.test, ast.Name)]
+    groups = {"rotations": [stmt for stmt in move if stmt not in flagged]}
+    groups.update((stmt.test.id, stmt.body) for stmt in flagged)
+
+    def summary(stmts):
+        nodes = [node for stmt in stmts for node in ast.walk(stmt)]
+        stored = {
+            ast.unparse(node) for node in nodes
+            if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store) and ast.unparse(node.value) == "p"
+        }
+        clamps = sum(isinstance(node, ast.If) and ast.unparse(node.test) == "cand > hi_i" for node in nodes)
+        bounds = {node.id for node in nodes if isinstance(node, ast.Name) and node.id in BOUND_NAMES}
+        return stored, clamps, bounds
+
+    return {name: summary(stmts) for name, stmts in groups.items()}
+
+
+def test_pattern_step_clamps_angles_and_biases_never_rotations():
+    want = {
+        "rotations": ({f"p[{i}]" for i in range(6)}, 0, set()),
+        "free_angles": ({"p[6]", "p[7]"}, 2, BOUND_NAMES),
+        "free_bias": ({"p[nb]", "p[nb + 1]", "p[nb + 2]", "p[nb + 3]"}, 4, BOUND_NAMES),
+    }
+    assert pattern_moves(oracle._OBJECTIVE_SOURCE) == want
+    # A clamped rotation, or an unclamped angle, is flagged.
+    rendered = oracle._per_coordinate(oracle._MOVE, oracle._CLAMPED_MOVE, 4)
+    clamped = oracle._per_coordinate(oracle._CLAMPED_MOVE, oracle._CLAMPED_MOVE, 4)
+    unclamped = oracle._per_coordinate(oracle._MOVE, oracle._MOVE, 4)
+    assert pattern_moves(oracle._OBJECTIVE_SOURCE.replace(rendered, clamped))["rotations"][1:] == (6, BOUND_NAMES)
+    assert pattern_moves(oracle._OBJECTIVE_SOURCE.replace(rendered, unclamped))["free_angles"][1:] == (0, set())
+
+
+def occurrences(source: str, text: str) -> int:
+    """How often ``text``'s statements appear in a row in one statement list of ``source``."""
+    want = [ast.unparse(stmt) for stmt in ast.parse(text).body]
+    count = 0
+    for node in ast.walk(ast.parse(source)):
+        for stmts in (getattr(node, "body", None), getattr(node, "orelse", None)):
+            have = [ast.unparse(stmt) for stmt in stmts] if isinstance(stmts, list) else []
+            count += sum(have[k : k + len(want)] == want for k in range(len(have)))
+    return count
+
+
+def test_full_point_evaluation_is_rendered_once():
+    # The start of refine and every pattern point run the same text.
+    assert occurrences(oracle._OBJECTIVE_SOURCE, oracle._POINT) == 1
+    second = oracle._OBJECTIVE_SOURCE.replace(
+        "            if stride:\n", "            if stride:\n" + textwrap.indent(oracle._POINT, " " * 16), 1
+    )
+    assert occurrences(second, oracle._POINT) == 2

@@ -20,7 +20,9 @@ namespace that holds nothing else, so it cannot reach the closed forms
 either.
 
 The rendered text is also held to its own economy: a candidate point forms
-each product once, and the unbounded rotation searches never clamp.
+each product once, and the unbounded rotation searches never clamp. The
+pattern step follows the same rules, and its points reuse the start's
+full-point evaluation rather than a second rendered copy of it.
 """
 
 import ast
